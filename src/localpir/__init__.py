@@ -17,11 +17,10 @@ from .capacity import (
     et_rate,
     family_bounds,
     graph_bounds,
-    lambda_weight,
     union_capacity,
 )
 from .errors import LocalPIRError
-from .field import Field, FieldElem, is_prime
+from .field import Field, is_prime
 from .graphs import (
     Graph,
     bipartition,
@@ -31,8 +30,6 @@ from .graphs import (
     family,
     graph_from_json,
     graph_to_json,
-    is_edge_transitive,
-    local_subgraph,
 )
 from .scheme import (
     PlanConfig,
@@ -50,7 +47,6 @@ from .scheme import (
     et_download_cost,
     fixture_config,
     lex_subsets,
-    occurrence_index,
     sample_randomness,
     subpacketization,
     to_physical,
@@ -65,7 +61,6 @@ from .verify import (
     check_scheme,
     cost_audit,
     decode_check,
-    enumerate_randomness,
     fingerprint_distribution,
     privacy_check,
     query_fingerprint,
@@ -75,19 +70,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundReport", "BoundValue", "Comparator", "DEFAULT_CAP", "Field",
-    "FieldElem", "Graph", "LocalPIRError", "PlanConfig", "PrivacyReport",
-    "RateReport", "Randomness", "SchemePlan", "SchemeReport", "Transcript",
+    "Graph", "LocalPIRError", "PlanConfig", "PrivacyReport", "RateReport",
+    "Randomness", "SchemePlan", "SchemeReport", "Transcript",
     "bipartite_config", "bipartite_lower_bound", "bipartition",
     "build_bipartite_plan", "build_et_plan", "build_graph", "build_plan",
     "build_plan_family", "build_union_plan", "canonical_privacy_probe",
     "check_scheme", "components", "cost_audit", "decode", "decode_check",
-    "derive_recipe", "detect_family", "enumerate_randomness",
-    "equal_degree_bound", "et_config", "et_download_cost", "et_lower_bound",
-    "et_rate", "execute_plan", "family", "family_bounds", "fixture_config",
-    "fingerprint_distribution", "graph_bounds", "graph_from_json",
-    "graph_to_json", "is_edge_transitive", "is_prime", "lambda_weight",
-    "lex_subsets", "local_subgraph", "measure_rate", "occurrence_index",
-    "privacy_check", "query_fingerprint", "run_retrieval",
-    "sample_randomness", "subpacketization", "to_physical", "union_capacity",
-    "union_config",
+    "derive_recipe", "detect_family", "equal_degree_bound", "et_config",
+    "et_download_cost", "et_lower_bound", "et_rate", "execute_plan",
+    "family", "family_bounds", "fixture_config", "fingerprint_distribution",
+    "graph_bounds", "graph_from_json", "graph_to_json", "is_prime",
+    "lex_subsets", "measure_rate", "privacy_check", "query_fingerprint",
+    "run_retrieval", "sample_randomness", "subpacketization", "to_physical",
+    "union_capacity", "union_config",
 ]

@@ -151,19 +151,37 @@ def union_capacity(parts) -> Fraction:
     return Fraction(num, den)
 
 
-def lambda_weight(d_i: int, d_j: int, t_i: int, t_j: int) -> Fraction:
-    """Share of the desired message delivered by the first endpoint."""
-    _check_t(t_i, d_i)
-    _check_t(t_j, d_j)
-    b_i = comb(d_i - 1, t_i - 1)
-    b_j = comb(d_j - 1, t_j - 1)
-    return Fraction(b_i, b_i + b_j)
+def subpacketization(deg_i: int, deg_j: int, t_i: int, t_j: int) -> int:
+    """Message length L used by the t-sum construction."""
+    _check_t(t_i, deg_i)
+    _check_t(t_j, deg_j)
+    return comb(deg_i - 1, t_i - 1) + comb(deg_j - 1, t_j - 1)
+
+
+def et_download_cost(deg_i: int, deg_j: int, t_i: int, t_j: int) -> int:
+    """Exact symbol count a t-sum plan downloads.
+
+    Sum atoms: C(d_i, t_i) + C(d_j, t_j).  Interference singletons: each of
+    the d-1 non-desired messages at an endpoint appears in C(d-2, t-2)
+    subsets together with the desired one.
+    """
+    _check_t(t_i, deg_i)
+    _check_t(t_j, deg_j)
+    total = comb(deg_i, t_i) + comb(deg_j, t_j)
+    if t_i >= 2:
+        total += (deg_i - 1) * comb(deg_i - 2, t_i - 2)
+    if t_j >= 2:
+        total += (deg_j - 1) * comb(deg_j - 2, t_j - 2)
+    return total
+
+
+def _check_t(t: int, deg: int) -> None:
+    if not 1 <= t <= deg:
+        raise TOutOfRange(f"t={t} outside 1..{deg}")
 
 
 def et_rate(d_i: int, d_j: int, t_i: int, t_j: int) -> Fraction:
     """Exact rate of the t-sum plan: message length over download."""
-    from .scheme import et_download_cost, subpacketization
-
     return Fraction(subpacketization(d_i, d_j, t_i, t_j),
                     et_download_cost(d_i, d_j, t_i, t_j))
 
@@ -216,9 +234,30 @@ def bipartite_lower_bound(g: Graph, partition=None) -> Fraction:
     return Fraction(g.K, min(sums))
 
 
-def _check_t(t: int, deg: int) -> None:
-    if not 1 <= t <= deg:
-        raise TOutOfRange(f"t={t} outside 1..{deg}")
+def best_scheme(g: Graph) -> tuple[Fraction, tuple[int, int] | None]:
+    """The scheme this package runs on one connected graph, with its rate.
+
+    The t-sum plan runs at its tuned subset sizes when every edge joins the
+    same degree pair, and with singleton sums (t=1), which work on any
+    storage graph, otherwise; the cover plan replaces it when the graph is
+    two-colorable and the cover rate is strictly higher.  Returns
+    (rate, (t_i, t_j)) for a t-sum plan, t_i belonging to the smaller
+    degree, and (rate, None) for the cover plan.
+    """
+    if not g.K:
+        raise EmptyInput("graph has no edges")
+    pairs = {tuple(sorted((g.degree(u), g.degree(v)))) for (u, v) in g.edges}
+    if len(pairs) == 1:
+        value, t_i, t_j = et_lower_bound(*pairs.pop())
+        best = (value, (t_i, t_j))
+    else:
+        best = (Fraction(2 * g.K, sum(d * d for d in g.degrees())), (1, 1))
+    parts = bipartition(g)
+    if parts is not None:
+        cover = bipartite_lower_bound(g, parts)
+        if cover > best[0]:
+            best = (cover, None)
+    return best
 
 
 # --- per-family reports ------------------------------------------------------
@@ -272,14 +311,12 @@ def family_bounds(name: str, n: int) -> BoundReport:
         if n < 2 or n % 2:
             raise InvalidFamilyParams(
                 f"balanced complete bipartite needs even n >= 2, got {n}")
-        d = n // 2
-        value, t_i, t_j = et_lower_bound(d, d)
-        cover = Fraction(1, d)
-        lower, optimizer = ((value, (t_i, t_j)) if value >= cover
-                            else (cover, None))
+        # t = 1 already attains the cover rate 1/d, so the t-sum optimum
+        # is never below it and best_scheme always keeps the t-sum plan.
+        lower, t_i, t_j = et_lower_bound(n // 2, n // 2)
         return BoundReport(
             "complete_bipartite", n, BoundValue(lower),
-            BoundValue(Fraction(1)), lower == 1, optimizer=optimizer,
+            BoundValue(Fraction(1)), lower == 1, optimizer=(t_i, t_j),
             cited_lower=BoundValue(Fraction(2), n),
             cited_note="published closed form 2/sqrt(n); exceeds what the "
                        "t-sum scheme attains, kept for reference only",
@@ -308,11 +345,9 @@ def graph_bounds(g: Graph) -> BoundReport:
     """Bounds for an arbitrary storage graph.
 
     Recognized family members get their family report.  Otherwise the
-    lower bound is the best rate among the schemes this package can build
-    (t-sum at the tuned subset sizes when every edge joins the same degree
-    pair, singleton sums otherwise, and the cover plan when two-colorable);
-    the upper bound is the trivial 1 unless composition of exact component
-    capacities applies.
+    lower bound is the rate of `best_scheme`, composed over the components
+    of a disconnected graph; the upper bound is the trivial 1 unless every
+    component's capacity is exact.
     """
     comps = components(g)
     if len(comps) > 1:
@@ -325,38 +360,28 @@ def graph_bounds(g: Graph) -> BoundReport:
                 return family_bounds(name, params["a"] + params["b"])
         else:
             return family_bounds(name, params["n"])
-    candidates: list[tuple[Fraction, tuple[int, int] | None]] = []
-    pairs = {tuple(sorted((g.degree(u), g.degree(v)))) for (u, v) in g.edges}
-    if len(pairs) == 1:
-        d_small, d_large = pairs.pop()
-        value, t_i, t_j = et_lower_bound(d_small, d_large)
-        candidates.append((value, (t_i, t_j)))
-    else:
-        degsq = sum(d * d for d in g.degrees())
-        candidates.append((Fraction(2 * g.K, degsq), (1, 1)))
-    parts = bipartition(g)
-    if parts is not None:
-        candidates.append((bipartite_lower_bound(g, parts), None))
-    value, optimizer = max(candidates, key=lambda c: c[0])
+    value, optimizer = best_scheme(g)
     return BoundReport("custom", g.n_vertices, BoundValue(value),
                        BoundValue(Fraction(1)), value == 1,
                        optimizer=optimizer)
 
 
 def _union_graph_bounds(g: Graph, comps) -> BoundReport:
-    from .scheme import build_plan, default_component_config
-
+    """Compose best_scheme per component; isolated servers add nothing."""
     parts = []
     all_exact = True
     for comp in comps:
-        sub = graph_bounds(comp.graph)
-        all_exact = all_exact and sub.exact
-        cfg = default_component_config(comp.graph)
-        plans = [build_plan(comp.graph, cfg, k) for k in comp.graph.messages]
-        length = plans[0].lengths[plans[0].theta]
-        expected = Fraction(sum(p.download_count() for p in plans),
-                            comp.graph.K)
-        parts.append((comp.graph.K, length, expected))
+        cg = comp.graph
+        if not cg.K:
+            continue
+        all_exact = all_exact and graph_bounds(cg).exact
+        rate, ts = best_scheme(cg)
+        length = 1
+        if ts is not None:
+            # t_i belongs to the smaller degree, as in every t-sum plan.
+            d_i, d_j = sorted(map(cg.degree, cg.edges[0]))
+            length = subpacketization(d_i, d_j, *ts)
+        parts.append((cg.K, length, length / rate))
     value = union_capacity(parts)
     lower = BoundValue(value)
     upper = lower if all_exact else BoundValue(Fraction(1))

@@ -82,6 +82,12 @@ def resolve_cap(flag_value: int | None) -> int:
     return DEFAULT_CAP if flag_value is None else flag_value
 
 
+def resolve_seeds(seeds: int) -> int:
+    if seeds < 1:
+        raise InvalidFamilyParams(f"--seeds must be at least 1, got {seeds}")
+    return seeds
+
+
 def resolve_config(args, g: Graph) -> PlanConfig:
     t_i = args.t_i if args.t_i is not None else args.t
     t_j = args.t_j if args.t_j is not None else args.t
@@ -271,8 +277,9 @@ def cmd_verify(args) -> int:
     g = load_graph(args)
     config = resolve_config(args, g)
     cap = resolve_cap(args.cap)
+    seeds = resolve_seeds(args.seeds)
     plans = build_plan_family(g, config)
-    report = check_scheme(plans, g, q=args.q, seeds=args.seeds, cap=cap)
+    report = check_scheme(plans, g, q=args.q, seeds=seeds, cap=cap)
     probes = None
     if args.probe:
         probes = [canonical_privacy_probe(plans, g, s, cap)
@@ -295,7 +302,8 @@ def verdict_exit_code(report: SchemeReport) -> int:
 def cmd_simulate(args) -> int:
     g = load_graph(args)
     config = resolve_config(args, g)
-    report = measure_rate(g, config, q=args.q, seeds=args.seeds)
+    report = measure_rate(g, config, q=args.q,
+                          seeds=resolve_seeds(args.seeds))
     transcript = None
     if args.theta is not None:
         transcript = run_retrieval(g, config, args.theta, args.seed, args.q)

@@ -11,10 +11,6 @@ class CompositeModulus(LocalPIRError):
     """The requested modulus is not a prime number."""
 
 
-class ModulusMismatch(LocalPIRError):
-    """Arithmetic attempted between elements of different fields."""
-
-
 # --- graphs --------------------------------------------------------------
 
 class SelfLoop(LocalPIRError):
@@ -37,10 +33,6 @@ class IndexOutOfRange(LocalPIRError):
     """A message or server index is outside its valid range."""
 
 
-class TooLarge(LocalPIRError):
-    """The instance exceeds the brute-force size cap."""
-
-
 # --- scheme --------------------------------------------------------------
 
 class TOutOfRange(LocalPIRError):
@@ -49,10 +41,6 @@ class TOutOfRange(LocalPIRError):
 
 class RoleConflict(LocalPIRError):
     """The role rule cannot assign consistent endpoint roles."""
-
-
-class ElementAbsent(LocalPIRError):
-    """The element is not a member of the subset at the given position."""
 
 
 class NotBipartite(LocalPIRError):

@@ -1,18 +1,15 @@
-"""Arithmetic over the prime field GF(q).
+"""The prime field GF(q) as a context for plain int symbols.
 
-Retrieval schemes only ever add and subtract stored symbols, so the field
-surface is deliberately small: validated construction, addition,
-subtraction, and negation.  Symbols travel through the rest of the package
-as plain ints reduced mod q; `Field` is the context that reduces them and
-`FieldElem` is the checked scalar wrapper.
+Retrieval schemes only ever add and subtract stored symbols.  Symbols
+travel through the package as plain ints reduced mod q; `Field` validates
+the modulus and carries it, and decoding subtracts through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CompositeModulus, ModulusMismatch
+from .errors import CompositeModulus
 
 
 @lru_cache(maxsize=None)
@@ -32,38 +29,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _check_prime(q: int) -> None:
-    if not is_prime(q):
-        raise CompositeModulus(f"modulus {q} is not prime")
-
-
 class Field:
     """The prime field GF(q), acting on ints in [0, q)."""
 
     def __init__(self, q: int):
-        _check_prime(q)
+        if not is_prime(q):
+            raise CompositeModulus(f"modulus {q} is not prime")
         self.q = q
-
-    def reduce(self, value: int) -> int:
-        return value % self.q
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
 
     def sub(self, a: int, b: int) -> int:
         return (a - b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
-    def sum(self, values) -> int:
-        total = 0
-        for v in values:
-            total += v
-        return total % self.q
-
-    def elem(self, value: int) -> "FieldElem":
-        return FieldElem(value % self.q, self.q)
 
     def __eq__(self, other):
         return isinstance(other, Field) and other.q == self.q
@@ -74,52 +49,3 @@ class Field:
     def __repr__(self):
         return f"Field(q={self.q})"
 
-
-@dataclass(frozen=True)
-class FieldElem:
-    """A single symbol of GF(q); value is reduced at construction."""
-
-    value: int
-    q: int
-
-    def __post_init__(self):
-        _check_prime(self.q)
-        object.__setattr__(self, "value", self.value % self.q)
-
-    def _coerce(self, other) -> "FieldElem":
-        if isinstance(other, FieldElem):
-            if other.q != self.q:
-                raise ModulusMismatch(f"mixed moduli {self.q} and {other.q}")
-            return other
-        if isinstance(other, int):
-            return FieldElem(other, self.q)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.value + other.value, self.q)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.value - other.value, self.q)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElem(other.value - self.value, self.q)
-
-    def __neg__(self):
-        return FieldElem(-self.value, self.q)
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"FieldElem({self.value} mod {self.q})"

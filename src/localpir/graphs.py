@@ -9,15 +9,14 @@ servers.  The index set I_v lists the messages server v stores, so
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 from .errors import (
     DuplicateEdge,
+    EmptyInput,
     IndexOutOfRange,
     InvalidFamilyParams,
     SelfLoop,
-    TooLarge,
     VertexOutOfRange,
 )
 
@@ -26,6 +25,16 @@ from .errors import (
 class Graph:
     n_vertices: int
     edges: tuple[tuple[int, int], ...]  # each (u, v) with u < v, 1-based
+    # incidence[v-1] = I_v, the messages server v stores, ascending.
+    incidence: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        sets: list[list[int]] = [[] for _ in range(self.n_vertices)]
+        for k, (u, v) in enumerate(self.edges, start=1):
+            sets[u - 1].append(k)
+            sets[v - 1].append(k)
+        object.__setattr__(self, "incidence", tuple(map(tuple, sets)))
 
     @property
     def K(self) -> int:
@@ -52,36 +61,39 @@ class Graph:
         """Messages stored at server v, ascending."""
         if not 1 <= v <= self.n_vertices:
             raise IndexOutOfRange(f"server {v} outside 1..{self.n_vertices}")
-        return _index_sets(self)[v - 1]
-
-    def index_sets(self) -> tuple[tuple[int, ...], ...]:
-        return _index_sets(self)
+        return self.incidence[v - 1]
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in _index_sets(self))
+        return tuple(map(len, self.incidence))
 
 
-@lru_cache(maxsize=None)
-def _index_sets(g: Graph) -> tuple[tuple[int, ...], ...]:
-    sets: list[list[int]] = [[] for _ in range(g.n_vertices)]
-    for k, (u, v) in enumerate(g.edges, start=1):
-        sets[u - 1].append(k)
-        sets[v - 1].append(k)
-    return tuple(tuple(s) for s in sets)
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def build_graph(n: int, edges) -> Graph:
     """Validate and normalize an edge list into a Graph.
 
-    Edges may be given in either endpoint order; they are stored as
-    (min, max).  Message numbering follows the given edge order.
+    n and every endpoint must be ints (bools, floats and strings are
+    rejected, not coerced); edges is a list of pairs.  Edges may be given in
+    either endpoint order; they are stored as (min, max).  Message
+    numbering follows the given edge order.  Isolated vertices are legal, a
+    graph without edges is not.
     """
+    if not _is_int(n):
+        raise InvalidFamilyParams(f"vertex count must be an int, got {n!r}")
     if n < 1:
         raise InvalidFamilyParams(f"need at least one vertex, got {n}")
+    if not isinstance(edges, (list, tuple)):
+        raise InvalidFamilyParams(
+            f"edges must be a list, got {type(edges).__name__}")
     seen = set()
     normalized = []
     for e in edges:
-        u, v = int(e[0]), int(e[1])
+        if not (isinstance(e, (list, tuple)) and len(e) == 2
+                and all(map(_is_int, e))):
+            raise InvalidFamilyParams(f"edge {e!r} is not a pair of ints")
+        u, v = e
         if u == v:
             raise SelfLoop(f"edge ({u},{v}) is a self-loop")
         if not (1 <= u <= n and 1 <= v <= n):
@@ -91,6 +103,8 @@ def build_graph(n: int, edges) -> Graph:
             raise DuplicateEdge(f"edge {key} listed twice")
         seen.add(key)
         normalized.append(key)
+    if not normalized:
+        raise EmptyInput("graph has no edges")
     return Graph(n, tuple(normalized))
 
 
@@ -151,48 +165,48 @@ class Component:
     """A connected component with back-maps to the parent graph.
 
     vertices[i-1] and edge_indices[j-1] give the global ids of local
-    vertex i and local message j.
+    vertex i and local message j.  An isolated vertex is a component
+    without messages.
     """
 
     graph: Graph
     vertices: tuple[int, ...]
     edge_indices: tuple[int, ...]
 
-    def local_vertex(self, global_v: int) -> int:
-        return self.vertices.index(global_v) + 1
-
     def local_message(self, global_k: int) -> int:
         return self.edge_indices.index(global_k) + 1
 
 
+def _neighbours(g: Graph, u: int):
+    for k in g.incidence[u - 1]:
+        a, b = g.edges[k - 1]
+        yield b if a == u else a
+
+
 def components(g: Graph) -> list[Component]:
     """Connected components ordered by their smallest vertex."""
-    adjacency: dict[int, list[int]] = {v: [] for v in g.vertices}
-    for (u, v) in g.edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
     seen: set[int] = set()
     result = []
     for start in g.vertices:
         if start in seen:
             continue
-        stack, verts = [start], {start}
+        stack = [start]
         seen.add(start)
+        verts = []
         while stack:
             u = stack.pop()
-            for w in adjacency[u]:
+            verts.append(u)
+            for w in _neighbours(g, u):
                 if w not in seen:
                     seen.add(w)
-                    verts.add(w)
                     stack.append(w)
         vlist = tuple(sorted(verts))
-        vpos = {v: i + 1 for i, v in enumerate(vlist)}
-        elist = tuple(k for k, (u, v) in enumerate(g.edges, start=1)
-                      if u in verts)
-        local_edges = [(vpos[g.edges[k - 1][0]], vpos[g.edges[k - 1][1]])
-                       for k in elist]
-        result.append(Component(build_graph(len(vlist), local_edges),
-                                vlist, elist))
+        vpos = {v: i for i, v in enumerate(vlist, start=1)}
+        elist = tuple(sorted({k for v in vlist for k in g.incidence[v - 1]}))
+        # vpos is increasing, so local edges keep u < v and need no checks.
+        local_edges = tuple((vpos[g.edges[k - 1][0]], vpos[g.edges[k - 1][1]])
+                            for k in elist)
+        result.append(Component(Graph(len(vlist), local_edges), vlist, elist))
     return result
 
 
@@ -202,10 +216,6 @@ def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     Deterministic: the smallest vertex of each component lands in part 1.
     """
     color: dict[int, int] = {}
-    adjacency: dict[int, list[int]] = {v: [] for v in g.vertices}
-    for (u, v) in g.edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
     for start in g.vertices:
         if start in color:
             continue
@@ -213,7 +223,7 @@ def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
         queue = [start]
         while queue:
             u = queue.pop()
-            for w in adjacency[u]:
+            for w in _neighbours(g, u):
                 if w not in color:
                     color[w] = 1 - color[u]
                     queue.append(w)
@@ -224,53 +234,6 @@ def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     return part1, part2
 
 
-@dataclass(frozen=True)
-class LocalSubgraph:
-    """Everything a retrieval of message k can touch.
-
-    messages = union of the two endpoint index sets; servers = every vertex
-    storing at least one of those messages.
-    """
-
-    desired: int
-    endpoint_i: int
-    endpoint_j: int
-    servers: tuple[int, ...]
-    messages: tuple[int, ...]
-
-
-def local_subgraph(g: Graph, k: int) -> LocalSubgraph:
-    i, j = g.endpoints(k)
-    msgs = sorted(set(g.index_set(i)) | set(g.index_set(j)))
-    msgset = set(msgs)
-    servers = tuple(v for v in g.vertices
-                    if msgset & set(g.index_set(v)))
-    return LocalSubgraph(k, i, j, servers, tuple(msgs))
-
-
-def is_edge_transitive(g: Graph, max_vertices: int = 8) -> bool:
-    """Brute-force test over all vertex permutations.
-
-    True iff the automorphism group acts transitively on edges.  Guarded by
-    max_vertices because the search is factorial.
-    """
-    if g.n_vertices > max_vertices:
-        raise TooLarge(
-            f"{g.n_vertices} vertices exceeds brute-force cap {max_vertices}")
-    if g.K <= 1:
-        return True
-    edge_set = {frozenset(e) for e in g.edges}
-    reachable = {frozenset(g.edges[0])}
-    for perm in itertools.permutations(g.vertices):
-        mapping = {v: perm[v - 1] for v in g.vertices}
-        images = [frozenset((mapping[u], mapping[v])) for (u, v) in g.edges]
-        if all(img in edge_set for img in images):
-            reachable.add(images[0])
-            if len(reachable) == g.K:
-                return True
-    return len(reachable) == g.K
-
-
 # --- serialization --------------------------------------------------------
 
 def graph_to_json(g: Graph) -> dict:
@@ -278,12 +241,10 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def graph_from_json(obj: dict) -> Graph:
-    try:
-        n = int(obj["n"])
-        edges = obj["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidFamilyParams(f"malformed graph object: {exc}") from exc
-    return build_graph(n, edges)
+    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
+        raise InvalidFamilyParams(
+            "malformed graph object: need an object with keys 'n' and 'edges'")
+    return build_graph(obj["n"], obj["edges"])
 
 
 def detect_family(g: Graph) -> tuple[str, dict] | None:

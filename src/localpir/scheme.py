@@ -33,12 +33,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
+from .capacity import best_scheme, et_download_cost, subpacketization
 from .errors import (
-    ElementAbsent,
     EndpointAmbiguity,
     IncompleteAnswers,
     IndexOutOfRange,
@@ -136,13 +135,6 @@ def fixture_config(name: str) -> PlanConfig:
 
 # --- combinatorial helpers -------------------------------------------------
 
-def subpacketization(deg_i: int, deg_j: int, t_i: int, t_j: int) -> int:
-    """Message length L used by the t-sum construction."""
-    _check_t(t_i, deg_i)
-    _check_t(t_j, deg_j)
-    return comb(deg_i - 1, t_i - 1) + comb(deg_j - 1, t_j - 1)
-
-
 def lex_subsets(index_set, t: int) -> list[tuple[int, ...]]:
     """All t-subsets in lexicographic order over the given element order."""
     items = tuple(index_set)
@@ -151,47 +143,7 @@ def lex_subsets(index_set, t: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(items, t))
 
 
-def occurrence_index(subsets, element: int, position: int) -> int:
-    """Running occurrence count of `element` after `position` subsets.
-
-    `position` is 1-based and must point at a subset containing `element`;
-    the count is how many of the first `position` subsets contain it.
-    """
-    subsets = list(subsets)
-    if not 1 <= position <= len(subsets):
-        raise IndexOutOfRange(f"position {position} outside 1..{len(subsets)}")
-    if element not in subsets[position - 1]:
-        raise ElementAbsent(
-            f"element {element} not in subset at position {position}")
-    return sum(1 for s in subsets[:position] if element in s)
-
-
-def et_download_cost(deg_i: int, deg_j: int, t_i: int, t_j: int) -> int:
-    """Exact symbol count a t-sum plan downloads.
-
-    Sum atoms: C(d_i, t_i) + C(d_j, t_j).  Interference singletons: each of
-    the d-1 non-desired messages at an endpoint appears in C(d-2, t-2)
-    subsets together with the desired one.
-    """
-    _check_t(t_i, deg_i)
-    _check_t(t_j, deg_j)
-    total = comb(deg_i, t_i) + comb(deg_j, t_j)
-    if t_i >= 2:
-        total += (deg_i - 1) * comb(deg_i - 2, t_i - 2)
-    if t_j >= 2:
-        total += (deg_j - 1) * comb(deg_j - 2, t_j - 2)
-    return total
-
-
-def _check_t(t: int, deg: int) -> None:
-    if not 1 <= t <= deg:
-        raise TOutOfRange(f"t={t} outside 1..{deg}")
-
-
 # --- role assignment -------------------------------------------------------
-
-RoleRule = Callable[[Graph, int, int, int], tuple[int, int]]
-
 
 def default_role_rule(g: Graph, k: int, t_i: int, t_j: int) -> tuple[int, int]:
     """Assign endpoint roles for the desired edge k.
@@ -216,8 +168,8 @@ def default_role_rule(g: Graph, k: int, t_i: int, t_j: int) -> tuple[int, int]:
 
 # --- plan constructions ----------------------------------------------------
 
-def build_et_plan(g: Graph, theta: int, t_i: int, t_j: int | None = None,
-                  role_rule: RoleRule = default_role_rule) -> SchemePlan:
+def build_et_plan(g: Graph, theta: int, t_i: int,
+                  t_j: int | None = None) -> SchemePlan:
     """t-sum plan for message theta.
 
     Both endpoint servers answer one sum per t-subset of their storage; the
@@ -229,50 +181,37 @@ def build_et_plan(g: Graph, theta: int, t_i: int, t_j: int | None = None,
         t_j = t_i
     if not 1 <= theta <= g.K:
         raise IndexOutOfRange(f"message {theta} outside 1..{g.K}")
-    i, j = role_rule(g, theta, t_i, t_j)
+    i, j = default_role_rule(g, theta, t_i, t_j)
     d_i, d_j = g.degree(i), g.degree(j)
     length = subpacketization(d_i, d_j, t_i, t_j)
     offset = comb(d_i - 1, t_i - 1)
 
-    set_i = g.index_set(i)
-    set_j = g.index_set(j)
-    subsets_i = lex_subsets(set_i, t_i)
-    subsets_j = lex_subsets(set_j, t_j)
-
     queries: dict[int, list[Atom]] = {}
-
-    def emit(server: int, atom: Atom) -> None:
-        queries.setdefault(server, []).append(atom)
-
-    counts: dict[int, int] = {}
-    for subset in subsets_i:
-        refs = []
-        for msg in subset:
-            counts[msg] = counts.get(msg, 0) + 1
-            refs.append((msg, counts[msg]))
-        emit(i, tuple(refs))
-
-    counts = {}
-    for subset in subsets_j:
-        refs = []
-        for msg in subset:
-            counts[msg] = counts.get(msg, 0) + 1
-            pos = counts[msg] + (offset if msg == theta else 0)
-            refs.append((msg, pos))
-        emit(j, tuple(refs))
-
-    # Singletons that let the decoder cancel interference: message msg is
-    # entangled with theta in every subset containing both; fetch exactly
-    # those occurrence positions from msg's other replica.
-    for endpoint, subsets in ((i, subsets_i), (j, subsets_j)):
-        for msg in g.index_set(endpoint):
-            if msg == theta:
-                continue
+    singletons: list[tuple[int, Atom]] = []
+    for endpoint, t, shift in ((i, t_i, 0), (j, t_j, offset)):
+        stored = g.index_set(endpoint)
+        counts = dict.fromkeys(stored, 0)
+        # Message msg is entangled with theta in every subset containing
+        # both; the decoder cancels it with a singleton fetched at exactly
+        # those running occurrence counts from msg's other replica.
+        shared: dict[int, list[int]] = {m: [] for m in stored if m != theta}
+        atoms = queries.setdefault(endpoint, [])
+        for subset in lex_subsets(stored, t):
+            refs = []
+            for msg in subset:
+                counts[msg] += 1
+                refs.append((msg, counts[msg] + (shift if msg == theta else 0)))
+            atoms.append(tuple(refs))
+            if theta in subset:
+                for msg in subset:
+                    if msg != theta:
+                        shared[msg].append(counts[msg])
+        for msg, positions in shared.items():
             u, v = g.endpoints(msg)
             other = v if u == endpoint else u
-            for p, subset in enumerate(subsets, start=1):
-                if theta in subset and msg in subset:
-                    emit(other, ((msg, occurrence_index(subsets, msg, p)),))
+            singletons += [(other, ((msg, pos),)) for pos in positions]
+    for server, atom in singletons:
+        queries.setdefault(server, []).append(atom)
 
     frozen = {server: tuple(atoms) for server, atoms in queries.items()}
     lengths = {k: length for k in g.messages}
@@ -336,8 +275,9 @@ def build_union_plan(g: Graph, theta: int,
     """Dispatch to the component holding theta and renumber to global ids."""
     comps = components(g)
     if component_configs is None:
-        component_configs = tuple(default_component_config(c.graph)
-                                  for c in comps)
+        component_configs = tuple(
+            default_component_config(c.graph) if c.graph.K else None
+            for c in comps)
     if len(component_configs) != len(comps):
         raise MissingComponentConfig(
             f"{len(comps)} components but {len(component_configs)} configs")
@@ -347,6 +287,8 @@ def build_union_plan(g: Graph, theta: int,
     lengths: dict[int, int] = {}
     target = None
     for comp, cfg in zip(comps, component_configs):
+        if not comp.graph.K:
+            continue        # an isolated server stores nothing
         comp_len = _component_length(comp.graph, cfg)
         for gk in comp.edge_indices:
             lengths[gk] = comp_len
@@ -379,31 +321,9 @@ def _component_length(cg: Graph, cfg: PlanConfig) -> int:
 
 
 def default_component_config(cg: Graph) -> PlanConfig:
-    """Pick a sensible scheme for one component.
-
-    Prefer the t-sum plan at its best subset sizes when every edge joins
-    the same degree pair and it is at least as good as the cover plan;
-    otherwise cover the smaller part if two-colorable; otherwise fall back
-    to singleton sums (t=1), which work on any storage graph.
-    """
-    from .capacity import bipartite_lower_bound, et_lower_bound
-
-    pairs = {tuple(sorted((cg.degree(u), cg.degree(v))))
-             for (u, v) in cg.edges}
-    parts = bipartition(cg)
-    et_choice = None
-    if len(pairs) == 1:
-        d_small, d_large = pairs.pop()
-        value, t_i, t_j = et_lower_bound(d_small, d_large)
-        et_choice = (value, et_config(t_i, t_j))
-    else:
-        degsq = sum(d * d for d in cg.degrees())
-        et_choice = (Fraction(2 * cg.K, degsq), et_config(1, 1))
-    if parts is not None:
-        bip_value = bipartite_lower_bound(cg, parts)
-        if bip_value > et_choice[0]:
-            return bipartite_config()
-    return et_choice[1]
+    """The config of the scheme `capacity.best_scheme` picks for a component."""
+    _, ts = best_scheme(cg)
+    return bipartite_config() if ts is None else et_config(*ts)
 
 
 def build_fixture_plan(name: str, theta: int,
@@ -531,6 +451,23 @@ def answer(atoms, storage: dict[int, list[int]], fld: Field) -> list[int]:
             total += vec[pos - 1]
         out.append(total % fld.q)
     return out
+
+
+def _execute(plan: SchemePlan, rng: random.Random, seed: int, fld: Field):
+    """Run one plan against honest servers holding random storage.
+
+    Draws storage for every message, then the user's permutations, from
+    `rng`; returns (storage, physical queries, answers, decoded), with
+    answers keyed by server in ascending order.
+    """
+    storage = {k: [rng.randrange(fld.q) for _ in range(plan.lengths[k])]
+               for k in plan.graph.messages}
+    rnd = sample_randomness(plan, rng, seed)
+    physical = to_physical(plan, rnd)
+    answers = {s: answer(physical[s],
+                         {k: storage[k] for k in plan.graph.index_set(s)}, fld)
+               for s in sorted(physical)}
+    return storage, physical, answers, decode(plan, answers, rnd, fld)
 
 
 def decode(plan: SchemePlan, answers: dict[int, list[int]],

@@ -19,13 +19,11 @@ from .graphs import Graph, detect_family
 from .scheme import (
     PlanConfig,
     SchemePlan,
-    answer,
+    _execute,
     build_plan,
     build_plan_family,
-    decode,
-    sample_randomness,
-    to_physical,
 )
+from .verify import cost_audit
 
 
 class ServerLog(NamedTuple):
@@ -68,21 +66,11 @@ def execute_plan(plan: SchemePlan, seed: int, q: int = 2) -> Transcript:
     Storage contents and the user's private permutations both derive from
     `seed`, so a transcript replays exactly.
     """
-    fld = Field(q)
     rng = random.Random(f"localpir:{plan.theta}:{seed}")
-    storage = {k: [rng.randrange(q) for _ in range(plan.lengths[k])]
-               for k in plan.graph.messages}
-    rnd = sample_randomness(plan, rng, seed)
-    physical = to_physical(plan, rnd)
-    logs = []
-    answers = {}
-    for server in sorted(physical):
-        held = {k: storage[k] for k in plan.graph.index_set(server)}
-        vals = answer(physical[server], held, fld)
-        answers[server] = vals
-        logs.append(ServerLog(server, physical[server], tuple(vals)))
-    decoded = decode(plan, answers, rnd, fld)
-    return Transcript(plan.theta, seed, q, tuple(logs),
+    storage, physical, answers, decoded = _execute(plan, rng, seed, Field(q))
+    logs = tuple(ServerLog(s, physical[s], tuple(vals))
+                 for s, vals in answers.items())
+    return Transcript(plan.theta, seed, q, logs,
                       decoded == storage[plan.theta],
                       plan.download_count(), decoded, storage)
 
@@ -144,13 +132,12 @@ def measure_rate(g: Graph, config: PlanConfig, q: int = 2, seeds: int = 1,
         for seed in range(seeds):
             decoded_ok = decoded_ok and execute_plan(
                 plans[theta], seed, q).decoded_ok
-    per_theta = {t: plans[t].download_count() for t in g.messages}
-    total = sum(per_theta.values())
-    rate = Fraction(sum(plans[t].length for t in g.messages), total)
+    cost = cost_audit(plans, g)
     bounds = graph_bounds(g) if with_bounds else None
     lengths = {t: plans[t].length for t in g.messages}
-    return RateReport(describe_graph(g), config, lengths, per_theta, total,
-                      rate, decoded_ok, bounds)
+    return RateReport(describe_graph(g), config, lengths, cost.per_theta,
+                      sum(cost.per_theta.values()), cost.rate, decoded_ok,
+                      bounds)
 
 
 def describe_graph(g: Graph) -> str:

@@ -18,16 +18,7 @@ from math import factorial, prod
 from .errors import EmptyInput, EnumerationTooLarge, LocalPIRError
 from .field import Field
 from .graphs import Graph
-from .scheme import (
-    Atom,
-    Randomness,
-    SchemePlan,
-    answer,
-    decode,
-    et_download_cost,
-    sample_randomness,
-    to_physical,
-)
+from .scheme import Atom, Randomness, SchemePlan, _execute, et_download_cost
 
 DEFAULT_CAP = 10**6
 
@@ -44,23 +35,6 @@ def query_fingerprint(atoms: tuple[Atom, ...], rnd: Randomness) -> Fingerprint:
     mapped = [tuple(sorted((m, rnd.physical(m, p)) for (m, p) in atom))
               for atom in atoms]
     return tuple(sorted(mapped))
-
-
-def enumerate_randomness(message_ids, length: int, cap: int = DEFAULT_CAP):
-    """Yield every tuple of per-message permutations, each exactly once.
-
-    All listed messages share symbol count `length`.  Raises
-    EnumerationTooLarge before yielding anything if (length!)^|ids|
-    exceeds cap.
-    """
-    ids = tuple(sorted(set(message_ids)))
-    total = factorial(length) ** len(ids)
-    if total > cap:
-        raise EnumerationTooLarge(
-            f"randomness space has {total} points, cap is {cap}")
-    spaces = [itertools.permutations(range(1, length + 1)) for _ in ids]
-    for combo in itertools.product(*spaces):
-        yield Randomness(dict(zip(ids, combo)))
 
 
 def fingerprint_distribution(plan: SchemePlan, server: int,
@@ -218,17 +192,8 @@ def decode_check(plans: dict[int, SchemePlan], g: Graph, q: int = 2,
         for seed in range(seeds):
             report.trials += 1
             rng = random.Random(f"decode:{theta}:{seed}")
-            storage = {k: [rng.randrange(q) for _ in range(plan.lengths[k])]
-                       for k in g.messages}
             try:
-                rnd = sample_randomness(plan, rng, seed)
-                physical = to_physical(plan, rnd)
-                answers = {
-                    server: answer(atoms,
-                                   {k: storage[k]
-                                    for k in g.index_set(server)}, fld)
-                    for server, atoms in physical.items()}
-                got = decode(plan, answers, rnd, fld)
+                storage, _, _, got = _execute(plan, rng, seed, fld)
             except LocalPIRError as exc:
                 report.failures.append(
                     {"theta": theta, "seed": seed,
@@ -275,9 +240,11 @@ def cost_audit(plans: dict[int, SchemePlan], g: Graph) -> CostReport:
     k = len(per_theta)
     if k == 0:
         raise EmptyInput("no plans given")
-    per_server = {
-        s: Fraction(sum(len(plans[t].atoms_at(s)) for t in plans), k)
-        for s in g.vertices}
+    downloads = dict.fromkeys(g.vertices, 0)
+    for plan in plans.values():
+        for s, atoms in plan.queries.items():
+            downloads[s] += len(atoms)
+    per_server = {s: Fraction(c, k) for s, c in downloads.items()}
     total = sum(per_theta.values())
     lengths = sum(plans[t].length for t in plans)
     mismatches = []

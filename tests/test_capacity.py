@@ -15,7 +15,6 @@ from localpir.capacity import (
     et_rate,
     family_bounds,
     graph_bounds,
-    lambda_weight,
     union_capacity,
 )
 from localpir.errors import (
@@ -82,14 +81,6 @@ def test_union_capacity_rejects_empty():
         union_capacity([])
 
 
-def test_lambda_weight_values():
-    assert lambda_weight(2, 2, 2, 2) == Fraction(1, 2)
-    assert lambda_weight(3, 3, 2, 2) == Fraction(1, 2)
-    assert lambda_weight(1, 4, 1, 2) == Fraction(1, 4)
-    with pytest.raises(TOutOfRange):
-        lambda_weight(2, 2, 3, 2)
-
-
 def test_et_rate_examples():
     assert et_rate(2, 2, 2, 2) == Fraction(1, 2)
     assert et_rate(3, 3, 2, 2) == Fraction(2, 5)
@@ -100,7 +91,9 @@ def test_et_rate_examples():
 def test_et_rate_is_weighted_mean_of_per_endpoint_costs(d_i, d_j, data):
     t_i = data.draw(st.integers(1, d_i))
     t_j = data.draw(st.integers(1, d_j))
-    lam = lambda_weight(d_i, d_j, t_i, t_j)
+    # Share of the desired message the first endpoint delivers.
+    b_i, b_j = comb(d_i - 1, t_i - 1), comb(d_j - 1, t_j - 1)
+    lam = Fraction(b_i, b_i + b_j)
     f_i = Fraction(d_i, t_i) + t_i - 1
     f_j = Fraction(d_j, t_j) + t_j - 1
     inverse = lam * f_i + (1 - lam) * f_j

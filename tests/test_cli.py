@@ -202,6 +202,8 @@ def test_simulate_union_from_file(capsys, union_file):
     ("scheme", "--family", "cycle", "--n", "4", "--t", "9"),
     ("scheme", "--family", "cycle", "--n", "4", "--theta", "9"),
     ("bounds", "--family", "complete_bipartite", "--n", "5"),
+    ("verify", "--family", "cycle", "--n", "4", "--t", "2", "--seeds", "0"),
+    ("simulate", "--family", "cycle", "--n", "4", "--t", "2", "--seeds", "-1"),
 ])
 def test_invalid_inputs_exit_two(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -215,15 +217,61 @@ def test_both_graph_sources_exit_two(capsys, c4_file):
     assert code == 2 and "exactly one" in err
 
 
-def test_malformed_graph_file_exits_two(capsys, tmp_path):
+@pytest.mark.parametrize("text", [
+    '{"n": 3}',
+    "not json",
+    '{"edges": [[1]]}',
+    '{"n": 3, "edges": [[1]]}',
+    '{"n": 2, "edges": [[1, 2, 3]]}',
+    '{"n": 2, "edges": 5}',
+    '{"n": 2, "edges": [[1, 2.7]]}',
+    '{"n": 2, "edges": [["1", "2"]]}',
+    '{"n": 2, "edges": [[true, 2]]}',
+    '{"n": 2.9, "edges": [[1, 2]]}',
+    '{"n": "2", "edges": [[1, 2]]}',
+], ids=["no-edges-key", "not-json", "short-edge-no-n", "short-edge",
+        "long-edge", "edges-int", "float-endpoint", "str-endpoints",
+        "bool-endpoint", "float-n", "str-n"])
+def test_malformed_graph_file_exits_two(capsys, tmp_path, text):
     bad = tmp_path / "bad.json"
-    bad.write_text("{\"n\": 3}")
-    code, _, err = run(capsys, "bounds", "--graph", str(bad))
-    assert code == 2 and err.strip()
-    worse = tmp_path / "worse.json"
-    worse.write_text("not json")
-    code, _, err = run(capsys, "bounds", "--graph", str(worse))
-    assert code == 2
+    bad.write_text(text)
+    code, out, err = run(capsys, "bounds", "--graph", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+SUBCOMMANDS = ("bounds", "scheme", "verify", "simulate")
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_isolated_vertex_is_a_silent_server(capsys, tmp_path, command):
+    path = tmp_path / "lonely.json"
+    path.write_text('{"n": 3, "edges": [[1, 2]]}')
+    code, out, err = run(capsys, command, "--graph", str(path),
+                         "--format", "json")
+    assert code == 0 and err == ""
+    obj = json.loads(out)
+    if command == "bounds":
+        assert obj["family"] == "union" and obj["exact"] is True
+        assert obj["lower"]["num"] == obj["lower"]["den"] == 1
+    elif command == "scheme":
+        assert all("3" not in atoms for atoms in obj["atoms"].values())
+    elif command == "verify":
+        assert obj["verdict"] == "PASS"
+        assert obj["privacy"][2] == {"server": 3, "thetas": [],
+                                     "verdict": "PASS", "support_size": 0,
+                                     "counterexample": None}
+    else:
+        assert obj["rate"] == [1, 1] and obj["bracketed"] is True
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_edgeless_graph_exits_two(capsys, tmp_path, command):
+    path = tmp_path / "empty.json"
+    path.write_text('{"n": 3, "edges": []}')
+    code, out, err = run(capsys, command, "--graph", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: graph has no edges\n"
 
 
 def test_env_cap_overrides_flag(capsys, monkeypatch):

@@ -1,0 +1,56 @@
+"""Golden CLI output: byte-for-byte stdout of fixed commands.
+
+Each digest is the sha256 of stdout as recorded before the plan, bound and
+executor code was last restructured.  They pin what multiset comparisons
+elsewhere cannot: the order in which singletons from both endpoints land
+at a shared server, and literal transcript values replayed from a seed.
+An intended change to any of these outputs is declared and re-recorded.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from localpir.cli import main
+from localpir.graphs import family
+
+UNION = "@union"        # stands for the C4 + 5-star graph file
+
+GOLDEN = [
+    (("scheme", "--family", "complete", "--n", "5", "--t", "2",
+      "--format", "json"),
+     "08fcc8b7b1ca7bdf5d0ed8dac2b276fa9fa4899fbff6618ded26574d03678c35"),
+    (("scheme", "--graph", UNION, "--format", "json"),
+     "2c9c6e81cb5174194f9c563c586942b209d3fd34352a05f6a66ca1c3036494e1"),
+    (("verify", "--family", "cycle", "--n", "5", "--t", "2", "--probe",
+      "--format", "json"),
+     "6e0a35c9da74a15338a686515a425b1fdeb0453958c827f434730ab46e479748"),
+    (("simulate", "--family", "complete", "--n", "4", "--t", "2",
+      "--theta", "5", "--seed", "3", "--q", "5", "--format", "json"),
+     "b78e5c73dfb4f03f01c5e6afe5081bec76cde71d132f2324800b1399f3337e00"),
+    (("simulate", "--graph", UNION, "--theta", "6", "--seed", "1",
+      "--format", "json"),
+     "820ebe20aba04e529397d12d4d285d0967492f70864a3a80bfbc5bfb36f11881"),
+    (("bounds", "--graph", UNION, "--format", "json"),
+     "5b05a8690b7cb92cf9bf3365025bb0d58190a966a374bc68b9de44b1f637d6be"),
+]
+
+
+@pytest.fixture()
+def union_file(tmp_path):
+    """C4 on vertices 1..4 followed by a 5-star on vertices 5..9."""
+    edges = [list(e) for e in family("cycle", 4).edges]
+    edges += [[u + 4, v + 4] for (u, v) in family("star", 5).edges]
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"n": 9, "edges": edges}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN,
+                         ids=[" ".join(a[:1] + a[1:3]) for a, _ in GOLDEN])
+def test_stdout_matches_golden_digest(capsys, union_file, argv, digest):
+    argv = [union_file if a == UNION else a for a in argv]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,4 +1,4 @@
-"""Storage graphs: construction, labelings, components, transitivity."""
+"""Storage graphs: construction, labelings, components, validation."""
 
 import itertools
 
@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from localpir.capacity import best_scheme, et_lower_bound
 from localpir.errors import (
     DuplicateEdge,
+    EmptyInput,
     IndexOutOfRange,
     InvalidFamilyParams,
     SelfLoop,
-    TooLarge,
     VertexOutOfRange,
 )
 from localpir.graphs import (
@@ -22,8 +23,6 @@ from localpir.graphs import (
     family,
     graph_from_json,
     graph_to_json,
-    is_edge_transitive,
-    local_subgraph,
 )
 
 
@@ -52,6 +51,8 @@ def test_build_rejects_bad_edges():
         build_graph(3, [(0, 2)])
     with pytest.raises(InvalidFamilyParams):
         build_graph(0, [])
+    with pytest.raises(EmptyInput):
+        build_graph(3, [])
 
 
 def test_endpoints_range_checked():
@@ -157,8 +158,9 @@ def test_component_edges_and_back_maps(g):
         expected = [k for k in g.messages
                     if set(g.endpoints(k)) <= inside]
         assert list(comp.edge_indices) == expected
+        assert comp.graph.n_vertices == len(comp.vertices)
         for local_v, global_v in enumerate(comp.vertices, start=1):
-            assert comp.local_vertex(global_v) == local_v
+            assert comp.graph.degree(local_v) == g.degree(global_v)
         for local_k, global_k in enumerate(comp.edge_indices, start=1):
             assert comp.local_message(global_k) == local_k
             u, v = g.endpoints(global_k)
@@ -186,15 +188,6 @@ def test_bipartition_known_cases():
     assert star == ((1, 2, 3, 4), (5,))
 
 
-def test_local_subgraph_complete_example():
-    g = family("complete", 4)
-    sub = local_subgraph(g, 1)
-    assert sub.desired == 1
-    assert (sub.endpoint_i, sub.endpoint_j) == (1, 2)
-    assert set(sub.servers) == {1, 2, 3, 4}
-    assert set(sub.messages) == {1, 2, 3, 4, 5}
-
-
 def brute_edge_transitive(g):
     """Independent oracle: the first edge's automorphism orbit is everything."""
     edges = {frozenset(e) for e in g.edges}
@@ -219,14 +212,17 @@ def brute_edge_transitive(g):
     (build_graph(4, [(1, 2), (1, 3), (2, 3), (1, 4)]), False),
 ])
 def test_edge_transitivity(g, expected):
-    assert is_edge_transitive(g) == expected
+    """Edge-transitive storage gets the tuned t-sum plan or a better one.
+
+    Every edge of such a graph joins the same degree pair, which is the
+    condition under which best_scheme tunes the t-sum subset sizes.
+    """
     assert brute_edge_transitive(g) == expected
-
-
-def test_edge_transitivity_size_guard():
-    with pytest.raises(TooLarge):
-        is_edge_transitive(family("cycle", 9))
-    assert is_edge_transitive(family("cycle", 9), max_vertices=9)
+    if expected:
+        (pair,) = {tuple(sorted(map(g.degree, e))) for e in g.edges}
+        tuned, t_i, t_j = et_lower_bound(*pair)
+        rate, ts = best_scheme(g)
+        assert ts in ((t_i, t_j), None) and rate >= tuned
 
 
 @given(small_graphs())

@@ -1,0 +1,70 @@
+"""Module layering: imports run one way and sit at module level.
+
+The package is layered cli/sim/verify -> scheme -> capacity -> graphs.  A
+function-local import is how a cycle usually sneaks back in, so both are
+checked from the source text.
+"""
+
+import ast
+from pathlib import Path
+
+import localpir
+
+SRC = Path(localpir.__file__).parent
+MODULES = {p.stem: ast.parse(p.read_text(encoding="utf-8"), str(p))
+           for p in sorted(SRC.glob("*.py"))}
+
+
+def _internal_targets(node: ast.ImportFrom) -> set[str]:
+    """Package modules named by a relative or absolute localpir import."""
+    if node.level == 0 and not (node.module or "").startswith("localpir"):
+        return set()
+    base = (node.module or "").removeprefix("localpir").lstrip(".")
+    if base:
+        return {base.split(".")[0]}
+    return {alias.name for alias in node.names if alias.name in MODULES}
+
+
+def _import_graph() -> dict[str, set[str]]:
+    graph = {}
+    for name, tree in MODULES.items():
+        deps = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                deps |= _internal_targets(node)
+            elif isinstance(node, ast.Import):
+                deps |= {a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("localpir.")}
+        graph[name] = deps - {name}
+    return graph
+
+
+def test_no_import_inside_a_function():
+    found = []
+    for name, tree in MODULES.items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{name}.{fn.name} line {node.lineno}"
+                          for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
+
+
+def test_internal_imports_form_no_cycle():
+    graph = _import_graph()
+    done, active = set(), []
+
+    def visit(mod):
+        if mod in active:
+            cycle = active[active.index(mod):] + [mod]
+            raise AssertionError("import cycle: " + " -> ".join(cycle))
+        if mod in done:
+            return
+        active.append(mod)
+        for dep in sorted(graph.get(mod, ())):
+            visit(dep)
+        active.pop()
+        done.add(mod)
+
+    for mod in sorted(graph):
+        visit(mod)

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localpir.errors import (
-    ElementAbsent,
     IncompleteAnswers,
     IndexOutOfRange,
     InvalidFamilyParams,
@@ -41,7 +40,6 @@ from localpir.scheme import (
     et_download_cost,
     fixture_config,
     lex_subsets,
-    occurrence_index,
     sample_randomness,
     subpacketization,
     to_physical,
@@ -74,18 +72,28 @@ def test_lex_subsets_matches_bitmask_oracle(n, data):
 
 
 def test_occurrence_index_example():
-    subsets = ((1, 2), (1, 3), (2, 3))
-    assert occurrence_index(subsets, 1, 2) == 2
-    assert occurrence_index(subsets, 2, 1) == 1
-    assert occurrence_index(subsets, 3, 3) == 2
-
-
-def test_occurrence_index_errors():
-    subsets = ((1, 2), (1, 3))
-    with pytest.raises(IndexOutOfRange):
-        occurrence_index(subsets, 1, 3)
-    with pytest.raises(ElementAbsent):
-        occurrence_index(subsets, 3, 1)
+    """Each interference singleton fetches the occurrence index of its
+    message: how many of the first p subsets contain it, p being a subset
+    shared with the desired message.  Singletons go out endpoint by
+    endpoint, message by message, subset by subset."""
+    for g, t in ((family("complete", 4), 2), (family("cycle", 5), 2),
+                 (family("complete", 5), 3)):
+        for theta in g.messages:
+            plan = build_et_plan(g, theta, t)
+            expected = {}
+            for e in (plan.meta["role_i"], plan.meta["role_j"]):
+                subsets = lex_subsets(g.index_set(e), t)
+                for msg in g.index_set(e):
+                    if msg == theta:
+                        continue
+                    other = sum(g.endpoints(msg)) - e
+                    for p, subset in enumerate(subsets, start=1):
+                        if theta in subset and msg in subset:
+                            index = sum(msg in s for s in subsets[:p])
+                            expected.setdefault(other, []).append(
+                                ((msg, index),))
+            assert {s: list(a) for s, a in plan.queries.items()
+                    if s not in g.endpoints(theta)} == expected
 
 
 @pytest.mark.parametrize("args,expected", [

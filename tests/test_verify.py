@@ -30,7 +30,6 @@ from localpir.verify import (
     check_scheme,
     cost_audit,
     decode_check,
-    enumerate_randomness,
     fingerprint_distribution,
     privacy_check,
     query_fingerprint,
@@ -51,28 +50,6 @@ def c4_plans(c4):
 def k4_plans():
     g = family("complete", 4)
     return g, build_plan_family(g, et_config(2, 2))
-
-
-# --- randomness enumeration ---------------------------------------------------
-
-def test_enumerate_randomness_counts():
-    assert sum(1 for _ in enumerate_randomness({1, 2}, 2)) == 4
-    assert sum(1 for _ in enumerate_randomness({1, 2, 3}, 4)) == 13824
-    assert sum(1 for _ in enumerate_randomness({5}, 1)) == 1
-
-
-def test_enumerate_randomness_yields_distinct_assignments():
-    seen = {tuple(sorted(r.perms.items()))
-            for r in enumerate_randomness({1, 2}, 2)}
-    assert len(seen) == 4
-    assert all(set(perms) == {1, 2} for _, perms in sorted(seen)[0])
-
-
-def test_enumerate_randomness_respects_cap():
-    with pytest.raises(EnumerationTooLarge):
-        list(enumerate_randomness({1, 2}, 2, cap=3))
-    # cap equal to the space size is fine
-    assert sum(1 for _ in enumerate_randomness({1, 2}, 2, cap=4)) == 4
 
 
 # --- fingerprints --------------------------------------------------------------

@@ -260,6 +260,21 @@ def best_scheme(g: Graph) -> tuple[Fraction, tuple[int, int] | None]:
     return best
 
 
+def scheme_length(g: Graph, ts: tuple[int, int] | None) -> int:
+    """Message length of the scheme `best_scheme` picks for connected g.
+
+    ts is best_scheme's second value: None for the cover plan, whose
+    messages are one symbol long, or the t-sum subset sizes, t_i at the
+    smaller degree.  Subset sizes are tuned only when every edge joins the
+    same degree pair, and t = 1 gives L = 2 on any pair, so one edge's
+    degrees give the length of every message.
+    """
+    if ts is None:
+        return 1
+    d_i, d_j = sorted(map(g.degree, g.edges[0]))
+    return subpacketization(d_i, d_j, *ts)
+
+
 # --- per-family reports ------------------------------------------------------
 
 def family_bounds(name: str, n: int) -> BoundReport:
@@ -298,10 +313,12 @@ def family_bounds(name: str, n: int) -> BoundReport:
         if n < 2:
             raise InvalidFamilyParams(f"complete needs n >= 2, got {n}")
         value, t_i, t_j = et_lower_bound(n - 1, n - 1)
-        lower = BoundValue(value)
+        # The complete graph on 3 servers is the 3-cycle, capacity 1/2.
+        upper = value if n == 3 else Fraction(1)
         comparators = _complete_comparators(n)
         return BoundReport(
-            "complete", n, lower, BoundValue(Fraction(1)), value == 1,
+            "complete", n, BoundValue(value), BoundValue(upper),
+            value == upper,
             optimizer=(t_i, t_j),
             cited_lower=BoundValue(Fraction(1, 2), n - 1),
             cited_note="closed form 1/(2*sqrt(n-1)), always at or below "
@@ -376,11 +393,7 @@ def _union_graph_bounds(g: Graph, comps) -> BoundReport:
             continue
         all_exact = all_exact and graph_bounds(cg).exact
         rate, ts = best_scheme(cg)
-        length = 1
-        if ts is not None:
-            # t_i belongs to the smaller degree, as in every t-sum plan.
-            d_i, d_j = sorted(map(cg.degree, cg.edges[0]))
-            length = subpacketization(d_i, d_j, *ts)
+        length = scheme_length(cg, ts)
         parts.append((cg.K, length, length / rate))
     value = union_capacity(parts)
     lower = BoundValue(value)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -71,23 +70,6 @@ def family_graph(name: str, n: int) -> Graph:
     return family(name, n)
 
 
-def resolve_cap(flag_value: int | None) -> int:
-    env = os.environ.get("LOCAL_PIR_CAP")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InvalidFamilyParams(
-                f"LOCAL_PIR_CAP must be an integer, got {env!r}") from None
-    return DEFAULT_CAP if flag_value is None else flag_value
-
-
-def resolve_seeds(seeds: int) -> int:
-    if seeds < 1:
-        raise InvalidFamilyParams(f"--seeds must be at least 1, got {seeds}")
-    return seeds
-
-
 def resolve_config(args, g: Graph) -> PlanConfig:
     t_i = args.t_i if args.t_i is not None else args.t
     t_j = args.t_j if args.t_j is not None else args.t
@@ -110,10 +92,9 @@ def describe_config(cfg: PlanConfig) -> str:
     if cfg.kind == "et":
         return f"t-sum (t_i={cfg.t_i}, t_j={cfg.t_j})"
     if cfg.kind == "bipartite":
-        return f"bipartite cover (L={cfg.length})"
+        return "bipartite cover (L=1)"
     if cfg.kind == "union":
-        return ("component dispatch (per-component defaults)"
-                if cfg.component_configs is None else "component dispatch")
+        return "component dispatch (per-component defaults)"
     return f"fixture {cfg.fixture}"
 
 
@@ -255,8 +236,7 @@ def cmd_scheme(args) -> int:
     if args.theta is not None and args.theta not in plans:
         raise InvalidFamilyParams(f"theta {args.theta} outside 1..{g.K}")
     thetas = [args.theta] if args.theta is not None else list(g.messages)
-    fmt = "table" if args.emit_table else args.format
-    if fmt == "json":
+    if args.format == "json":
         obj = {
             "graph": graph_to_json(g),
             "scheme": config.kind,
@@ -276,13 +256,11 @@ def cmd_scheme(args) -> int:
 def cmd_verify(args) -> int:
     g = load_graph(args)
     config = resolve_config(args, g)
-    cap = resolve_cap(args.cap)
-    seeds = resolve_seeds(args.seeds)
     plans = build_plan_family(g, config)
-    report = check_scheme(plans, g, q=args.q, seeds=seeds, cap=cap)
+    report = check_scheme(plans, g, q=args.q, seeds=args.seeds, cap=args.cap)
     probes = None
     if args.probe:
-        probes = [canonical_privacy_probe(plans, g, s, cap)
+        probes = [canonical_privacy_probe(plans, g, s, args.cap)
                   for s in g.vertices]
     if args.format == "json":
         obj = report.to_json()
@@ -302,8 +280,7 @@ def verdict_exit_code(report: SchemeReport) -> int:
 def cmd_simulate(args) -> int:
     g = load_graph(args)
     config = resolve_config(args, g)
-    report = measure_rate(g, config, q=args.q,
-                          seeds=resolve_seeds(args.seeds))
+    report = measure_rate(g, config, q=args.q, seeds=args.seeds)
     transcript = None
     if args.theta is not None:
         transcript = run_retrieval(g, config, args.theta, args.seed, args.q)
@@ -320,12 +297,11 @@ def cmd_simulate(args) -> int:
                  f"total download {report.total_download} over "
                  f"{len(report.per_theta_download)} messages",
                  f"decode spot checks "
-                 f"{'PASS' if report.decoded_ok else 'FAIL'}"]
-        if report.bounds is not None:
-            lines.append(f"bounds [{bound_str(report.bounds.lower)}, "
-                         f"{bound_str(report.bounds.upper)}]"
-                         + (" (exact)" if report.bounds.exact else "")
-                         + ("" if report.bracketed else "  NOT BRACKETED"))
+                 f"{'PASS' if report.decoded_ok else 'FAIL'}",
+                 f"bounds [{bound_str(report.bounds.lower)}, "
+                 f"{bound_str(report.bounds.upper)}]"
+                 + (" (exact)" if report.bounds.exact else "")
+                 + ("" if report.bracketed else "  NOT BRACKETED")]
         print("\n".join(lines))
         if transcript is not None:
             print(render_transcript(transcript, g.K))
@@ -366,9 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=int, default=2, help="prime field size")
         p.add_argument("--seeds", type=int, default=32,
                        help="decode trials per desired message")
-        p.add_argument("--cap", type=int, default=None,
-                       help=f"enumeration cap (default {DEFAULT_CAP}; "
-                            "env LOCAL_PIR_CAP overrides)")
+        p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                       help=f"enumeration cap (default {DEFAULT_CAP})")
 
     p_bounds = sub.add_parser("bounds",
                               help="capacity bounds for a family or graph")
@@ -381,9 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     scheme_opts(p_scheme)
     p_scheme.add_argument("--theta", type=int,
                           help="restrict output to one desired message")
-    p_scheme.add_argument("--emit-table", action="store_true",
-                          dest="emit_table",
-                          help="force the table rendering")
     p_scheme.set_defaults(func=cmd_scheme)
 
     p_verify = sub.add_parser("verify",

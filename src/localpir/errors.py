@@ -44,15 +44,11 @@ class RoleConflict(LocalPIRError):
 
 
 class NotBipartite(LocalPIRError):
-    """The graph (or the supplied partition) is not two-colorable."""
+    """The graph is not two-colorable."""
 
 
 class EndpointAmbiguity(LocalPIRError):
     """Both endpoints of the desired edge fall in the covering part."""
-
-
-class MissingComponentConfig(LocalPIRError):
-    """A connected component has no scheme configuration."""
 
 
 class UnresolvableRef(LocalPIRError):

@@ -251,9 +251,10 @@ def detect_family(g: Graph) -> tuple[str, dict] | None:
     """Recognize a connected graph as a named family member, if possible.
 
     Detection is by isomorphism class (degree profile plus structure), so a
-    relabeled member is still recognized.  Returns (name, params) or None.
+    relabeled member is still recognized.  Returns (name, params) or None;
+    a graph without edges (a lone server) is no family member.
     """
-    if len(components(g)) != 1:
+    if not g.K or len(components(g)) != 1:
         return None
     n = g.n_vertices
     degs = sorted(g.degrees())

@@ -36,13 +36,17 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import NamedTuple
 
-from .capacity import best_scheme, et_download_cost, subpacketization
+from .capacity import (
+    best_scheme,
+    et_download_cost,
+    scheme_length,
+    subpacketization,
+)
 from .errors import (
     EndpointAmbiguity,
     IncompleteAnswers,
     IndexOutOfRange,
     InvalidFamilyParams,
-    MissingComponentConfig,
     NotBipartite,
     RoleConflict,
     TOutOfRange,
@@ -103,30 +107,26 @@ class PlanConfig:
     """Which construction to run, with its parameters.
 
     kind is one of "et" (t-sum on edge-transitive storage), "bipartite",
-    "union", or "fixture".  For unions, `component_configs` holds one
-    config per connected component (ordered as `graphs.components`); None
-    selects a default per component.
+    "union" (each component runs the plan `capacity.best_scheme` picks),
+    or "fixture".
     """
 
     kind: str
     t_i: int | None = None
     t_j: int | None = None
-    length: int = 1
     fixture: str | None = None
-    component_configs: tuple["PlanConfig", ...] | None = None
 
 
 def et_config(t_i: int, t_j: int | None = None) -> PlanConfig:
     return PlanConfig(kind="et", t_i=t_i, t_j=t_i if t_j is None else t_j)
 
 
-def bipartite_config(length: int = 1) -> PlanConfig:
-    return PlanConfig(kind="bipartite", length=length)
+def bipartite_config() -> PlanConfig:
+    return PlanConfig(kind="bipartite")
 
 
-def union_config(*component_configs: PlanConfig) -> PlanConfig:
-    return PlanConfig(kind="union",
-                      component_configs=component_configs or None)
+def union_config() -> PlanConfig:
+    return PlanConfig(kind="union")
 
 
 def fixture_config(name: str) -> PlanConfig:
@@ -221,23 +221,18 @@ def build_et_plan(g: Graph, theta: int, t_i: int,
     return SchemePlan(g, "et", theta, lengths, frozen, recipe, meta)
 
 
-def build_bipartite_plan(g: Graph, theta: int,
-                         partition=None, length: int = 1) -> SchemePlan:
-    """Cover plan for two-colorable storage.
+def build_bipartite_plan(g: Graph, theta: int) -> SchemePlan:
+    """Cover plan for two-colorable storage, on one-symbol messages.
 
     The part with the smaller sum of squared degrees (ties: part 1) is the
     covering part; the desired edge's endpoint there sends all its symbols.
     """
     if not 1 <= theta <= g.K:
         raise IndexOutOfRange(f"message {theta} outside 1..{g.K}")
-    if length < 1:
-        raise InvalidFamilyParams(f"message length must be >= 1, got {length}")
+    partition = bipartition(g)
     if partition is None:
-        partition = bipartition(g)
-        if partition is None:
-            raise NotBipartite("graph is not two-colorable")
+        raise NotBipartite("graph is not two-colorable")
     part1, part2 = tuple(partition[0]), tuple(partition[1])
-    _validate_partition(g, part1, part2)
     sums = [sum(g.degree(v) ** 2 for v in part) for part in (part1, part2)]
     m_star = 1 if sums[0] <= sums[1] else 2
     cover = set(part1 if m_star == 1 else part2)
@@ -248,56 +243,34 @@ def build_bipartite_plan(g: Graph, theta: int,
             f"both endpoints of message {theta} lie in the covering part")
     server = u if u in cover else v
 
-    atoms = tuple(((msg, pos),)
-                  for msg in g.index_set(server)
-                  for pos in range(1, length + 1))
-    queries = {server: atoms}
-    lengths = {k: length for k in g.messages}
-    recipe = derive_recipe(queries, theta, length)
+    queries = {server: tuple(((msg, 1),) for msg in g.index_set(server))}
+    lengths = dict.fromkeys(g.messages, 1)
+    recipe = derive_recipe(queries, theta, 1)
     meta = {"m_star": m_star, "cover_vertex": server,
             "part1": part1, "part2": part2}
     return SchemePlan(g, "bipartite", theta, lengths, queries, recipe, meta)
 
 
-def _validate_partition(g: Graph, part1, part2) -> None:
-    seen = set(part1) | set(part2)
-    if (len(part1) + len(part2) != g.n_vertices
-            or seen != set(g.vertices)):
-        raise NotBipartite("partition does not split the vertex set")
-    p1 = set(part1)
-    for (u, v) in g.edges:
-        if (u in p1) == (v in p1):
-            raise NotBipartite(f"edge ({u},{v}) does not cross the partition")
+def build_union_plan(g: Graph, theta: int) -> SchemePlan:
+    """Dispatch to the component holding theta and renumber to global ids.
 
-
-def build_union_plan(g: Graph, theta: int,
-                     component_configs=None) -> SchemePlan:
-    """Dispatch to the component holding theta and renumber to global ids."""
-    comps = components(g)
-    if component_configs is None:
-        component_configs = tuple(
-            default_component_config(c.graph) if c.graph.K else None
-            for c in comps)
-    if len(component_configs) != len(comps):
-        raise MissingComponentConfig(
-            f"{len(comps)} components but {len(component_configs)} configs")
+    Every component runs the plan `capacity.best_scheme` picks for it; only
+    theta's component builds one, the others only report their length.
+    """
     if not 1 <= theta <= g.K:
         raise IndexOutOfRange(f"message {theta} outside 1..{g.K}")
-
+    comps = components(g)
     lengths: dict[int, int] = {}
-    target = None
-    for comp, cfg in zip(comps, component_configs):
-        if not comp.graph.K:
+    for c in comps:
+        if not c.graph.K:
             continue        # an isolated server stores nothing
-        comp_len = _component_length(comp.graph, cfg)
-        for gk in comp.edge_indices:
-            lengths[gk] = comp_len
-        if theta in comp.edge_indices:
-            target = (comp, cfg)
-    assert target is not None
-    comp, cfg = target
+        if theta in c.edge_indices:
+            comp = c
+        length = scheme_length(c.graph, best_scheme(c.graph)[1])
+        lengths.update(dict.fromkeys(c.edge_indices, length))
 
-    sub = build_plan(comp.graph, cfg, comp.local_message(theta))
+    sub = build_plan(comp.graph, default_component_config(comp.graph),
+                     comp.local_message(theta))
     queries = {
         comp.vertices[ls - 1]: tuple(
             tuple((comp.edge_indices[m - 1], pos) for (m, pos) in atom)
@@ -308,16 +281,9 @@ def build_union_plan(g: Graph, theta: int,
                    (comp.vertices[step.source[0] - 1], step.source[1]),
                    tuple((comp.vertices[s - 1], a) for (s, a) in step.cancel))
         for step in sub.recipe)
-    lengths.update({comp.edge_indices[m - 1]: sub.lengths[m]
-                    for m in sub.lengths})
     meta = {"component": comps.index(comp) + 1, "sub_kind": sub.kind,
             "sub_meta": sub.meta}
     return SchemePlan(g, "union", theta, lengths, queries, recipe, meta)
-
-
-def _component_length(cg: Graph, cfg: PlanConfig) -> int:
-    probe = build_plan(cg, cfg, 1)
-    return probe.lengths[1]
 
 
 def default_component_config(cg: Graph) -> PlanConfig:
@@ -348,9 +314,9 @@ def build_plan(g: Graph, config: PlanConfig, theta: int) -> SchemePlan:
     if config.kind == "et":
         return build_et_plan(g, theta, config.t_i, config.t_j)
     if config.kind == "bipartite":
-        return build_bipartite_plan(g, theta, length=config.length)
+        return build_bipartite_plan(g, theta)
     if config.kind == "union":
-        return build_union_plan(g, theta, config.component_configs)
+        return build_union_plan(g, theta)
     if config.kind == "fixture":
         return build_fixture_plan(config.fixture, theta, g)
     raise InvalidFamilyParams(f"unknown plan kind {config.kind!r}")
@@ -411,20 +377,18 @@ class Randomness:
     """The user's private per-message permutations (logical -> physical)."""
 
     perms: dict[int, tuple[int, ...]]
-    seed: int | None = None
 
     def physical(self, msg: int, logical_pos: int) -> int:
         return self.perms[msg][logical_pos - 1]
 
 
-def sample_randomness(plan: SchemePlan, rng: random.Random,
-                      seed: int | None = None) -> Randomness:
+def sample_randomness(plan: SchemePlan, rng: random.Random) -> Randomness:
     perms = {}
     for msg in plan.referenced_messages():
         perm = list(range(1, plan.lengths[msg] + 1))
         rng.shuffle(perm)
         perms[msg] = tuple(perm)
-    return Randomness(perms, seed)
+    return Randomness(perms)
 
 
 def to_physical(plan: SchemePlan, rnd: Randomness) -> dict[int, tuple[Atom, ...]]:
@@ -453,7 +417,7 @@ def answer(atoms, storage: dict[int, list[int]], fld: Field) -> list[int]:
     return out
 
 
-def _execute(plan: SchemePlan, rng: random.Random, seed: int, fld: Field):
+def _execute(plan: SchemePlan, rng: random.Random, fld: Field):
     """Run one plan against honest servers holding random storage.
 
     Draws storage for every message, then the user's permutations, from
@@ -462,7 +426,7 @@ def _execute(plan: SchemePlan, rng: random.Random, seed: int, fld: Field):
     """
     storage = {k: [rng.randrange(fld.q) for _ in range(plan.lengths[k])]
                for k in plan.graph.messages}
-    rnd = sample_randomness(plan, rng, seed)
+    rnd = sample_randomness(plan, rng)
     physical = to_physical(plan, rnd)
     answers = {s: answer(physical[s],
                          {k: storage[k] for k in plan.graph.index_set(s)}, fld)

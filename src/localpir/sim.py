@@ -23,7 +23,7 @@ from .scheme import (
     build_plan,
     build_plan_family,
 )
-from .verify import cost_audit
+from .verify import cost_audit, decode_check
 
 
 class ServerLog(NamedTuple):
@@ -67,7 +67,7 @@ def execute_plan(plan: SchemePlan, seed: int, q: int = 2) -> Transcript:
     `seed`, so a transcript replays exactly.
     """
     rng = random.Random(f"localpir:{plan.theta}:{seed}")
-    storage, physical, answers, decoded = _execute(plan, rng, seed, Field(q))
+    storage, physical, answers, decoded = _execute(plan, rng, Field(q))
     logs = tuple(ServerLog(s, physical[s], tuple(vals))
                  for s, vals in answers.items())
     return Transcript(plan.theta, seed, q, logs,
@@ -92,13 +92,11 @@ class RateReport:
     total_download: int
     rate: Fraction
     decoded_ok: bool
-    bounds: BoundReport | None = None
+    bounds: BoundReport
 
     @property
-    def bracketed(self) -> bool | None:
+    def bracketed(self) -> bool:
         """Whether the measured rate sits inside the theoretical bounds."""
-        if self.bounds is None:
-            return None
         return bool(self.bounds.lower <= self.rate
                     and self.rate <= self.bounds.upper)
 
@@ -113,31 +111,26 @@ class RateReport:
             "rate": [self.rate.numerator, self.rate.denominator],
             "rate_approx": float(self.rate),
             "decoded_ok": self.decoded_ok,
-            "bounds": None if self.bounds is None else self.bounds.to_json(),
+            "bounds": self.bounds.to_json(),
             "bracketed": self.bracketed,
         }
 
 
-def measure_rate(g: Graph, config: PlanConfig, q: int = 2, seeds: int = 1,
-                 with_bounds: bool = True) -> RateReport:
+def measure_rate(g: Graph, config: PlanConfig, q: int = 2,
+                 seeds: int = 1) -> RateReport:
     """Exact achieved rate of a plan family, with decode spot checks.
 
     The rate is total message length over total download across all
-    desired messages.  Each plan is additionally executed for `seeds`
-    seeds to confirm end-to-end decodability at field size q.
+    desired messages.  `verify.decode_check` additionally runs each plan
+    for `seeds` seeds to confirm end-to-end decodability at field size q.
     """
     plans = build_plan_family(g, config)
-    decoded_ok = True
-    for theta in g.messages:
-        for seed in range(seeds):
-            decoded_ok = decoded_ok and execute_plan(
-                plans[theta], seed, q).decoded_ok
+    decoded_ok = decode_check(plans, g, q, seeds).ok
     cost = cost_audit(plans, g)
-    bounds = graph_bounds(g) if with_bounds else None
     lengths = {t: plans[t].length for t in g.messages}
     return RateReport(describe_graph(g), config, lengths, cost.per_theta,
                       sum(cost.per_theta.values()), cost.rate, decoded_ok,
-                      bounds)
+                      graph_bounds(g))
 
 
 def describe_graph(g: Graph) -> str:

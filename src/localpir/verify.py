@@ -15,7 +15,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, prod
 
-from .errors import EmptyInput, EnumerationTooLarge, LocalPIRError
+from .errors import (
+    EmptyInput,
+    EnumerationTooLarge,
+    InvalidFamilyParams,
+    LocalPIRError,
+)
 from .field import Field
 from .graphs import Graph
 from .scheme import Atom, Randomness, SchemePlan, _execute, et_download_cost
@@ -183,8 +188,11 @@ def decode_check(plans: dict[int, SchemePlan], g: Graph, q: int = 2,
 
     Each (message, seed) pair draws fresh storage contents and fresh user
     randomness, executes the queries against honest servers, decodes, and
-    checks the result equals the stored message symbol for symbol.
+    checks the result equals the stored message symbol for symbol.  Fewer
+    than one seed is refused: zero trials would report a vacuous PASS.
     """
+    if seeds < 1:
+        raise InvalidFamilyParams(f"seeds must be at least 1, got {seeds}")
     fld = Field(q)
     report = DecodeReport(trials=0)
     for theta in sorted(plans):
@@ -193,7 +201,7 @@ def decode_check(plans: dict[int, SchemePlan], g: Graph, q: int = 2,
             report.trials += 1
             rng = random.Random(f"decode:{theta}:{seed}")
             try:
-                storage, _, _, got = _execute(plan, rng, seed, fld)
+                storage, _, _, got = _execute(plan, rng, fld)
             except LocalPIRError as exc:
                 report.failures.append(
                     {"theta": theta, "seed": seed,
@@ -291,7 +299,8 @@ class SchemeReport:
 def check_scheme(plans: dict[int, SchemePlan], g: Graph, q: int = 2,
                  seeds: int = 8, cap: int = DEFAULT_CAP) -> SchemeReport:
     """Full audit: privacy at every server, decoding, and cost accounting."""
-    privacy = [privacy_check(plans, g, s, cap) for s in g.vertices]
+    # Decoding first refuses a bad seed count before any enumeration.
     dec = decode_check(plans, g, q, seeds)
+    privacy = [privacy_check(plans, g, s, cap) for s in g.vertices]
     cost = cost_audit(plans, g)
     return SchemeReport(privacy, dec, cost)

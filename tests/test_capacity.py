@@ -227,6 +227,15 @@ def test_complete_bounds_k4():
     assert rep.cited_lower <= rep.lower
 
 
+def test_complete3_report_agrees_with_the_triangle_graph():
+    rep = family_bounds("complete", 3)
+    tri = graph_bounds(family("complete", 3))
+    assert (rep.lower, rep.upper, rep.exact) == (tri.lower, tri.upper,
+                                                 tri.exact)
+    assert rep.upper.as_fraction() == Fraction(1, 2)
+    assert rep.exact
+
+
 def test_complete_cited_form_never_exceeds_exact_optimum():
     for n in range(2, 41):
         rep = family_bounds("complete", n)

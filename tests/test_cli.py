@@ -110,13 +110,6 @@ def test_scheme_json_atoms(capsys):
     assert obj["graph"]["n"] == 4
 
 
-def test_emit_table_overrides_json_format(capsys):
-    code, out, _ = run(capsys, "scheme", "--family", "cycle", "--n", "4",
-                       "--t", "2", "--format", "json", "--emit-table")
-    assert code == 0
-    assert out.splitlines()[0].startswith("theta |")
-
-
 # --- verify ------------------------------------------------------------------
 
 def test_verify_passes_on_cycle(capsys):
@@ -272,18 +265,3 @@ def test_edgeless_graph_exits_two(capsys, tmp_path, command):
     code, out, err = run(capsys, command, "--graph", str(path))
     assert code == 2 and out == ""
     assert err == "error: graph has no edges\n"
-
-
-def test_env_cap_overrides_flag(capsys, monkeypatch):
-    monkeypatch.setenv("LOCAL_PIR_CAP", "3")
-    code, _, err = run(capsys, "verify", "--family", "cycle", "--n", "4",
-                       "--t", "2", "--cap", "1000000", "--seeds", "1")
-    assert code == 2
-    assert "cap is 3" in err
-
-
-def test_invalid_env_cap_exits_two(capsys, monkeypatch):
-    monkeypatch.setenv("LOCAL_PIR_CAP", "plenty")
-    code, _, err = run(capsys, "verify", "--family", "cycle", "--n", "4",
-                       "--t", "2", "--seeds", "1")
-    assert code == 2 and "LOCAL_PIR_CAP" in err

@@ -252,3 +252,9 @@ def test_graph_from_json_validates():
 ])
 def test_detect_family(g, expected):
     assert detect_family(g) == expected
+
+
+def test_detect_family_rejects_edgeless_graph():
+    lone = components(build_graph(3, [(1, 2)]))[1].graph
+    assert lone.K == 0
+    assert detect_family(lone) is None

@@ -12,7 +12,6 @@ from localpir.errors import (
     IncompleteAnswers,
     IndexOutOfRange,
     InvalidFamilyParams,
-    MissingComponentConfig,
     NotBipartite,
     RoleConflict,
     TOutOfRange,
@@ -21,7 +20,7 @@ from localpir.errors import (
 )
 from localpir.field import Field
 from localpir.fixtures import C4_TABLE, K4_TABLE
-from localpir.graphs import build_graph, family
+from localpir.graphs import build_graph, components, family
 from localpir.scheme import (
     PlanConfig,
     answer,
@@ -271,13 +270,6 @@ def test_bipartite_plan_path5_costs():
     assert downloads == {1: 1, 2: 2, 3: 2, 4: 1}
 
 
-def test_bipartite_plan_longer_messages():
-    g = family("path", 5)
-    plan = build_bipartite_plan(g, 2, length=3)
-    assert plan.length == 3
-    assert plan.download_count() == 6
-
-
 def test_bipartite_queries_do_not_depend_on_theta():
     g = family("path", 7)
     by_server = {}
@@ -292,14 +284,6 @@ def test_bipartite_queries_do_not_depend_on_theta():
 def test_bipartite_rejects_odd_cycle():
     with pytest.raises(NotBipartite):
         build_bipartite_plan(family("cycle", 5), 1)
-
-
-def test_bipartite_rejects_bad_partition():
-    g = family("cycle", 4)
-    with pytest.raises(NotBipartite):
-        build_bipartite_plan(g, 1, partition=((1, 2), (3, 4)))
-    with pytest.raises(NotBipartite):
-        build_bipartite_plan(g, 1, partition=((1, 3), (2,)))
 
 
 # --- union plans ---------------------------------------------------------
@@ -328,16 +312,28 @@ def test_union_plan_lengths_differ_per_component():
     assert plan.length == 2
 
 
-def test_union_plan_config_count_checked():
-    g = mixed_graph()
-    with pytest.raises(MissingComponentConfig):
-        build_union_plan(g, 1, (et_config(1),))
-
-
-def test_union_config_explicit_components():
-    g = mixed_graph()
-    plan = build_union_plan(g, 1, (et_config(1), bipartite_config()))
-    assert plan.download_count() == 4
+def test_union_plan_lengths_match_component_plans():
+    # C4 (L=2), K4 (L=4), 5-star and path-5 (cover, L=1), isolated vertex.
+    parts = [family("cycle", 4), family("complete", 4), family("star", 5),
+             family("path", 5)]
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(u + offset, v + offset) for (u, v) in part.edges]
+        offset += part.n_vertices
+    g = build_graph(offset + 1, edges)
+    comps = [c for c in components(g) if c.graph.K]
+    assert len(comps) == len(parts)
+    lengths = set()
+    for comp in comps:
+        cfg = default_component_config(comp.graph)
+        expected = build_plan(comp.graph, cfg, 1).length
+        lengths.add(expected)
+        for theta in comp.edge_indices:
+            plan = build_union_plan(g, theta)
+            assert plan.length == expected
+            for k in comp.edge_indices:
+                assert plan.lengths[k] == expected
+    assert lengths == {1, 2, 4}
 
 
 def test_default_component_config_choices():
@@ -402,7 +398,7 @@ def run_pipeline(plan, q, seed):
 @pytest.mark.parametrize("cfg,g", [
     (et_config(2), family("cycle", 4)),
     (et_config(2), family("complete", 4)),
-    (bipartite_config(2), family("path", 6)),
+    (bipartite_config(), family("path", 6)),
     (union_config(), mixed_graph()),
 ])
 def test_decode_round_trip(q, cfg, g):

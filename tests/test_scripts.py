@@ -1,0 +1,31 @@
+"""Smoke test: every script under scripts/ runs to its closing line."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPTS = [
+    (("capacity_survey.py", "--max-n", "6"), "complete_bipartite  6  2/5"),
+    (("reproduce_tables.py",), "matches frozen reference: yes"),
+    (("verify_battery.py", "--seeds", "1"), "0 failures, "),
+]
+
+
+@pytest.mark.parametrize("argv,closing", SCRIPTS,
+                         ids=[argv[0] for argv, _ in SCRIPTS])
+def test_script_runs_to_its_closing_line(argv, closing):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]),
+                           *argv[1:]],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stdout.splitlines() if line.strip()]
+    assert lines[-1].startswith(closing)

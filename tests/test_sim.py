@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from localpir.errors import LocalPIRError
 from localpir.graphs import build_graph, family
 from localpir.scheme import (
     bipartite_config,
@@ -133,11 +134,10 @@ def test_rate_report_json():
     json.dumps(obj)
 
 
-def test_measure_rate_without_bounds():
-    rep = measure_rate(family("cycle", 4), et_config(2, 2),
-                       with_bounds=False)
-    assert rep.bounds is None
-    assert rep.bracketed is None
+@pytest.mark.parametrize("seeds", [0, -1])
+def test_measure_rate_refuses_fewer_than_one_seed(seeds):
+    with pytest.raises(LocalPIRError):
+        measure_rate(family("cycle", 4), et_config(2, 2), seeds=seeds)
 
 
 def test_describe_graph_names():

@@ -15,6 +15,7 @@ from helpers import (
 from localpir.errors import (
     EmptyInput,
     EnumerationTooLarge,
+    LocalPIRError,
     UndecodablePlan,
 )
 from localpir.graphs import build_graph, family
@@ -200,6 +201,15 @@ def test_decode_check_catches_wrong_occurrence_index(c4, c4_plans):
     # the corrupted singleton still looks private
     for server in c4.vertices:
         assert privacy_check(mutated, c4, server).ok
+
+
+@pytest.mark.parametrize("seeds", [0, -1])
+def test_decode_check_refuses_fewer_than_one_seed(c4, c4_plans, seeds):
+    # zero trials would otherwise report a vacuous decode PASS
+    with pytest.raises(LocalPIRError):
+        decode_check(c4_plans, c4, seeds=seeds)
+    with pytest.raises(LocalPIRError):
+        check_scheme(c4_plans, c4, seeds=seeds)
 
 
 # --- cost audit ----------------------------------------------------------------

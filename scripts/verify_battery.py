@@ -11,12 +11,13 @@ import argparse
 import time
 
 from localpir.capacity import graph_bounds
-from localpir.graphs import family
+from localpir.graphs import build_graph, family
 from localpir.scheme import (
     bipartite_config,
     build_plan_family,
     et_config,
     fixture_config,
+    union_config,
 )
 from localpir.verify import check_scheme
 
@@ -32,6 +33,12 @@ def battery():
         yield f"path{n}", family("path", n), bipartite_config()
     yield "fixture-c4", family("cycle", 4), fixture_config("c4")
     yield "fixture-k4", family("complete", 4), fixture_config("k4")
+    c4 = family("cycle", 4)
+    star_edges = [(u + 4, v + 4) for (u, v) in family("star", 5).edges]
+    yield ("union-c4+star5", build_graph(9, list(c4.edges) + star_edges),
+           union_config())
+    yield ("union-3xc4", family("disjoint_copies", base=c4, copies=3),
+           union_config())
 
 
 def main() -> int:

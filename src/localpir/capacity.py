@@ -260,19 +260,24 @@ def best_scheme(g: Graph) -> tuple[Fraction, tuple[int, int] | None]:
     return best
 
 
-def scheme_length(g: Graph, ts: tuple[int, int] | None) -> int:
-    """Message length of the scheme `best_scheme` picks for connected g.
+def component_schemes(g: Graph) -> list[tuple]:
+    """One (component, rate, ts, length) per component storing messages.
 
-    ts is best_scheme's second value: None for the cover plan, whose
-    messages are one symbol long, or the t-sum subset sizes, t_i at the
-    smaller degree.  Subset sizes are tuned only when every edge joins the
-    same degree pair, and t = 1 gives L = 2 on any pair, so one edge's
-    degrees give the length of every message.
+    rate and ts are `best_scheme`'s, length is the message length: one
+    symbol for the cover plan.  Subset sizes are tuned only when every edge
+    joins the same degree pair, and t = 1 gives L = 2 on any pair, so one
+    edge's degrees give the length of every t-sum message.
     """
-    if ts is None:
-        return 1
-    d_i, d_j = sorted(map(g.degree, g.edges[0]))
-    return subpacketization(d_i, d_j, *ts)
+    table = []
+    for comp in components(g):
+        cg = comp.graph
+        if not cg.K:
+            continue        # an isolated server stores nothing
+        rate, ts = best_scheme(cg)
+        length = (1 if ts is None else subpacketization(
+            *sorted(map(cg.degree, cg.edges[0])), *ts))
+        table.append((comp, rate, ts, length))
+    return table
 
 
 # --- per-family reports ------------------------------------------------------
@@ -312,38 +317,40 @@ def family_bounds(name: str, n: int) -> BoundReport:
     if name == "complete":
         if n < 2:
             raise InvalidFamilyParams(f"complete needs n >= 2, got {n}")
-        value, t_i, t_j = et_lower_bound(n - 1, n - 1)
-        # The complete graph on 3 servers is the 3-cycle, capacity 1/2.
-        upper = value if n == 3 else Fraction(1)
-        comparators = _complete_comparators(n)
-        return BoundReport(
-            "complete", n, BoundValue(value), BoundValue(upper),
-            value == upper,
-            optimizer=(t_i, t_j),
-            cited_lower=BoundValue(Fraction(1, 2), n - 1),
-            cited_note="closed form 1/(2*sqrt(n-1)), always at or below "
-                       "the exact t-sum optimum",
-            comparators=comparators)
+        return _regular_report(
+            "complete", n, n - 1, BoundValue(Fraction(1, 2), n - 1),
+            "closed form 1/(2*sqrt(n-1)), always at or below the exact "
+            "t-sum optimum", _complete_comparators(n))
     if name == "complete_bipartite":
         if n < 2 or n % 2:
             raise InvalidFamilyParams(
                 f"balanced complete bipartite needs even n >= 2, got {n}")
         # t = 1 already attains the cover rate 1/d, so the t-sum optimum
         # is never below it and best_scheme always keeps the t-sum plan.
-        lower, t_i, t_j = et_lower_bound(n // 2, n // 2)
-        return BoundReport(
-            "complete_bipartite", n, BoundValue(lower),
-            BoundValue(Fraction(1)), lower == 1, optimizer=(t_i, t_j),
-            cited_lower=BoundValue(Fraction(2), n),
-            cited_note="published closed form 2/sqrt(n); exceeds what the "
-                       "t-sum scheme attains, kept for reference only",
-            comparators=[
-                Comparator(float(Fraction(4, 3 * n)), "krishnan_graph",
-                           f"full privacy lower: 4/(3n) = {Fraction(4, 3 * n)}"),
-                Comparator(1.0 / (n * (math.exp(0.5) - 1)), "gePIR",
-                           "full privacy upper: 1/(n(e^0.5 - 1))"),
-            ])
+        return _regular_report(
+            "complete_bipartite", n, n // 2, BoundValue(Fraction(2), n),
+            "published closed form 2/sqrt(n); exceeds what the t-sum scheme "
+            "attains, kept for reference only",
+            [Comparator(float(Fraction(4, 3 * n)), "krishnan_graph",
+                        f"full privacy lower: 4/(3n) = {Fraction(4, 3 * n)}"),
+             Comparator(1.0 / (n * (math.exp(0.5) - 1)), "gePIR",
+                        "full privacy upper: 1/(n(e^0.5 - 1))")])
     raise UnsupportedFamily(f"no bounds on record for family {name!r}")
+
+
+def _regular_report(name: str, n: int, d: int, cited_lower: BoundValue,
+                    cited_note: str, comparators) -> BoundReport:
+    """Report for a d-regular family member, the tuned t-sum rate below.
+
+    A 2-regular member (complete-3, K(2,2)) is a cycle and takes the cycle
+    converse 1/2; every other member has the trivial upper bound 1.
+    """
+    value, t_i, t_j = et_lower_bound(d, d)
+    upper = value if d == 2 else Fraction(1)
+    return BoundReport(name, n, BoundValue(value), BoundValue(upper),
+                       value == upper, optimizer=(t_i, t_j),
+                       cited_lower=cited_lower, cited_note=cited_note,
+                       comparators=comparators)
 
 
 def _complete_comparators(n: int) -> list[Comparator]:
@@ -366,36 +373,37 @@ def graph_bounds(g: Graph) -> BoundReport:
     of a disconnected graph; the upper bound is the trivial 1 unless every
     component's capacity is exact.
     """
-    comps = components(g)
-    if len(comps) > 1:
-        return _union_graph_bounds(g, comps)
-    det = detect_family(g)
-    if det is not None:
-        name, params = det
-        if name == "complete_bipartite":
-            if params["a"] == params["b"]:
-                return family_bounds(name, params["a"] + params["b"])
-        else:
-            return family_bounds(name, params["n"])
+    if len(components(g)) > 1:
+        return _union_graph_bounds(g)
+    report = _family_report(g)
+    if report is not None:
+        return report
     value, optimizer = best_scheme(g)
     return BoundReport("custom", g.n_vertices, BoundValue(value),
                        BoundValue(Fraction(1)), value == 1,
                        optimizer=optimizer)
 
 
-def _union_graph_bounds(g: Graph, comps) -> BoundReport:
-    """Compose best_scheme per component; isolated servers add nothing."""
-    parts = []
+def _family_report(g: Graph) -> BoundReport | None:
+    """The report of a connected family member; K(a, b) needs a == b."""
+    det = detect_family(g)
+    if det is None or det[1].get("a") != det[1].get("b"):
+        return None
+    name, params = det
+    return family_bounds(name, params.get("n", sum(params.values())))
+
+
+def _union_graph_bounds(g: Graph) -> BoundReport:
+    """Compose the component table; isolated servers add nothing."""
+    table = component_schemes(g)
     all_exact = True
-    for comp in comps:
-        cg = comp.graph
-        if not cg.K:
-            continue
-        all_exact = all_exact and graph_bounds(cg).exact
-        rate, ts = best_scheme(cg)
-        length = scheme_length(cg, ts)
-        parts.append((cg.K, length, length / rate))
-    value = union_capacity(parts)
-    lower = BoundValue(value)
+    for comp, rate, _, _ in table:
+        # Outside the families only rate 1 meets the trivial upper bound.
+        report = _family_report(comp.graph)
+        all_exact = all_exact and (rate == 1 if report is None
+                                   else report.exact)
+    lower = BoundValue(union_capacity(
+        (comp.graph.K, length, length / rate)
+        for comp, rate, _, length in table))
     upper = lower if all_exact else BoundValue(Fraction(1))
     return BoundReport("union", g.n_vertices, lower, upper, all_exact)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .capacity import BoundReport, BoundValue, family_bounds, graph_bounds
 from .errors import InvalidFamilyParams, LocalPIRError
@@ -39,13 +38,7 @@ FAMILIES = ("cycle", "path", "star", "complete", "complete_bipartite")
 # --- input resolution --------------------------------------------------------
 
 def load_graph(args) -> Graph:
-    has_family = args.family is not None
-    has_file = args.graph is not None
-    if has_family == has_file:
-        raise InvalidFamilyParams("give exactly one of --family or --graph")
-    if has_family:
-        if args.n is None:
-            raise InvalidFamilyParams("--family requires --n")
+    if family_source(args):
         return family_graph(args.family, args.n)
     try:
         with open(args.graph, "r", encoding="utf-8") as fh:
@@ -58,6 +51,15 @@ def load_graph(args) -> Graph:
     if not isinstance(obj, dict):
         raise InvalidFamilyParams(f"{args.graph}: top level must be an object")
     return graph_from_json(obj)
+
+
+def family_source(args) -> bool:
+    """True for --family with --n, False for --graph; refuses the rest."""
+    if (args.family is None) == (args.graph is None):
+        raise InvalidFamilyParams("give exactly one of --family or --graph")
+    if args.family is not None and args.n is None:
+        raise InvalidFamilyParams("--family requires --n")
+    return args.family is not None
 
 
 def family_graph(name: str, n: int) -> Graph:
@@ -73,16 +75,16 @@ def family_graph(name: str, n: int) -> Graph:
 def resolve_config(args, g: Graph) -> PlanConfig:
     t_i = args.t_i if args.t_i is not None else args.t
     t_j = args.t_j if args.t_j is not None else args.t
-    if t_j is None:
-        t_j = t_i
-    if args.scheme == "et" or (args.scheme == "auto" and t_i is not None):
+    if args.scheme in ("bipartite", "union"):
+        if (t_i, t_j) != (None, None):
+            raise InvalidFamilyParams(
+                f"--scheme {args.scheme} takes no --t, --t-i or --t-j")
+        return (bipartite_config() if args.scheme == "bipartite"
+                else union_config())
+    if args.scheme == "et" or (t_i, t_j) != (None, None):
         if t_i is None:
             raise InvalidFamilyParams("the t-sum scheme needs --t or --t-i")
         return et_config(t_i, t_j)
-    if args.scheme == "bipartite":
-        return bipartite_config()
-    if args.scheme == "union":
-        return union_config()
     if len(components(g)) > 1:
         return union_config()
     return default_component_config(g)
@@ -102,10 +104,6 @@ def describe_config(cfg: PlanConfig) -> str:
 
 def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def frac_str(fr: Fraction) -> str:
-    return str(fr)
 
 
 def bound_str(bv: BoundValue) -> str:
@@ -168,9 +166,9 @@ def render_plans(g: Graph, plans, thetas) -> str:
                    + ", ".join(f"{t}:{plans[t].length}" for t in sorted(plans)))
     downloads = {plans[t].download_count() for t in plans}
     d_part = (f"D_k={downloads.pop()} for every theta" if len(downloads) == 1
-              else "expected D=" + frac_str(audit.expected_download))
+              else f"expected D={audit.expected_download}")
     return (render_table(header, rows)
-            + f"\n{l_part}; {d_part}; rate {frac_str(audit.rate)}")
+            + f"\n{l_part}; {d_part}; rate {audit.rate}")
 
 
 def render_verify(report: SchemeReport, probes) -> str:
@@ -187,8 +185,8 @@ def render_verify(report: SchemeReport, probes) -> str:
         lines.append(f"  theta {failure['theta']} seed {failure['seed']}: "
                      f"{failure['reason']}")
     cost = report.cost
-    lines.append(f"cost: expected download {frac_str(cost.expected_download)}, "
-                 f"rate {frac_str(cost.rate)}"
+    lines.append(f"cost: expected download {cost.expected_download}, "
+                 f"rate {cost.rate}"
                  + ("" if cost.ok else " [closed-form MISMATCH]"))
     for m in cost.mismatches:
         lines.append(f"  {m}")
@@ -214,14 +212,8 @@ def render_transcript(t: Transcript, k_total: int) -> str:
 # --- subcommands -------------------------------------------------------------
 
 def cmd_bounds(args) -> int:
-    if args.family is not None:
-        if args.graph is not None:
-            raise InvalidFamilyParams("give exactly one of --family or --graph")
-        if args.n is None:
-            raise InvalidFamilyParams("--family requires --n")
-        report = family_bounds(args.family, args.n)
-    else:
-        report = graph_bounds(load_graph(args))
+    report = (family_bounds(args.family, args.n) if family_source(args)
+              else graph_bounds(load_graph(args)))
     if args.format == "json":
         print(dump_json(report.to_json()))
     else:
@@ -292,7 +284,7 @@ def cmd_simulate(args) -> int:
     else:
         lines = [f"graph {report.graph}",
                  f"scheme {describe_config(config)}",
-                 f"measured rate {frac_str(report.rate)} "
+                 f"measured rate {report.rate} "
                  f"(~{float(report.rate):.6g})",
                  f"total download {report.total_download} over "
                  f"{len(report.per_theta_download)} messages",

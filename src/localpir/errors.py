@@ -47,10 +47,6 @@ class NotBipartite(LocalPIRError):
     """The graph is not two-colorable."""
 
 
-class EndpointAmbiguity(LocalPIRError):
-    """Both endpoints of the desired edge fall in the covering part."""
-
-
 class UnresolvableRef(LocalPIRError):
     """A query atom references a message the server does not store."""
 

@@ -24,8 +24,9 @@ degrees; the desired edge's endpoint in that part sends its entire storage,
 every other server stays silent.  Queries per server never depend on which
 of its messages is wanted.
 
-Union plan: route the retrieval to the connected component holding the
-desired message and renumber the component plan back into global ids.
+Union plan: the plan of the component holding the desired message (its
+t-sum or cover plan, from `capacity.component_schemes`), renumbered into
+global ids; every other component only sets its messages' lengths.
 """
 
 from __future__ import annotations
@@ -38,12 +39,11 @@ from typing import NamedTuple
 
 from .capacity import (
     best_scheme,
+    component_schemes,
     et_download_cost,
-    scheme_length,
     subpacketization,
 )
 from .errors import (
-    EndpointAmbiguity,
     IncompleteAnswers,
     IndexOutOfRange,
     InvalidFamilyParams,
@@ -55,7 +55,7 @@ from .errors import (
 )
 from .field import Field
 from .fixtures import fixture_graph, fixture_table
-from .graphs import Graph, bipartition, components
+from .graphs import Graph, bipartition
 
 Ref = tuple[int, int]          # (message, position), both 1-based
 Atom = tuple[Ref, ...]         # one downloaded symbol: a sum of refs
@@ -107,8 +107,8 @@ class PlanConfig:
     """Which construction to run, with its parameters.
 
     kind is one of "et" (t-sum on edge-transitive storage), "bipartite",
-    "union" (each component runs the plan `capacity.best_scheme` picks),
-    or "fixture".
+    "union" (each component runs the plan `capacity.best_scheme` picks;
+    the plans it builds have their component's kind), or "fixture".
     """
 
     kind: str
@@ -232,58 +232,60 @@ def build_bipartite_plan(g: Graph, theta: int) -> SchemePlan:
     partition = bipartition(g)
     if partition is None:
         raise NotBipartite("graph is not two-colorable")
-    part1, part2 = tuple(partition[0]), tuple(partition[1])
-    sums = [sum(g.degree(v) ** 2 for v in part) for part in (part1, part2)]
+    sums = [sum(g.degree(v) ** 2 for v in part) for part in partition]
     m_star = 1 if sums[0] <= sums[1] else 2
-    cover = set(part1 if m_star == 1 else part2)
-
+    # A proper two-coloring puts exactly one endpoint in the covering part.
     u, v = g.endpoints(theta)
-    if u in cover and v in cover:
-        raise EndpointAmbiguity(
-            f"both endpoints of message {theta} lie in the covering part")
-    server = u if u in cover else v
+    server = u if u in partition[m_star - 1] else v
 
     queries = {server: tuple(((msg, 1),) for msg in g.index_set(server))}
     lengths = dict.fromkeys(g.messages, 1)
     recipe = derive_recipe(queries, theta, 1)
-    meta = {"m_star": m_star, "cover_vertex": server,
-            "part1": part1, "part2": part2}
+    meta = {"m_star": m_star, "cover_vertex": server}
     return SchemePlan(g, "bipartite", theta, lengths, queries, recipe, meta)
 
 
 def build_union_plan(g: Graph, theta: int) -> SchemePlan:
-    """Dispatch to the component holding theta and renumber to global ids.
+    """The plan of theta's component, in global ids.
 
-    Every component runs the plan `capacity.best_scheme` picks for it; only
-    theta's component builds one, the others only report their length.
+    Every component runs the scheme `capacity.component_schemes` lists for
+    it; only theta's component builds a plan, the others set lengths.
     """
     if not 1 <= theta <= g.K:
         raise IndexOutOfRange(f"message {theta} outside 1..{g.K}")
-    comps = components(g)
-    lengths: dict[int, int] = {}
-    for c in comps:
-        if not c.graph.K:
-            continue        # an isolated server stores nothing
-        if theta in c.edge_indices:
-            comp = c
-        length = scheme_length(c.graph, best_scheme(c.graph)[1])
-        lengths.update(dict.fromkeys(c.edge_indices, length))
+    return _union_plans(g, (theta,))[theta]
 
-    sub = build_plan(comp.graph, default_component_config(comp.graph),
-                     comp.local_message(theta))
-    queries = {
-        comp.vertices[ls - 1]: tuple(
-            tuple((comp.edge_indices[m - 1], pos) for (m, pos) in atom)
-            for atom in atoms)
-        for ls, atoms in sub.queries.items()}
-    recipe = tuple(
-        DecodeStep(step.position,
-                   (comp.vertices[step.source[0] - 1], step.source[1]),
-                   tuple((comp.vertices[s - 1], a) for (s, a) in step.cancel))
-        for step in sub.recipe)
-    meta = {"component": comps.index(comp) + 1, "sub_kind": sub.kind,
-            "sub_meta": sub.meta}
-    return SchemePlan(g, "union", theta, lengths, queries, recipe, meta)
+
+_VERTEX_KEYS = ("role_i", "role_j", "cover_vertex")   # meta naming servers
+
+
+def _union_plans(g: Graph, thetas) -> dict[int, SchemePlan]:
+    """Union plans for the given messages, from one component table."""
+    lengths: dict[int, int] = {}
+    owner = {}
+    for comp, _, ts, length in component_schemes(g):
+        lengths.update(dict.fromkeys(comp.edge_indices, length))
+        owner.update(dict.fromkeys(comp.edge_indices, (comp, ts)))
+    plans = {}
+    for theta in thetas:
+        comp, ts = owner[theta]
+        local = comp.local_message(theta)
+        sub = (build_bipartite_plan(comp.graph, local) if ts is None
+               else build_et_plan(comp.graph, local, *ts))
+        vertex, message = comp.vertices, comp.edge_indices
+        queries = {vertex[s - 1]: tuple(tuple((message[m - 1], pos)
+                                              for (m, pos) in atom)
+                                        for atom in atoms)
+                   for s, atoms in sub.queries.items()}
+        meta = {key: vertex[v - 1] if key in _VERTEX_KEYS else v
+                for key, v in sub.meta.items()}
+        # Renumbering keeps the order of servers and of messages, so the
+        # recipe read off the global layout is the component's, renumbered.
+        plans[theta] = SchemePlan(g, sub.kind, theta, dict(lengths),
+                                  queries,
+                                  derive_recipe(queries, theta, sub.length),
+                                  meta)
+    return plans
 
 
 def default_component_config(cg: Graph) -> PlanConfig:
@@ -323,7 +325,9 @@ def build_plan(g: Graph, config: PlanConfig, theta: int) -> SchemePlan:
 
 
 def build_plan_family(g: Graph, config: PlanConfig) -> dict[int, SchemePlan]:
-    """One plan per desired message."""
+    """One plan per desired message; a union reads its table once."""
+    if config.kind == "union":
+        return _union_plans(g, g.messages)
     return {theta: build_plan(g, config, theta) for theta in g.messages}
 
 

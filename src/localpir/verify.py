@@ -107,7 +107,6 @@ def privacy_check(plans: dict[int, SchemePlan], g: Graph, server: int,
              for t in thetas}
     if not thetas:
         return PrivacyReport(server, (), "PASS", 0)
-    reference = dists[thetas[0]]
     support: set[Fingerprint] = set()
     for d in dists.values():
         support |= set(d)

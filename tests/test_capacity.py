@@ -17,6 +17,7 @@ from localpir.capacity import (
     graph_bounds,
     union_capacity,
 )
+from localpir.cli import family_graph
 from localpir.errors import (
     EmptyInput,
     InvalidFamilyParams,
@@ -234,6 +235,22 @@ def test_complete3_report_agrees_with_the_triangle_graph():
                                                  tri.exact)
     assert rep.upper.as_fraction() == Fraction(1, 2)
     assert rep.exact
+
+
+@pytest.mark.parametrize("name", ["cycle", "path", "star", "complete",
+                                  "complete_bipartite"])
+def test_family_report_agrees_with_its_graph(name):
+    checked = 0
+    for n in range(2, 13):
+        try:
+            rep = family_bounds(name, n)
+        except InvalidFamilyParams:
+            continue
+        got = graph_bounds(family_graph(name, n))
+        assert (rep.lower, rep.upper, rep.exact) == (
+            got.lower, got.upper, got.exact), n
+        checked += 1
+    assert checked >= 6
 
 
 def test_complete_cited_form_never_exceeds_exact_optimum():

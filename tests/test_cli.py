@@ -197,6 +197,13 @@ def test_simulate_union_from_file(capsys, union_file):
     ("bounds", "--family", "complete_bipartite", "--n", "5"),
     ("verify", "--family", "cycle", "--n", "4", "--t", "2", "--seeds", "0"),
     ("simulate", "--family", "cycle", "--n", "4", "--t", "2", "--seeds", "-1"),
+    ("verify", "--family", "cycle", "--n", "4", "--scheme", "bipartite",
+     "--t", "2"),
+    ("verify", "--family", "cycle", "--n", "4", "--scheme", "union",
+     "--t-i", "3"),
+    ("scheme", "--family", "path", "--n", "4", "--scheme", "bipartite",
+     "--t-j", "1"),
+    ("scheme", "--family", "cycle", "--n", "4", "--t-j", "2"),
 ])
 def test_invalid_inputs_exit_two(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -1,12 +1,17 @@
 """Plan construction: t-sum, cover, union, fixtures, decoding."""
 
+import dataclasses
 import itertools
 import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+import localpir.capacity
+import localpir.scheme
+from localpir.capacity import graph_bounds
 
 from localpir.errors import (
     IncompleteAnswers,
@@ -44,6 +49,7 @@ from localpir.scheme import (
     to_physical,
     union_config,
 )
+from localpir.verify import cost_audit, decode_check
 
 
 # --- combinatorial helpers ---------------------------------------------------
@@ -336,6 +342,67 @@ def test_union_plan_lengths_match_component_plans():
     assert lengths == {1, 2, 4}
 
 
+@st.composite
+def union_graphs(draw):
+    """Graphs on at most six vertices, possibly disconnected, with edges."""
+    n = draw(st.integers(2, 6))
+    pool = list(itertools.combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pool), max_size=len(pool),
+                          unique=True))
+    assume(edges)
+    return build_graph(n, edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(union_graphs())
+def test_union_family_is_per_theta_plans_at_the_lower_bound(g):
+    plans = build_plan_family(g, union_config())
+    assert plans == {theta: build_union_plan(g, theta)
+                     for theta in g.messages}
+    assert {p.kind for p in plans.values()} <= {"et", "bipartite"}
+    assert decode_check(plans, g, seeds=1).ok
+    audit = cost_audit(plans, g)
+    assert audit.mismatches == []
+    assert audit.rate == graph_bounds(g).lower.as_fraction()
+
+
+def test_union_family_runs_best_scheme_once_per_component(monkeypatch):
+    real = localpir.capacity.best_scheme
+    calls = []
+
+    def counting(cg):
+        calls.append(cg)
+        return real(cg)
+
+    monkeypatch.setattr(localpir.capacity, "best_scheme", counting)
+    monkeypatch.setattr(localpir.scheme, "best_scheme", counting)
+    g = family("disjoint_copies", base=family("cycle", 4), copies=100)
+    plans = build_plan_family(g, union_config())
+    assert len(plans) == 400
+    assert len(calls) == 100
+
+
+def test_union_plan_is_its_component_plan_in_global_ids():
+    g = mixed_graph()
+    cycle_plan = build_union_plan(g, 2)
+    assert cycle_plan.kind == "et"
+    assert {cycle_plan.meta["role_i"], cycle_plan.meta["role_j"]} == {2, 3}
+    star_plan = build_union_plan(g, 6)
+    assert star_plan.kind == "bipartite"
+    assert star_plan.meta == {"m_star": 1, "cover_vertex": 6}
+
+
+def test_cost_audit_catches_an_extra_atom_in_a_union_plan():
+    g = mixed_graph()
+    plans = build_plan_family(g, union_config())
+    plan = plans[6]
+    queries = dict(plan.queries)
+    queries[6] += (((6, 1),),)
+    plans[6] = dataclasses.replace(plan, queries=queries)
+    assert cost_audit(plans, g).mismatches == [
+        "theta 6: downloaded 2, cover form says 1"]
+
+
 def test_default_component_config_choices():
     assert default_component_config(family("cycle", 4)) == et_config(1, 1)
     assert default_component_config(family("star", 5)) == bipartite_config()
@@ -348,7 +415,7 @@ def test_build_plan_dispatch():
     g = family("cycle", 4)
     assert build_plan(g, et_config(2), 1).kind == "et"
     assert build_plan(g, bipartite_config(), 1).kind == "bipartite"
-    assert build_plan(g, union_config(), 1).kind == "union"
+    assert build_plan(g, union_config(), 1).kind == "et"
     assert build_plan(g, fixture_config("c4"), 1).kind == "fixture"
     with pytest.raises(InvalidFamilyParams):
         build_plan(g, PlanConfig(kind="bogus"), 1)

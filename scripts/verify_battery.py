@@ -3,8 +3,9 @@
 
 Each line reports the exact privacy verdict at every server, the decode
 spot-check verdict, the audited rate, and whether that rate sits inside
-the theoretical bounds for the graph.  Exit status is nonzero if any
-family fails any check.
+the theoretical bounds for the graph.  Single retrievals on large graphs,
+too large to audit whole, follow, one line each.  Exit status is nonzero
+if any family fails any check or any retrieval fails to decode.
 """
 
 import argparse
@@ -19,6 +20,7 @@ from localpir.scheme import (
     fixture_config,
     union_config,
 )
+from localpir.sim import run_retrieval
 from localpir.verify import check_scheme
 
 
@@ -39,6 +41,13 @@ def battery():
            union_config())
     yield ("union-3xc4", family("disjoint_copies", base=c4, copies=3),
            union_config())
+
+
+def retrievals():
+    yield "cycle2000-t2", family("cycle", 2000), et_config(2), 1000
+    c4 = family("cycle", 4)
+    yield ("union-100xc4", family("disjoint_copies", base=c4, copies=100),
+           union_config(), 398)
 
 
 def main() -> int:
@@ -62,6 +71,12 @@ def main() -> int:
               f"bounds [{bounds.lower}, {bounds.upper}]  "
               f"privacy {sum(p.ok for p in rep.privacy)}/{len(rep.privacy)}  "
               f"decode {rep.decode.trials} trials")
+    for label, g, cfg, theta in retrievals():
+        tr = run_retrieval(g, cfg, theta, seed=0, q=args.q)
+        failures += 0 if tr.decoded_ok else 1
+        print(f"{label:15s} {'PASS' if tr.decoded_ok else 'FAIL'}  "
+              f"retrieval theta {theta} of K={g.K}  D_k {tr.download}  "
+              f"decoded {'OK' if tr.decoded_ok else 'wrong'}")
     elapsed = time.perf_counter() - start
     print(f"\n{failures} failures, {elapsed:.1f}s")
     return 1 if failures else 0

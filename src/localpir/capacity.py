@@ -224,14 +224,28 @@ def equal_degree_bound(d: int) -> Fraction:
     return max(Fraction(t, d + t * (t - 1)) for t in candidates if t >= 1)
 
 
-def bipartite_lower_bound(g: Graph, partition=None) -> Fraction:
-    """Rate of the cover plan: K over the smaller sum of squared degrees."""
+def cover_part(g: Graph) -> tuple[int, frozenset[int], int]:
+    """The cover plan's covering part: (m_star, its servers, its cost).
+
+    The covering part is the part of `bipartition` with the smaller sum of
+    squared degrees (ties: part 1), and its cost is that sum.  Computed
+    once per graph.
+    """
+    return g.cached("cover_part", _cover_part)
+
+
+def _cover_part(g: Graph) -> tuple[int, frozenset[int], int]:
+    partition = bipartition(g)
     if partition is None:
-        partition = bipartition(g)
-        if partition is None:
-            raise NotBipartite("graph is not two-colorable")
+        raise NotBipartite("graph is not two-colorable")
     sums = [sum(g.degree(v) ** 2 for v in part) for part in partition]
-    return Fraction(g.K, min(sums))
+    m_star = 1 if sums[0] <= sums[1] else 2
+    return m_star, frozenset(partition[m_star - 1]), sums[m_star - 1]
+
+
+def bipartite_lower_bound(g: Graph) -> Fraction:
+    """Rate of the cover plan: K over the smaller sum of squared degrees."""
+    return Fraction(g.K, cover_part(g)[2])
 
 
 def best_scheme(g: Graph) -> tuple[Fraction, tuple[int, int] | None]:
@@ -252,22 +266,26 @@ def best_scheme(g: Graph) -> tuple[Fraction, tuple[int, int] | None]:
         best = (value, (t_i, t_j))
     else:
         best = (Fraction(2 * g.K, sum(d * d for d in g.degrees())), (1, 1))
-    parts = bipartition(g)
-    if parts is not None:
-        cover = bipartite_lower_bound(g, parts)
+    if bipartition(g) is not None:
+        cover = bipartite_lower_bound(g)
         if cover > best[0]:
             best = (cover, None)
     return best
 
 
-def component_schemes(g: Graph) -> list[tuple]:
+def component_schemes(g: Graph) -> tuple[tuple, ...]:
     """One (component, rate, ts, length) per component storing messages.
 
     rate and ts are `best_scheme`'s, length is the message length: one
     symbol for the cover plan.  Subset sizes are tuned only when every edge
     joins the same degree pair, and t = 1 gives L = 2 on any pair, so one
-    edge's degrees give the length of every t-sum message.
+    edge's degrees give the length of every t-sum message.  Computed once
+    per graph.
     """
+    return g.cached("component_schemes", _component_schemes)
+
+
+def _component_schemes(g: Graph) -> tuple[tuple, ...]:
     table = []
     for comp in components(g):
         cg = comp.graph
@@ -277,7 +295,7 @@ def component_schemes(g: Graph) -> list[tuple]:
         length = (1 if ts is None else subpacketization(
             *sorted(map(cg.degree, cg.edges[0])), *ts))
         table.append((comp, rate, ts, length))
-    return table
+    return tuple(table)
 
 
 # --- per-family reports ------------------------------------------------------

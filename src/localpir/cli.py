@@ -90,6 +90,12 @@ def resolve_config(args, g: Graph) -> PlanConfig:
     return default_component_config(g)
 
 
+def check_theta(args, g: Graph) -> None:
+    """Refuse a --theta that names no message, before any work is done."""
+    if args.theta is not None and not 1 <= args.theta <= g.K:
+        raise InvalidFamilyParams(f"theta {args.theta} outside 1..{g.K}")
+
+
 def describe_config(cfg: PlanConfig) -> str:
     if cfg.kind == "et":
         return f"t-sum (t_i={cfg.t_i}, t_j={cfg.t_j})"
@@ -224,9 +230,8 @@ def cmd_bounds(args) -> int:
 def cmd_scheme(args) -> int:
     g = load_graph(args)
     config = resolve_config(args, g)
+    check_theta(args, g)
     plans = build_plan_family(g, config)
-    if args.theta is not None and args.theta not in plans:
-        raise InvalidFamilyParams(f"theta {args.theta} outside 1..{g.K}")
     thetas = [args.theta] if args.theta is not None else list(g.messages)
     if args.format == "json":
         obj = {
@@ -272,6 +277,7 @@ def verdict_exit_code(report: SchemeReport) -> int:
 def cmd_simulate(args) -> int:
     g = load_graph(args)
     config = resolve_config(args, g)
+    check_theta(args, g)
     report = measure_rate(g, config, q=args.q, seeds=args.seeds)
     transcript = None
     if args.theta is not None:

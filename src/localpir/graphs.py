@@ -28,6 +28,10 @@ class Graph:
     # incidence[v-1] = I_v, the messages server v stores, ascending.
     incidence: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False)
+    # Whole-graph structure (components, two-colouring, ...), filled in by
+    # `cached` on first use; every stored value is immutable.
+    _memo: dict = field(init=False, repr=False, compare=False,
+                        default_factory=dict)
 
     def __post_init__(self):
         sets: list[list[int]] = [[] for _ in range(self.n_vertices)]
@@ -65,6 +69,14 @@ class Graph:
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(map(len, self.incidence))
+
+    def cached(self, key: str, compute):
+        """compute(self), computed on the first request for key only."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute(self)
+            return value
 
 
 def _is_int(x) -> bool:
@@ -183,8 +195,15 @@ def _neighbours(g: Graph, u: int):
         yield b if a == u else a
 
 
-def components(g: Graph) -> list[Component]:
-    """Connected components ordered by their smallest vertex."""
+def components(g: Graph) -> tuple[Component, ...]:
+    """Connected components ordered by their smallest vertex.
+
+    Computed once per graph.
+    """
+    return g.cached("components", _components)
+
+
+def _components(g: Graph) -> tuple[Component, ...]:
     seen: set[int] = set()
     result = []
     for start in g.vertices:
@@ -207,14 +226,19 @@ def components(g: Graph) -> list[Component]:
         local_edges = tuple((vpos[g.edges[k - 1][0]], vpos[g.edges[k - 1][1]])
                             for k in elist)
         result.append(Component(Graph(len(vlist), local_edges), vlist, elist))
-    return result
+    return tuple(result)
 
 
 def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Two-color the graph, or return None if impossible.
 
     Deterministic: the smallest vertex of each component lands in part 1.
+    Computed once per graph.
     """
+    return g.cached("bipartition", _bipartition)
+
+
+def _bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     color: dict[int, int] = {}
     for start in g.vertices:
         if start in color:

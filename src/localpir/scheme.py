@@ -40,6 +40,7 @@ from typing import NamedTuple
 from .capacity import (
     best_scheme,
     component_schemes,
+    cover_part,
     et_download_cost,
     subpacketization,
 )
@@ -47,7 +48,6 @@ from .errors import (
     IncompleteAnswers,
     IndexOutOfRange,
     InvalidFamilyParams,
-    NotBipartite,
     RoleConflict,
     TOutOfRange,
     UndecodablePlan,
@@ -55,7 +55,7 @@ from .errors import (
 )
 from .field import Field
 from .fixtures import fixture_graph, fixture_table
-from .graphs import Graph, bipartition
+from .graphs import Graph
 
 Ref = tuple[int, int]          # (message, position), both 1-based
 Atom = tuple[Ref, ...]         # one downloaded symbol: a sum of refs
@@ -214,7 +214,7 @@ def build_et_plan(g: Graph, theta: int, t_i: int,
         queries.setdefault(server, []).append(atom)
 
     frozen = {server: tuple(atoms) for server, atoms in queries.items()}
-    lengths = {k: length for k in g.messages}
+    lengths = dict.fromkeys(g.messages, length)
     recipe = derive_recipe(frozen, theta, length)
     meta = {"t_i": t_i, "t_j": t_j, "role_i": i, "role_j": j,
             "deg_i": d_i, "deg_j": d_j}
@@ -229,14 +229,10 @@ def build_bipartite_plan(g: Graph, theta: int) -> SchemePlan:
     """
     if not 1 <= theta <= g.K:
         raise IndexOutOfRange(f"message {theta} outside 1..{g.K}")
-    partition = bipartition(g)
-    if partition is None:
-        raise NotBipartite("graph is not two-colorable")
-    sums = [sum(g.degree(v) ** 2 for v in part) for part in partition]
-    m_star = 1 if sums[0] <= sums[1] else 2
+    m_star, covering, _ = cover_part(g)
     # A proper two-coloring puts exactly one endpoint in the covering part.
     u, v = g.endpoints(theta)
-    server = u if u in partition[m_star - 1] else v
+    server = u if u in covering else v
 
     queries = {server: tuple(((msg, 1),) for msg in g.index_set(server))}
     lengths = dict.fromkeys(g.messages, 1)
@@ -306,7 +302,7 @@ def build_fixture_plan(name: str, theta: int,
     if theta not in table:
         raise IndexOutOfRange(f"message {theta} outside 1..{graph.K}")
     queries = dict(table[theta])
-    lengths = {k: length for k in graph.messages}
+    lengths = dict.fromkeys(graph.messages, length)
     recipe = derive_recipe(queries, theta, length)
     meta = {"fixture": name}
     return SchemePlan(graph, "fixture", theta, lengths, queries, recipe, meta)
@@ -387,8 +383,13 @@ class Randomness:
 
 
 def sample_randomness(plan: SchemePlan, rng: random.Random) -> Randomness:
+    """One permutation per referenced message and the desired one, ascending.
+
+    Decoding reads the desired message's permutation even when a broken
+    plan never queries it.
+    """
     perms = {}
-    for msg in plan.referenced_messages():
+    for msg in sorted({plan.theta, *plan.referenced_messages()}):
         perm = list(range(1, plan.lengths[msg] + 1))
         rng.shuffle(perm)
         perms[msg] = tuple(perm)
@@ -424,16 +425,21 @@ def answer(atoms, storage: dict[int, list[int]], fld: Field) -> list[int]:
 def _execute(plan: SchemePlan, rng: random.Random, fld: Field):
     """Run one plan against honest servers holding random storage.
 
-    Draws storage for every message, then the user's permutations, from
-    `rng`; returns (storage, physical queries, answers, decoded), with
-    answers keyed by server in ascending order.
+    Draws the user's permutations, then storage, from `rng`, both for the
+    messages `sample_randomness` covers only: no answer reads any other
+    message, so a run costs its plan, not its graph.  Each server sees
+    the drawn messages it stores, so a reference to one it does not store
+    stays unresolvable.  Returns (storage, physical queries, answers,
+    decoded), with storage keyed by the drawn messages in ascending order
+    and answers keyed by server in ascending order.
     """
-    storage = {k: [rng.randrange(fld.q) for _ in range(plan.lengths[k])]
-               for k in plan.graph.messages}
     rnd = sample_randomness(plan, rng)
+    storage = {k: [rng.randrange(fld.q) for _ in range(plan.lengths[k])]
+               for k in rnd.perms}
     physical = to_physical(plan, rnd)
     answers = {s: answer(physical[s],
-                         {k: storage[k] for k in plan.graph.index_set(s)}, fld)
+                         {k: storage[k] for k in plan.graph.index_set(s)
+                          if k in storage}, fld)
                for s in sorted(physical)}
     return storage, physical, answers, decode(plan, answers, rnd, fld)
 

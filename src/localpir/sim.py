@@ -34,7 +34,11 @@ class ServerLog(NamedTuple):
 
 @dataclass
 class Transcript:
-    """One full retrieval: queries sent, answers received, decode outcome."""
+    """One full retrieval: queries sent, answers received, decode outcome.
+
+    `storage` holds the symbols drawn for the run: the messages the plan
+    references and the desired one, never the rest of the graph.
+    """
 
     theta: int
     seed: int
@@ -64,7 +68,8 @@ def execute_plan(plan: SchemePlan, seed: int, q: int = 2) -> Transcript:
     """Run one plan against honest servers.
 
     Storage contents and the user's private permutations both derive from
-    `seed`, so a transcript replays exactly.
+    `seed`, so a transcript replays exactly.  Only the messages the plan
+    references and the desired one are drawn.
     """
     rng = random.Random(f"localpir:{plan.theta}:{seed}")
     storage, physical, answers, decoded = _execute(plan, rng, Field(q))

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from helpers import silence_server, mutated_family
+from localpir import cli
 from localpir.cli import main, verdict_exit_code
 from localpir.graphs import family, graph_to_json
 from localpir.scheme import build_plan_family, et_config
@@ -194,6 +195,7 @@ def test_simulate_union_from_file(capsys, union_file):
     ("bounds",),                                          # no graph source
     ("scheme", "--family", "cycle", "--n", "4", "--t", "9"),
     ("scheme", "--family", "cycle", "--n", "4", "--theta", "9"),
+    ("simulate", "--family", "cycle", "--n", "4", "--t", "2", "--theta", "0"),
     ("bounds", "--family", "complete_bipartite", "--n", "5"),
     ("verify", "--family", "cycle", "--n", "4", "--t", "2", "--seeds", "0"),
     ("simulate", "--family", "cycle", "--n", "4", "--t", "2", "--seeds", "-1"),
@@ -209,6 +211,20 @@ def test_invalid_inputs_exit_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.strip()
+
+
+@pytest.mark.parametrize("command", ["scheme", "simulate"])
+def test_theta_is_checked_before_any_plan_is_built(capsys, monkeypatch,
+                                                   command):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran before --theta was checked")
+
+    monkeypatch.setattr(cli, "build_plan_family", unreachable)
+    monkeypatch.setattr(cli, "measure_rate", unreachable)
+    code, _, err = run(capsys, command, "--family", "cycle", "--n", "4",
+                       "--t", "2", "--theta", "0")
+    assert code == 2
+    assert err == "error: theta 0 outside 1..4\n"
 
 
 def test_both_graph_sources_exit_two(capsys, c4_file):

@@ -28,10 +28,10 @@ GOLDEN = [
      "6e0a35c9da74a15338a686515a425b1fdeb0453958c827f434730ab46e479748"),
     (("simulate", "--family", "complete", "--n", "4", "--t", "2",
       "--theta", "5", "--seed", "3", "--q", "5", "--format", "json"),
-     "b78e5c73dfb4f03f01c5e6afe5081bec76cde71d132f2324800b1399f3337e00"),
+     "be3e7b5e791ca3c7faaccd286be70f0eb519a896e95177634153ceedcb2f6ad2"),
     (("simulate", "--graph", UNION, "--theta", "6", "--seed", "1",
       "--format", "json"),
-     "820ebe20aba04e529397d12d4d285d0967492f70864a3a80bfbc5bfb36f11881"),
+     "2f407734367e66728b1f844ad6db73e6e6a9f55e622a36366e4c05be12d83238"),
     (("bounds", "--graph", UNION, "--format", "json"),
      "5b05a8690b7cb92cf9bf3365025bb0d58190a966a374bc68b9de44b1f637d6be"),
 ]

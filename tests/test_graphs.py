@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localpir.capacity import best_scheme, et_lower_bound
+from localpir import graphs
+from localpir.capacity import best_scheme, et_lower_bound, graph_bounds
 from localpir.errors import (
     DuplicateEdge,
     EmptyInput,
@@ -24,6 +25,8 @@ from localpir.graphs import (
     graph_from_json,
     graph_to_json,
 )
+from localpir.scheme import bipartite_config, build_plan_family, union_config
+from localpir.sim import measure_rate
 
 
 @st.composite
@@ -186,6 +189,43 @@ def test_bipartition_known_cases():
     assert bipartition(family("path", 5)) == ((1, 3, 5), (2, 4))
     star = bipartition(family("star", 5))
     assert star == ((1, 2, 3, 4), (5,))
+
+
+# --- whole-graph structure is computed once per graph -------------------------
+
+def whole_graph_walks(monkeypatch, walker: str, g) -> list:
+    """Record each run of a graphs walker (`_components`, ...) on g itself."""
+    calls = []
+    original = getattr(graphs, walker)
+
+    def counted(h):
+        if h is g:
+            calls.append(h)
+        return original(h)
+
+    monkeypatch.setattr(graphs, walker, counted)
+    return calls
+
+
+def test_measure_rate_decomposes_a_union_once(monkeypatch):
+    g = family("disjoint_copies", base=family("cycle", 4), copies=20)
+    walks = whole_graph_walks(monkeypatch, "_components", g)
+    assert measure_rate(g, union_config()).decoded_ok
+    assert len(walks) == 1
+
+
+def test_graph_bounds_decomposes_once(monkeypatch):
+    g = family("complete", 12)
+    walks = whole_graph_walks(monkeypatch, "_components", g)
+    assert graph_bounds(g).family == "complete"
+    assert len(walks) == 1
+
+
+def test_cover_plan_family_two_colours_once(monkeypatch):
+    g = family("path", 400)
+    walks = whole_graph_walks(monkeypatch, "_bipartition", g)
+    assert len(build_plan_family(g, bipartite_config())) == g.K
+    assert len(walks) == 1
 
 
 def brute_edge_transitive(g):

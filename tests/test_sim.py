@@ -31,6 +31,13 @@ def test_execute_plan_replays_exactly():
     assert first.storage == again.storage
 
 
+def test_execute_plan_draws_only_the_messages_its_plan_references():
+    plan = build_plan(family("cycle", 2000), et_config(2, 2), theta=1000)
+    tr = execute_plan(plan, seed=0)
+    assert tr.decoded_ok
+    assert tuple(tr.storage) == plan.referenced_messages() == (999, 1000, 1001)
+
+
 def test_download_is_seed_independent():
     plan = build_plan(family("complete", 4), et_config(2, 2), theta=2)
     downloads = {execute_plan(plan, seed=s).download for s in range(6)}

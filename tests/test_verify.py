@@ -26,6 +26,7 @@ from localpir.scheme import (
     derive_recipe,
     et_config,
 )
+from localpir.sim import execute_plan
 from localpir.verify import (
     canonical_privacy_probe,
     check_scheme,
@@ -201,6 +202,25 @@ def test_decode_check_catches_wrong_occurrence_index(c4, c4_plans):
     # the corrupted singleton still looks private
     for server in c4.vertices:
         assert privacy_check(mutated, c4, server).ok
+
+
+def test_a_plan_that_never_queries_theta_fails_to_decode(c4):
+    # Each atom holding message 1 asks for its server's other message
+    # instead, and the recipe still reads those answers as message 1.
+    plans = build_plan_family(c4, et_config(1))
+    other = {s: next(m for m in c4.index_set(s) if m != 1)
+             for s in plans[1].queries}
+    queries = {s: tuple(((other[s], atom[0][1]),) if atom[0][0] == 1
+                        else atom for atom in atoms)
+               for s, atoms in plans[1].queries.items()}
+    mutated = mutated_family(plans, 1, queries)
+    assert 1 not in mutated[1].referenced_messages()
+    rep = decode_check(mutated, c4, q=5, seeds=8)
+    assert not rep.ok
+    assert all(f["theta"] == 1 and f["reason"].startswith("decoded ")
+               for f in rep.failures)
+    assert not all(execute_plan(mutated[1], seed, q=5).decoded_ok
+                   for seed in range(8))
 
 
 @pytest.mark.parametrize("seeds", [0, -1])

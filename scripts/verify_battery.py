@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Audit every shipped plan family end to end and print one line per graph.
 
-Each line reports the exact privacy verdict at every server, the decode
-spot-check verdict, the audited rate, and whether that rate sits inside
-the theoretical bounds for the graph.  Single retrievals on large graphs,
-too large to audit whole, follow, one line each.  Exit status is nonzero
-if any family fails any check or any retrieval fails to decode.
+Each line reports the exact privacy verdict at every server, the exact
+decode verdict with its count of end-to-end runs, the audited rate, and
+whether that rate sits inside the theoretical bounds for the graph.
+Single retrievals on large graphs, too large to audit whole, follow, one
+line each.  Exit status is nonzero if any family fails any check or any
+retrieval fails to decode.
 """
 
 import argparse
@@ -53,8 +54,8 @@ def retrievals():
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--q", type=int, default=2, help="prime field size")
-    parser.add_argument("--seeds", type=int, default=16,
-                        help="decode spot checks per message")
+    parser.add_argument("--seeds", type=int, default=1,
+                        help="end-to-end executor runs per message")
     args = parser.parse_args()
 
     failures = 0
@@ -70,7 +71,8 @@ def main() -> int:
               f"rate {str(rep.cost.rate):5s}  "
               f"bounds [{bounds.lower}, {bounds.upper}]  "
               f"privacy {sum(p.ok for p in rep.privacy)}/{len(rep.privacy)}  "
-              f"decode {rep.decode.trials} trials")
+              f"decode exact {rep.decode.verdict}, "
+              f"{rep.decode.trials} runs")
     for label, g, cfg, theta in retrievals():
         tr = run_retrieval(g, cfg, theta, seed=0, q=args.q)
         failures += 0 if tr.decoded_ok else 1

@@ -186,9 +186,11 @@ def render_verify(report: SchemeReport, probes) -> str:
             line += f"  distinguishing fingerprint: {pr.counterexample}"
         lines.append(line)
     lines.append(f"decode: {report.decode.verdict} "
-                 f"({report.decode.trials} trials)")
+                 f"(exact; {report.decode.trials} end-to-end runs)")
     for failure in report.decode.failures[:5]:
-        lines.append(f"  theta {failure['theta']} seed {failure['seed']}: "
+        where = ("certificate" if failure["seed"] is None
+                 else f"seed {failure['seed']}")
+        lines.append(f"  theta {failure['theta']} {where}: "
                      f"{failure['reason']}")
     cost = report.cost
     lines.append(f"cost: expected download {cost.expected_download}, "
@@ -338,8 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def runtime_opts(p: argparse.ArgumentParser) -> None:
         p.add_argument("--q", type=int, default=2, help="prime field size")
-        p.add_argument("--seeds", type=int, default=32,
-                       help="decode trials per desired message")
+        p.add_argument("--seeds", type=int, default=1,
+                       help="end-to-end executor runs per message "
+                            "(default 1, at least 1); the decode verdict "
+                            "is exact")
         p.add_argument("--cap", type=int, default=DEFAULT_CAP,
                        help=f"enumeration cap (default {DEFAULT_CAP})")
 

@@ -275,12 +275,15 @@ def _union_plans(g: Graph, thetas) -> dict[int, SchemePlan]:
                    for s, atoms in sub.queries.items()}
         meta = {key: vertex[v - 1] if key in _VERTEX_KEYS else v
                 for key, v in sub.meta.items()}
-        # Renumbering keeps the order of servers and of messages, so the
-        # recipe read off the global layout is the component's, renumbered.
+        # Renumbering keeps each server's atom order, so the component's
+        # recipe reads the same answers once its servers are renumbered.
+        recipe = tuple(
+            DecodeStep(step.position, (vertex[step.source[0] - 1],
+                                       step.source[1]),
+                       tuple((vertex[s - 1], idx) for (s, idx) in step.cancel))
+            for step in sub.recipe)
         plans[theta] = SchemePlan(g, sub.kind, theta, dict(lengths),
-                                  queries,
-                                  derive_recipe(queries, theta, sub.length),
-                                  meta)
+                                  queries, recipe, meta)
     return plans
 
 
@@ -379,7 +382,12 @@ class Randomness:
     perms: dict[int, tuple[int, ...]]
 
     def physical(self, msg: int, logical_pos: int) -> int:
-        return self.perms[msg][logical_pos - 1]
+        perm = self.perms[msg]
+        if not 1 <= logical_pos <= len(perm):
+            raise UnresolvableRef(
+                f"position {logical_pos} outside message {msg} "
+                f"of length {len(perm)}")
+        return perm[logical_pos - 1]
 
 
 def sample_randomness(plan: SchemePlan, rng: random.Random) -> Randomness:
@@ -463,6 +471,9 @@ def decode(plan: SchemePlan, answers: dict[int, list[int]],
 
     logical = [0] * plan.length
     for step in plan.recipe:
+        if not 1 <= step.position <= plan.length:
+            raise UndecodablePlan(
+                f"recipe position {step.position} outside 1..{plan.length}")
         value = lookup(*step.source)
         for (server, idx) in step.cancel:
             value = fld.sub(value, lookup(server, idx))

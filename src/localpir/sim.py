@@ -123,11 +123,12 @@ class RateReport:
 
 def measure_rate(g: Graph, config: PlanConfig, q: int = 2,
                  seeds: int = 1) -> RateReport:
-    """Exact achieved rate of a plan family, with decode spot checks.
+    """Exact achieved rate of a plan family, with its decode verdict.
 
     The rate is total message length over total download across all
-    desired messages.  `verify.decode_check` additionally runs each plan
-    for `seeds` seeds to confirm end-to-end decodability at field size q.
+    desired messages.  `decoded_ok` is `verify.decode_check`'s verdict at
+    field size q: exact by its certificate, and it also runs each plan
+    end to end `seeds` times.
     """
     plans = build_plan_family(g, config)
     decoded_ok = decode_check(plans, g, q, seeds).ok

@@ -5,12 +5,20 @@ receives must look the same no matter which of its own stored messages is
 wanted.  Because the only private randomness is one uniform permutation per
 message, the induced query distribution at one server can be enumerated
 exactly; probabilities are Fractions and verdicts are exact, never sampled.
+
+Decodability is decided by a linear identity, not by sampling.  Answers
+are linear in storage and every reference to a message goes through that
+message's one permutation, so distinct logical references are independent
+symbols: a plan decodes for every storage content and every permutation
+iff each recipe step, source atom minus cancel atoms, leaves exactly the
+one desired symbol, coefficients counted mod q.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, prod
@@ -181,14 +189,61 @@ class DecodeReport:
                 "failures": self.failures}
 
 
-def decode_check(plans: dict[int, SchemePlan], g: Graph, q: int = 2,
-                 seeds: int = 32) -> DecodeReport:
-    """Run every plan end to end on random storage and compare the output.
+def _certificate_fault(plan: SchemePlan, g: Graph, q: int) -> str | None:
+    """Why the plan fails to decode for some storage and permutation.
 
-    Each (message, seed) pair draws fresh storage contents and fresh user
-    randomness, executes the queries against honest servers, decodes, and
-    checks the result equals the stored message symbol for symbol.  Fewer
-    than one seed is refused: zero trials would report a vacuous PASS.
+    None means it decodes for all of them.  The checks: every atom at
+    server s references only messages s stores, at logical positions in
+    1..L_m; the recipe recovers positions 1..L in order; every answer a
+    step reads exists; and each step's source atom minus its cancel atoms
+    leaves exactly the desired symbol at the step's position, mod q.  A
+    fault names the atom or step and, for a step, the references left.
+    """
+    for s, atoms in plan.queries.items():
+        if not 1 <= s <= g.n_vertices:
+            return f"server {s} outside 1..{g.n_vertices}"
+        stored = g.index_set(s)
+        for idx, atom in enumerate(atoms):
+            for (m, p) in atom:
+                if m not in stored:
+                    return (f"server {s} atom {idx} reads message {m}, "
+                            f"which it does not store")
+                if not 1 <= p <= plan.lengths[m]:
+                    return (f"server {s} atom {idx} reads position {p} "
+                            f"outside message {m} of length "
+                            f"{plan.lengths[m]}")
+    positions = [step.position for step in plan.recipe]
+    if positions != list(range(1, plan.length + 1)):
+        return f"recipe recovers positions {positions}, not 1..{plan.length}"
+    for step in plan.recipe:
+        coeffs: Counter = Counter()
+        for sign, (s, idx) in ((1, step.source),
+                               *((-1, ref) for ref in step.cancel)):
+            atoms = plan.atoms_at(s)
+            if not 0 <= idx < len(atoms):
+                return (f"step {step.position} reads atom {idx} of server "
+                        f"{s}, which receives {len(atoms)}")
+            for ref in atoms[idx]:
+                coeffs[ref] += sign
+        left = {ref: c % q for ref, c in sorted(coeffs.items()) if c % q}
+        want = {(plan.theta, step.position): 1}
+        if left != want:
+            return (f"step {step.position} (source {step.source}, cancel "
+                    f"{list(step.cancel)}) leaves {left}, not {want}")
+    return None
+
+
+def decode_check(plans: dict[int, SchemePlan], g: Graph, q: int = 2,
+                 seeds: int = 1) -> DecodeReport:
+    """Decide exactly whether every plan decodes, then run each end to end.
+
+    The verdict rests on a certificate per plan (`_certificate_fault`): a
+    failing plan gets one entry with seed None naming the atom or step at
+    fault.  Each plan also runs `seeds` times against honest servers on
+    fresh random storage and user randomness, and a run that decodes
+    wrongly or raises adds its own entry; `trials` counts these runs.  A
+    run can fail only where the certificate does, so their number never
+    changes the verdict.  Fewer than one seed is refused.
     """
     if seeds < 1:
         raise InvalidFamilyParams(f"seeds must be at least 1, got {seeds}")
@@ -196,6 +251,10 @@ def decode_check(plans: dict[int, SchemePlan], g: Graph, q: int = 2,
     report = DecodeReport(trials=0)
     for theta in sorted(plans):
         plan = plans[theta]
+        fault = _certificate_fault(plan, g, q)
+        if fault is not None:
+            report.failures.append(
+                {"theta": theta, "seed": None, "reason": fault})
         for seed in range(seeds):
             report.trials += 1
             rng = random.Random(f"decode:{theta}:{seed}")
@@ -296,7 +355,7 @@ class SchemeReport:
 
 
 def check_scheme(plans: dict[int, SchemePlan], g: Graph, q: int = 2,
-                 seeds: int = 8, cap: int = DEFAULT_CAP) -> SchemeReport:
+                 seeds: int = 1, cap: int = DEFAULT_CAP) -> SchemeReport:
     """Full audit: privacy at every server, decoding, and cost accounting."""
     # Decoding first refuses a bad seed count before any enumeration.
     dec = decode_check(plans, g, q, seeds)

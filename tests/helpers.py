@@ -7,6 +7,7 @@ with exactly one desired message's layout altered.
 
 from math import comb
 
+from localpir.errors import LocalPIRError
 from localpir.graphs import Graph, family
 from localpir.scheme import (
     PlanConfig,
@@ -16,6 +17,7 @@ from localpir.scheme import (
     et_config,
     fixture_config,
 )
+from localpir.sim import execute_plan
 
 
 def plan_with_queries(plan: SchemePlan, queries) -> SchemePlan:
@@ -54,6 +56,30 @@ def silence_server(plan: SchemePlan, server: int) -> dict:
     queries = dict(plan.queries)
     queries[server] = ()
     return queries
+
+
+def mutations(plan: SchemePlan):
+    """Every mutated query layout the mutations above make of one plan."""
+    if plan.kind == "et":
+        yield strip_offset(plan)
+    try:
+        yield corrupt_gamma(plan)
+    except AssertionError:
+        pass
+    for server in sorted(plan.queries):
+        yield silence_server(plan, server)
+
+
+def seeded_decode_ok(plan: SchemePlan, q: int, seeds: int = 32) -> bool:
+    """The sampled decode oracle: every one of `seeds` seeded end-to-end
+    runs of the plan returns the stored message."""
+    for seed in range(seeds):
+        try:
+            if not execute_plan(plan, seed, q).decoded_ok:
+                return False
+        except LocalPIRError:
+            return False
+    return True
 
 
 def mutated_family(plans: dict, theta: int, queries) -> dict:

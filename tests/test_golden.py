@@ -25,7 +25,7 @@ GOLDEN = [
      "2c9c6e81cb5174194f9c563c586942b209d3fd34352a05f6a66ca1c3036494e1"),
     (("verify", "--family", "cycle", "--n", "5", "--t", "2", "--probe",
       "--format", "json"),
-     "6e0a35c9da74a15338a686515a425b1fdeb0453958c827f434730ab46e479748"),
+     "1ab7e3251093fef2f9195f678d5224dae56e5f58744634c9bf68a9617c8bde08"),
     (("simulate", "--family", "complete", "--n", "4", "--t", "2",
       "--theta", "5", "--seed", "3", "--q", "5", "--format", "json"),
      "be3e7b5e791ca3c7faaccd286be70f0eb519a896e95177634153ceedcb2f6ad2"),

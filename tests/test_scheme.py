@@ -382,6 +382,23 @@ def test_union_family_runs_best_scheme_once_per_component(monkeypatch):
     assert len(calls) == 100
 
 
+def test_union_recipe_is_renumbered_not_derived_again(monkeypatch):
+    real = localpir.scheme.derive_recipe
+    calls = []
+
+    def counting(queries, theta, length):
+        calls.append(theta)
+        return real(queries, theta, length)
+
+    monkeypatch.setattr(localpir.scheme, "derive_recipe", counting)
+    g = family("disjoint_copies", base=family("cycle", 4), copies=100)
+    plans = build_plan_family(g, union_config())
+    assert len(calls) == 400
+    mixed = build_plan_family(mixed_graph(), union_config())
+    for plan in [*plans.values(), *mixed.values()]:
+        assert plan.recipe == real(plan.queries, plan.theta, plan.length)
+
+
 def test_union_plan_is_its_component_plan_in_global_ids():
     g = mixed_graph()
     cycle_plan = build_union_plan(g, 2)

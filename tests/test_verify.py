@@ -7,8 +7,12 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    corpus_plans,
     corrupt_gamma,
     mutated_family,
+    mutations,
+    plan_with_queries,
+    seeded_decode_ok,
     silence_server,
     strip_offset,
 )
@@ -17,6 +21,7 @@ from localpir.errors import (
     EnumerationTooLarge,
     LocalPIRError,
     UndecodablePlan,
+    UnresolvableRef,
 )
 from localpir.graphs import build_graph, family
 from localpir.scheme import (
@@ -199,6 +204,14 @@ def test_decode_check_catches_wrong_occurrence_index(c4, c4_plans):
     assert rep.failures
     assert all(f["theta"] == 1 for f in rep.failures)
     assert all({"theta", "seed", "reason"} == set(f) for f in rep.failures)
+    # the certificate names the step and the refs it leaves; rechecked by
+    # hand: source ((1, 2), (2, 1)) minus the corrupted cancel ((2, 2),)
+    assert rep.failures[0] == {
+        "theta": 1, "seed": None,
+        "reason": "step 2 (source (2, 0), cancel [(3, 0)]) leaves "
+                  "{(1, 2): 1, (2, 1): 1, (2, 2): 1}, not {(1, 2): 1}"}
+    assert mutated[1].queries[2][0] == ((1, 2), (2, 1))
+    assert mutated[1].queries[3][0] == ((2, 2),)
     # the corrupted singleton still looks private
     for server in c4.vertices:
         assert privacy_check(mutated, c4, server).ok
@@ -217,10 +230,93 @@ def test_a_plan_that_never_queries_theta_fails_to_decode(c4):
     assert 1 not in mutated[1].referenced_messages()
     rep = decode_check(mutated, c4, q=5, seeds=8)
     assert not rep.ok
-    assert all(f["theta"] == 1 and f["reason"].startswith("decoded ")
+    assert all({"theta", "seed", "reason"} == set(f) for f in rep.failures)
+    # the certificate's entry has no seed; every run's entry is a wrong decode
+    assert all(f["theta"] == 1 and (f["seed"] is None
+                                    or f["reason"].startswith("decoded "))
                for f in rep.failures)
+    assert [f["reason"] for f in rep.failures if f["seed"] is None] \
+        == ["step 1 (source (1, 0), cancel []) leaves {(4, 1): 1}, "
+            "not {(1, 1): 1}"]
     assert not all(execute_plan(mutated[1], seed, q=5).decoded_ok
                    for seed in range(8))
+
+
+def test_one_seed_misses_what_the_certificate_catches():
+    # corrupt_gamma on cycle-3 t=2, theta=1: the one run at seed 0 decodes
+    # correctly by chance at q=2, so one sampled run alone says PASS
+    _, g, plans = next(c for c in corpus_plans() if c[0] == "cycle3-t2")
+    mutated = mutated_family(plans, 1, corrupt_gamma(plans[1]))
+    rep = decode_check(mutated, g, q=2, seeds=1)
+    assert rep.verdict == "FAIL" and rep.trials == 3
+    assert [(f["theta"], f["seed"]) for f in rep.failures] == [(1, None)]
+    assert not seeded_decode_ok(mutated[1], q=2)
+
+
+def test_certificate_agrees_with_seeded_runs_on_corpus_and_mutations():
+    # The shipped corpus and every strip_offset, corrupt_gamma and
+    # silence_server mutation of each plan, at q in {2, 3, 5}: the
+    # certificate's verdict equals 32 seeded end-to-end runs'.
+    checks = failing = 0
+    for label, g, plans in corpus_plans():
+        for theta, plan in plans.items():
+            for queries in [plan.queries, *mutations(plan)]:
+                single = {theta: plan_with_queries(plan, queries)}
+                for q in (2, 3, 5):
+                    rep = decode_check(single, g, q=q, seeds=1)
+                    certified = all(f["seed"] is not None
+                                    for f in rep.failures)
+                    assert certified == seeded_decode_ok(single[theta], q), \
+                        (label, theta, queries, q)
+                    checks += 1
+                    failing += not certified
+    assert checks > 1000 and 0 < failing < checks
+
+
+@pytest.mark.parametrize("bad", ["L+1", "0"])
+def test_positions_outside_the_message_fail_without_index_error(c4, c4_plans,
+                                                                bad):
+    # theta=1 on cycle-4 t=2 (L=2): the singleton (2, 1) at server 3 moves
+    # to position 3 or 0, which no permutation of message 2 has
+    pos = 3 if bad == "L+1" else 0
+    queries = dict(c4_plans[1].queries)
+    assert queries[3] == (((2, 1),),)
+    queries[3] = (((2, pos),),)
+    mutated = mutated_family(c4_plans, 1, queries)
+    rep = decode_check(mutated, c4, q=2, seeds=2)
+    assert rep.verdict == "FAIL"
+    assert rep.failures[0] == {
+        "theta": 1, "seed": None,
+        "reason": f"server 3 atom 0 reads position {pos} outside message 2 "
+                  f"of length 2"}
+    assert all(f["reason"].startswith("UnresolvableRef: ")
+               for f in rep.failures[1:])
+    with pytest.raises(UnresolvableRef):
+        Randomness({2: (2, 1)}).physical(2, pos)
+    # server 3 does not store message 1, so privacy never reads this
+    # plan there; the full audit fails on decoding alone
+    full = check_scheme(mutated, c4)
+    assert full.verdict == "FAIL" and not full.decode.ok
+    assert all(r.ok for r in full.privacy)
+    # server 1 stores message 1, so its privacy check reads the plan and
+    # refuses the position with the package's error
+    queries = dict(c4_plans[1].queries)
+    assert queries[1] == (((1, 1), (4, 1)),)
+    queries[1] = (((1, pos), (4, 1)),)
+    with pytest.raises(UnresolvableRef):
+        check_scheme(mutated_family(c4_plans, 1, queries), c4)
+
+
+def test_a_recipe_position_outside_the_message_fails_to_decode(c4, c4_plans):
+    plan = c4_plans[1]
+    bad = plan.recipe[:1] + (plan.recipe[1]._replace(position=3),)
+    mutated = dict(c4_plans)
+    mutated[1] = dataclasses.replace(plan, recipe=bad)
+    rep = decode_check(mutated, c4, q=2, seeds=2)
+    assert [(f["seed"], f["reason"]) for f in rep.failures] == [
+        (None, "recipe recovers positions [1, 3], not 1..2"),
+        (0, "UndecodablePlan: recipe position 3 outside 1..2"),
+        (1, "UndecodablePlan: recipe position 3 outside 1..2")]
 
 
 @pytest.mark.parametrize("seeds", [0, -1])

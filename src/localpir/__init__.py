@@ -61,9 +61,9 @@ from .verify import (
     check_scheme,
     cost_audit,
     decode_check,
-    fingerprint_distribution,
     privacy_check,
     query_fingerprint,
+    view_classes,
 )
 
 __version__ = "0.1.0"
@@ -78,9 +78,9 @@ __all__ = [
     "check_scheme", "components", "cost_audit", "decode", "decode_check",
     "derive_recipe", "detect_family", "equal_degree_bound", "et_config",
     "et_download_cost", "et_lower_bound", "et_rate", "execute_plan",
-    "family", "family_bounds", "fixture_config", "fingerprint_distribution",
-    "graph_bounds", "graph_from_json", "graph_to_json", "is_prime",
-    "lex_subsets", "measure_rate", "privacy_check", "query_fingerprint",
-    "run_retrieval", "sample_randomness", "subpacketization", "to_physical",
-    "union_capacity", "union_config",
+    "family", "family_bounds", "fixture_config", "graph_bounds",
+    "graph_from_json", "graph_to_json", "is_prime", "lex_subsets",
+    "measure_rate", "privacy_check", "query_fingerprint", "run_retrieval",
+    "sample_randomness", "subpacketization", "to_physical",
+    "union_capacity", "union_config", "view_classes",
 ]

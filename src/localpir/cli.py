@@ -296,8 +296,7 @@ def cmd_simulate(args) -> int:
                  f"(~{float(report.rate):.6g})",
                  f"total download {report.total_download} over "
                  f"{len(report.per_theta_download)} messages",
-                 f"decode spot checks "
-                 f"{'PASS' if report.decoded_ok else 'FAIL'}",
+                 f"decode {'PASS' if report.decoded_ok else 'FAIL'} (exact)",
                  f"bounds [{bound_str(report.bounds.lower)}, "
                  f"{bound_str(report.bounds.upper)}]"
                  + (" (exact)" if report.bounds.exact else "")

@@ -4,8 +4,7 @@ Two worked examples are frozen here as data: the 4-cycle at subset size 2
 (message length 2) and the complete graph on 4 vertices at subset size 2
 (message length 4).  Atoms are logical references (message, position); a
 cell like ((1, 2), (2, 1)) is the sum of symbol 2 of message 1 and symbol 1
-of message 2.  The star fixture downloads the desired message directly from
-its leaf and is generated, not tabulated.
+of message 2.
 
 Every cell was verified by hand against the running-count construction in
 `scheme`; decodability of each table was re-derived symbol by symbol.
@@ -67,31 +66,23 @@ K4_TABLE: dict[int, dict[int, tuple]] = {
         4: (((3, 1), (5, 1)), ((3, 2), (6, 3)), ((5, 2), (6, 4)))},
 }
 
-FIXTURE_NAMES = ("c4", "k4", "star")
+FIXTURE_NAMES = ("c4", "k4")
 
 
-def fixture_graph(name: str, n: int | None = None) -> Graph:
+def fixture_graph(name: str) -> Graph:
     if name == "c4":
         return family("cycle", 4)
     if name == "k4":
         return family("complete", 4)
-    if name == "star":
-        if n is None or n < 2:
-            raise InvalidFamilyParams("star fixture needs n >= 2")
-        return family("star", n)
     raise InvalidFamilyParams(f"unknown fixture {name!r}; "
                               f"known: {FIXTURE_NAMES}")
 
 
-def fixture_table(name: str, g: Graph) -> tuple[dict[int, dict[int, tuple]], int]:
-    """Return (table, message length) for a fixture on graph g."""
+def fixture_table(name: str) -> tuple[dict[int, dict[int, tuple]], int]:
+    """Return (table, message length) for a fixture."""
     if name == "c4":
         return C4_TABLE, 2
     if name == "k4":
         return K4_TABLE, 4
-    if name == "star":
-        # Leaf k holds only message k; ask it for the one symbol directly.
-        table = {k: {k: (((k, 1),),)} for k in g.messages}
-        return table, 1
     raise InvalidFamilyParams(f"unknown fixture {name!r}; "
                               f"known: {FIXTURE_NAMES}")

@@ -296,12 +296,11 @@ def default_component_config(cg: Graph) -> PlanConfig:
 def build_fixture_plan(name: str, theta: int,
                        g: Graph | None = None) -> SchemePlan:
     """Rebuild a frozen reference plan as a first-class SchemePlan."""
-    n = g.n_vertices if (g is not None and name == "star") else None
-    graph = fixture_graph(name, n)
+    graph = fixture_graph(name)
     if g is not None and g != graph:
         raise InvalidFamilyParams(
             f"fixture {name!r} is defined on {graph}, not {g}")
-    table, length = fixture_table(name, graph)
+    table, length = fixture_table(name)
     if theta not in table:
         raise IndexOutOfRange(f"message {theta} outside 1..{graph.K}")
     queries = dict(table[theta])

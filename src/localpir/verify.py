@@ -1,10 +1,10 @@
 """Exact checkers for retrieval plans: privacy, decodability, cost.
 
-The privacy condition is distributional: the physical queries a server
-receives must look the same no matter which of its own stored messages is
-wanted.  Because the only private randomness is one uniform permutation per
-message, the induced query distribution at one server can be enumerated
-exactly; probabilities are Fractions and verdicts are exact, never sampled.
+Privacy is local: the physical queries a server receives must not depend
+on which of its own stored messages is wanted.  The only private randomness
+is one uniform permutation per message, so the server's view under a plan
+is uniform on the orbit of the plan's layout there.  Messages whose layouts
+share an orbit form one view class; verdicts are exact, never sampled.
 
 Decodability is decided by a linear identity, not by sampling.  Answers
 are linear in storage and every reference to a message goes through that
@@ -50,27 +50,43 @@ def query_fingerprint(atoms: tuple[Atom, ...], rnd: Randomness) -> Fingerprint:
     return tuple(sorted(mapped))
 
 
-def fingerprint_distribution(plan: SchemePlan, server: int,
-                             cap: int = DEFAULT_CAP) -> dict[Fingerprint, Fraction]:
-    """Exact distribution of the server's observed queries.
+def view_classes(plans: dict[int, SchemePlan], server: int, thetas,
+                 cap: int = DEFAULT_CAP) -> list[tuple[tuple, frozenset]]:
+    """Group the messages `thetas` by the view they give `server`.
 
-    Only permutations of messages referenced at this server matter; the
-    rest marginalize out, which keeps the enumeration small.
+    A message's layout is its atoms here under identity permutations, and
+    its view is uniform on the layout's orbit under the permutations of
+    the messages it references.  A message joins the first class with its
+    referenced lengths whose orbit holds its layout, or else enumerates
+    its orbit into a new class: (messages in the given order, orbit).
+    Every message's permutation count is held to `cap`, joined or not.
     """
-    atoms = plan.atoms_at(server)
-    msgs = sorted({m for atom in atoms for (m, _) in atom})
-    total = prod(factorial(plan.lengths[m]) for m in msgs)
-    if total > cap:
-        raise EnumerationTooLarge(
-            f"server {server} needs {total} permutation points, cap is {cap}")
-    counts: dict[Fingerprint, int] = {}
-    spaces = [itertools.permutations(range(1, plan.lengths[m] + 1))
-              for m in msgs]
-    for combo in itertools.product(*spaces):
-        rnd = Randomness(dict(zip(msgs, combo)))
-        fp = query_fingerprint(atoms, rnd)
-        counts[fp] = counts.get(fp, 0) + 1
-    return {fp: Fraction(c, total) for fp, c in counts.items()}
+    for t in sorted(thetas):
+        if t not in plans:
+            raise EmptyInput(f"no plan for desired message {t}")
+    classes: list[tuple[list[int], list[int], frozenset[Fingerprint]]] = []
+    for t in thetas:
+        plan = plans[t]
+        atoms = plan.atoms_at(server)
+        msgs = sorted({m for atom in atoms for (m, _) in atom})
+        lengths = [plan.lengths[m] for m in msgs]
+        total = prod(map(factorial, lengths))
+        if total > cap:
+            raise EnumerationTooLarge(
+                f"server {server} needs {total} permutation points, "
+                f"cap is {cap}")
+        spaces = [itertools.permutations(range(1, n + 1)) for n in lengths]
+        views = (query_fingerprint(atoms, Randomness(dict(zip(msgs, combo))))
+                 for combo in itertools.product(*spaces))
+        layout = next(views)  # the first point is the identity
+        # A layout in an orbit has its messages, so lengths align in order.
+        for known, members, orbit in classes:
+            if known == lengths and layout in orbit:
+                members.append(t)
+                break
+        else:
+            classes.append((lengths, [t], frozenset({layout, *views})))
+    return [(tuple(members), orbit) for _, members, orbit in classes]
 
 
 def _fingerprint_json(fp: Fingerprint | None):
@@ -101,28 +117,20 @@ def privacy_check(plans: dict[int, SchemePlan], g: Graph, server: int,
                   cap: int = DEFAULT_CAP) -> PrivacyReport:
     """Decide whether `server` can tell apart the messages it stores.
 
-    Compares the exact query distribution at this server across every
-    desired message the server replicates.  PASS means all distributions
-    are identical; FAIL carries one fingerprint whose probability differs.
+    PASS means the stored messages form one view class.  FAIL carries the
+    least view whose probability (1/|orbit| or 0) differs between classes;
+    the support is the union of the classes' orbits.
     """
     thetas = g.index_set(server)
     if not plans:
         raise EmptyInput("no plans given")
-    for t in thetas:
-        if t not in plans:
-            raise EmptyInput(f"no plan for desired message {t}")
-    dists = {t: fingerprint_distribution(plans[t], server, cap)
-             for t in thetas}
-    if not thetas:
-        return PrivacyReport(server, (), "PASS", 0)
-    support: set[Fingerprint] = set()
-    for d in dists.values():
-        support |= set(d)
-    for fp in sorted(support):
-        probs = {t: dists[t].get(fp, Fraction(0)) for t in thetas}
-        if len(set(probs.values())) > 1:
-            return PrivacyReport(server, thetas, "FAIL", len(support), fp)
-    return PrivacyReport(server, thetas, "PASS", len(support))
+    orbits = [orbit for _, orbit in view_classes(plans, server, thetas, cap)]
+    support = frozenset().union(*orbits)
+    differs = [fp for fp in support
+               if len({len(o) if fp in o else 0 for o in orbits}) > 1]
+    fp = min(differs, default=None)
+    verdict = "PASS" if fp is None else "FAIL"
+    return PrivacyReport(server, thetas, verdict, len(support), fp)
 
 
 @dataclass
@@ -150,25 +158,17 @@ def canonical_privacy_probe(plans: dict[int, SchemePlan], g: Graph,
     """Check whether the server's view hides the desired message globally.
 
     The local condition only compares messages the server stores; this
-    probe compares every message against the first stored one and lists
-    the ones the server could tell apart.  A non-empty list shows the
-    scheme is local-private but not private in the classical sense.
+    probe lists every message outside the first stored one's view class.
+    A non-empty list shows the scheme is local-private but not private in
+    the classical sense.
     """
     thetas = g.index_set(server)
     if not thetas:
         return ProbeReport(server, 0, ())
-    for t in g.messages:
-        if t not in plans:
-            raise EmptyInput(f"no plan for desired message {t}")
-    reference_theta = thetas[0]
-    reference = fingerprint_distribution(plans[reference_theta], server, cap)
-    distinguishable = []
-    for t in g.messages:
-        if t == reference_theta:
-            continue
-        if fingerprint_distribution(plans[t], server, cap) != reference:
-            distinguishable.append(t)
-    return ProbeReport(server, reference_theta, tuple(distinguishable))
+    order = [thetas[0], *(t for t in g.messages if t != thetas[0])]
+    same, _ = view_classes(plans, server, order, cap)[0]
+    return ProbeReport(server, thetas[0],
+                       tuple(t for t in g.messages if t not in same))
 
 
 @dataclass

@@ -1,16 +1,21 @@
-"""Shared test utilities: plan mutations and corpus builders.
+"""Shared test utilities: plan mutations, corpus builders and oracles.
 
 The mutations deliberately break a plan in one specific way so the
 verifier's sensitivity can be exercised; each returns a fresh plan family
-with exactly one desired message's layout altered.
+with exactly one desired message's layout altered.  The oracles decide
+the same questions as the library by brute force, for comparison.
 """
 
-from math import comb
+import functools
+import itertools
+from fractions import Fraction
+from math import comb, factorial, prod
 
-from localpir.errors import LocalPIRError
+from localpir.errors import EmptyInput, EnumerationTooLarge, LocalPIRError
 from localpir.graphs import Graph, family
 from localpir.scheme import (
     PlanConfig,
+    Randomness,
     SchemePlan,
     bipartite_config,
     build_plan_family,
@@ -18,6 +23,12 @@ from localpir.scheme import (
     fixture_config,
 )
 from localpir.sim import execute_plan
+from localpir.verify import (
+    DEFAULT_CAP,
+    PrivacyReport,
+    ProbeReport,
+    query_fingerprint,
+)
 
 
 def plan_with_queries(plan: SchemePlan, queries) -> SchemePlan:
@@ -107,3 +118,65 @@ def shipped_corpus() -> list[tuple[str, Graph, PlanConfig]]:
 def corpus_plans():
     return [(label, g, build_plan_family(g, cfg))
             for (label, g, cfg) in shipped_corpus()]
+
+
+# --- the enumeration oracle for privacy -----------------------------------
+
+def fingerprint_distribution(plan: SchemePlan, server: int,
+                             cap: int = DEFAULT_CAP) -> dict:
+    """Exact distribution of the server's observed queries, as Fractions,
+    counted over every permutation point of the messages referenced here."""
+    atoms = plan.atoms_at(server)
+    msgs = sorted({m for atom in atoms for (m, _) in atom})
+    total = prod(factorial(plan.lengths[m]) for m in msgs)
+    if total > cap:
+        raise EnumerationTooLarge(
+            f"server {server} needs {total} permutation points, cap is {cap}")
+    return _distribution(atoms, tuple((m, plan.lengths[m]) for m in msgs))
+
+
+@functools.lru_cache(maxsize=None)
+def _distribution(atoms, lengths) -> dict:
+    """Memoized on its inputs: the oracle is rerun on many plan families
+    that differ in one plan only."""
+    msgs = [m for m, _ in lengths]
+    spaces = [itertools.permutations(range(1, n + 1)) for _, n in lengths]
+    counts: dict = {}
+    for combo in itertools.product(*spaces):
+        fp = query_fingerprint(atoms, Randomness(dict(zip(msgs, combo))))
+        counts[fp] = counts.get(fp, 0) + 1
+    total = sum(counts.values())
+    return {fp: Fraction(c, total) for fp, c in counts.items()}
+
+
+def oracle_privacy_check(plans: dict, g: Graph, server: int,
+                         cap: int = DEFAULT_CAP) -> PrivacyReport:
+    """`verify.privacy_check` decided by comparing distributions."""
+    thetas = g.index_set(server)
+    if not plans:
+        raise EmptyInput("no plans given")
+    for t in thetas:
+        if t not in plans:
+            raise EmptyInput(f"no plan for desired message {t}")
+    dists = {t: fingerprint_distribution(plans[t], server, cap)
+             for t in thetas}
+    support = set().union(*dists.values())
+    for fp in sorted(support):
+        if len({dists[t].get(fp, Fraction(0)) for t in thetas}) > 1:
+            return PrivacyReport(server, thetas, "FAIL", len(support), fp)
+    return PrivacyReport(server, thetas, "PASS", len(support))
+
+
+def oracle_probe(plans: dict, g: Graph, server: int,
+                 cap: int = DEFAULT_CAP) -> ProbeReport:
+    """`verify.canonical_privacy_probe` decided by comparing distributions."""
+    thetas = g.index_set(server)
+    if not thetas:
+        return ProbeReport(server, 0, ())
+    for t in g.messages:
+        if t not in plans:
+            raise EmptyInput(f"no plan for desired message {t}")
+    reference = fingerprint_distribution(plans[thetas[0]], server, cap)
+    return ProbeReport(server, thetas[0], tuple(
+        t for t in g.messages if t != thetas[0]
+        and fingerprint_distribution(plans[t], server, cap) != reference))

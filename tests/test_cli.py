@@ -164,8 +164,8 @@ def test_simulate_reports_rate(capsys):
                        "--scheme", "bipartite", "--seeds", "2")
     assert code == 0
     assert "measured rate 3/5" in out
-    assert "decode spot checks PASS" in out
-    assert "(exact)" in out
+    assert "decode PASS (exact)" in out
+    assert "bounds [3/5, 3/5] (exact)" in out
 
 
 def test_simulate_transcript_json(capsys):

@@ -183,14 +183,6 @@ def test_fixture_plan_validates_graph():
         build_fixture_plan("nope", 1)
 
 
-def test_star_fixture_matches_generated_bipartite():
-    g = family("star", 6)
-    for theta in g.messages:
-        fx = build_plan(g, fixture_config("star"), theta)
-        bp = build_bipartite_plan(g, theta)
-        assert fx.queries == bp.queries
-
-
 # --- structural invariants of generated t-sum plans --------------------------
 
 ET_CASES = [(family("cycle", n), t) for n in (3, 4, 5, 6) for t in (1, 2)]

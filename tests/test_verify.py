@@ -1,16 +1,23 @@
 """Exact privacy, decode, and cost checkers, exercised against known plans."""
 
 import dataclasses
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 from helpers import (
     corpus_plans,
     corrupt_gamma,
+    fingerprint_distribution,
     mutated_family,
     mutations,
+    oracle_privacy_check,
+    oracle_probe,
     plan_with_queries,
     seeded_decode_ok,
     silence_server,
@@ -30,16 +37,18 @@ from localpir.scheme import (
     build_plan_family,
     derive_recipe,
     et_config,
+    union_config,
 )
 from localpir.sim import execute_plan
 from localpir.verify import (
+    DEFAULT_CAP,
     canonical_privacy_probe,
     check_scheme,
     cost_audit,
     decode_check,
-    fingerprint_distribution,
     privacy_check,
     query_fingerprint,
+    view_classes,
 )
 
 
@@ -71,13 +80,15 @@ def test_query_fingerprint_ignores_presentation_order():
 
 
 def test_fingerprint_distribution_c4_hand_oracle(c4_plans):
-    # Server 2 receives one two-term sum touching messages 1 and 2; over
-    # the four equally likely permutation pairs every physical pair shows
-    # up once.
+    # The test oracle: server 2 receives one two-term sum touching messages
+    # 1 and 2; over the four equally likely permutation pairs every
+    # physical pair shows up once.  That is the orbit of the one view
+    # class messages 1 and 2 form there.
     dist = fingerprint_distribution(c4_plans[1], 2)
     expect = {(((1, a), (2, b)),): Fraction(1, 4)
               for a in (1, 2) for b in (1, 2)}
     assert dist == expect
+    assert view_classes(c4_plans, 2, (1, 2)) == [((1, 2), frozenset(expect))]
 
 
 def test_fingerprint_distribution_sums_to_one(c4_plans, k4_plans):
@@ -88,9 +99,84 @@ def test_fingerprint_distribution_sums_to_one(c4_plans, k4_plans):
 
 
 def test_fingerprint_distribution_respects_cap(k4_plans):
-    _, plans = k4_plans
+    g, plans = k4_plans
     with pytest.raises(EnumerationTooLarge):
         fingerprint_distribution(plans[1], 1, cap=100)
+    with pytest.raises(EnumerationTooLarge):
+        privacy_check(plans, g, 1, cap=100)
+
+
+# --- view classes agree with the enumeration oracle -----------------------------
+
+def outcome(check, plans, g, server, cap=DEFAULT_CAP):
+    """A report's JSON, or the type and text of the error it raised."""
+    try:
+        return check(plans, g, server, cap).to_json()
+    except LocalPIRError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_agrees_with_oracle(plans, g, cap=DEFAULT_CAP, servers=None):
+    for server in g.vertices if servers is None else servers:
+        assert (outcome(privacy_check, plans, g, server, cap)
+                == outcome(oracle_privacy_check, plans, g, server, cap))
+        assert (outcome(canonical_privacy_probe, plans, g, server, cap)
+                == outcome(oracle_probe, plans, g, server, cap))
+
+
+@pytest.mark.parametrize("label,g,plans", corpus_plans(),
+                         ids=[label for label, _, _ in corpus_plans()])
+def test_reports_agree_with_oracle_on_corpus_and_mutations(label, g, plans):
+    assert_agrees_with_oracle(plans, g)
+    for theta, plan in plans.items():
+        for queries in mutations(plan):
+            # Both reports at a server read only the atoms there, so a
+            # server the mutation leaves alone repeats the check above.
+            changed = [s for s in g.vertices
+                       if tuple(queries.get(s, ())) != plan.atoms_at(s)]
+            assert_agrees_with_oracle(mutated_family(plans, theta, queries),
+                                      g, servers=changed)
+
+
+def small_graphs(n):
+    """Graphs on n vertices, each possible edge kept or not."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    return (st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))
+            .filter(any)
+            .map(lambda keep: build_graph(n, list(itertools.compress(pairs,
+                                                                     keep)))))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(2, 6).flatmap(small_graphs))
+def test_reports_agree_with_oracle_on_small_unions(g):
+    assert_agrees_with_oracle(build_plan_family(g, union_config()), g)
+
+
+@pytest.mark.parametrize("cap", [1, 10, 100, 1000])
+@pytest.mark.parametrize("name,n", [("complete", 4), ("cycle", 5)])
+def test_cap_refusals_match_oracle(name, n, cap):
+    g = family(name, n)
+    assert_agrees_with_oracle(build_plan_family(g, et_config(2)), g, cap)
+
+
+def test_equal_layouts_at_unequal_lengths_are_told_apart(c4, c4_plans):
+    # theta=2's plan, at length 3 for every message, lays out server 2's
+    # queries inside the length-2 orbit of theta=1; its own orbit under
+    # Sym(3) is larger, so the two views differ.
+    longer = dataclasses.replace(c4_plans[2],
+                                 lengths=dict.fromkeys(c4.messages, 3))
+    plans = {**c4_plans, 2: longer}
+    rep = privacy_check(plans, c4, 2)
+    assert rep.verdict == "FAIL"
+    assert rep.to_json() == oracle_privacy_check(plans, c4, 2).to_json()
+    assert [m for m, _ in view_classes(plans, 2, (1, 2))] == [(1,), (2,)]
+    # the cap holds for every message, not just the first one enumerated
+    refused = outcome(privacy_check, plans, c4, 2, 10)
+    assert refused == ("EnumerationTooLarge",
+                       "server 2 needs 36 permutation points, cap is 10")
+    assert refused == outcome(oracle_privacy_check, plans, c4, 2, 10)
 
 
 # --- privacy -------------------------------------------------------------------

@@ -31,6 +31,7 @@ def battery():
         yield f"cycle{n}-t1", family("cycle", n), et_config(1)
         yield f"cycle{n}-t2", family("cycle", n), et_config(2)
     yield "complete4-t2", family("complete", 4), et_config(2)
+    yield "k33-t2", family("complete_bipartite", a=3, b=3), et_config(2)
     for n in range(3, 9):
         yield f"star{n}", family("star", n), bipartite_config()
     for n in range(3, 8):

@@ -3,12 +3,15 @@
 Storage comes from a named family (--family with --n) or a JSON file
 (--graph) shaped {"n": N, "edges": [[u, v], ...]} with 1-based vertices.
 Exit codes: 0 success, 1 a verifier verdict is FAIL, 2 invalid input or
-an enumeration over the cap.
+an enumeration over the cap, 3 an internal error (one line on stderr, no
+traceback).  `main` may be called repeatedly in one process; it builds
+its parser on the first call and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -382,13 +385,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reuses.  It holds only option specs, defaults and
+    the `cmd_*` functions, which look their callees up at call time."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except LocalPIRError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,12 +1,22 @@
-"""Command line interface: output shapes, exit codes, environment knobs."""
+"""Command line interface: output shapes, exit codes, parser reuse and
+fuzzed inputs, all through `main` in one process."""
 
+import contextlib
+import io
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import silence_server, mutated_family
 from localpir import cli
-from localpir.cli import main, verdict_exit_code
+from localpir.cli import build_parser, main, verdict_exit_code
 from localpir.graphs import family, graph_to_json
 from localpir.scheme import build_plan_family, et_config
 from localpir.verify import check_scheme
@@ -288,3 +298,184 @@ def test_edgeless_graph_exits_two(capsys, tmp_path, command):
     code, out, err = run(capsys, command, "--graph", str(path))
     assert code == 2 and out == ""
     assert err == "error: graph has no edges\n"
+
+
+# --- internal errors -----------------------------------------------------------
+
+def test_an_unexpected_exception_exits_three_without_traceback(capsys,
+                                                               monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "build_plan_family", boom)
+    code, out, err = run(capsys, "scheme", "--family", "cycle", "--n", "4",
+                         "--t", "2")
+    assert code == 3 and out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+def test_interrupts_and_exits_pass_through(monkeypatch, exc):
+    def stop(*args, **kwargs):
+        raise exc()
+
+    monkeypatch.setattr(cli, "build_plan_family", stop)
+    with pytest.raises(exc):
+        main(["scheme", "--family", "cycle", "--n", "4", "--t", "2"])
+
+
+# --- one parser per process ----------------------------------------------------
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    real = cli.build_parser
+    builds = []
+
+    def counting():
+        builds.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    outs = [run(capsys, "bounds", "--family", "cycle", "--n", str(n))
+            for n in (4, 5, 6)]
+    assert [code for code, _, _ in outs] == [0, 0, 0]
+    assert outs[2][1].startswith("family cycle  n=6\n")
+    assert len(builds) == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    probe = ("import argparse\n"
+             "made = []\n"
+             "init = argparse.ArgumentParser.__init__\n"
+             "argparse.ArgumentParser.__init__ = (\n"
+             "    lambda self, *a, **k: made.append(init(self, *a, **k)))\n"
+             "import localpir.cli\n"
+             "print(len(made))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "0\n", proc.stderr
+
+
+def help_text(capsys, parse, command):
+    with pytest.raises(SystemExit) as exit_:
+        parse([*command, "--help"])
+    assert exit_.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [(), *((c,) for c in SUBCOMMANDS)],
+                         ids=["top", *SUBCOMMANDS])
+def test_help_after_earlier_calls_matches_a_fresh_parser(capsys, command):
+    run(capsys, "verify", "--family", "cycle", "--n", "4", "--t", "2",
+        "--probe", "--format", "json")
+    run(capsys, "scheme", "--family", "cycle", "--n", "4", "--t", "2",
+        "--theta", "3")
+    fresh = build_parser()
+    expect = help_text(capsys, fresh.parse_args, command)
+    if not command:
+        assert expect == fresh.format_help()
+    assert help_text(capsys, main, command) == expect
+
+
+def test_options_do_not_leak_between_calls(capsys):
+    argv = ("verify", "--family", "cycle", "--n", "4", "--t", "2")
+    code, probed, _ = run(capsys, *argv, "--probe")
+    assert code == 0 and "canonical probe" in probed
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0 and "canonical probe" not in plain
+    assert plain.splitlines() == [line for line in probed.splitlines()
+                                  if "canonical probe" not in line]
+    code, one, _ = run(capsys, "scheme", "--family", "cycle", "--n", "4",
+                       "--t", "2", "--theta", "2", "--format", "json")
+    assert code == 0 and set(json.loads(one)["atoms"]) == {"2"}
+    code, every, _ = run(capsys, "scheme", "--family", "cycle", "--n", "4",
+                         "--t", "2")
+    assert code == 0
+    assert len([line for line in every.splitlines()
+                if line[:1].isdigit()]) == 4
+
+
+def test_an_argparse_error_leaves_the_parser_usable(capsys):
+    argv = ("verify", "--family", "cycle", "--n", "4", "--t", "2")
+    before = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--q", "x"])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --q: invalid int value: 'x'\n")
+    assert run(capsys, *argv) == before
+    assert before[0] == 0 and "verdict: PASS" in before[1]
+
+
+# --- fuzzed graphs through every subcommand ------------------------------------
+
+MALFORMED = ("no-edges-key", "one-endpoint", "top-level-list", "self-loop",
+             "out-of-range")
+
+
+@st.composite
+def graph_texts(draw):
+    """Small graph files, possibly disconnected or with isolated vertices,
+    with a malformed shape mixed in now and then."""
+    n = draw(st.integers(-1, 6))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = (draw(st.lists(st.sampled_from(pairs), unique=True, max_size=9))
+             if pairs else [])
+    obj = {"n": n, "edges": [list(e) for e in edges]}
+    shape = draw(st.sampled_from(("graph",) * 5 + MALFORMED))
+    if shape == "no-edges-key":
+        del obj["edges"]
+    elif shape == "one-endpoint":
+        obj["edges"].append([1])
+    elif shape == "top-level-list":
+        obj = obj["edges"]
+    elif shape == "self-loop":
+        obj["edges"].append([1, 1])
+    elif shape == "out-of-range":
+        obj["edges"].append([1, n + 1])
+    return json.dumps(obj)
+
+
+@st.composite
+def options(draw, command):
+    argv = []
+    if command == "bounds":
+        return argv
+    scheme = draw(st.sampled_from((None, "auto", "et", "bipartite", "union")))
+    if scheme is not None:
+        argv += ["--scheme", scheme]
+    t = draw(st.none() | st.integers(0, 3))
+    if t is not None:
+        argv += ["--t", str(t)]
+    if command in ("scheme", "simulate"):
+        theta = draw(st.none() | st.integers(0, 7))
+        if theta is not None:
+            argv += ["--theta", str(theta)]
+    if command in ("verify", "simulate"):
+        argv += ["--q", str(draw(st.sampled_from((2, 3, 4)))),
+                 "--cap", "1000"]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "graph.json"
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=graph_texts(), data=st.data())
+def test_every_subcommand_survives_fuzzed_graphs(fuzz_file, text, data):
+    fuzz_file.write_text(text)
+    for command in SUBCOMMANDS:
+        argv = [command, "--graph", str(fuzz_file),
+                *data.draw(options(command), label=command)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (argv, text, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert (out.getvalue() if code < 2 else err.getvalue()).strip()

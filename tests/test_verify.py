@@ -179,6 +179,46 @@ def test_equal_layouts_at_unequal_lengths_are_told_apart(c4, c4_plans):
     assert refused == outcome(oracle_privacy_check, plans, c4, 2, 10)
 
 
+def test_view_classes_place_only_the_referenced_positions(k4_plans,
+                                                          monkeypatch):
+    # complete-4 t=2 (L=4): server 1 reads two positions of each of
+    # messages 1-3, so 12 placements each, 12**3 points, not 24**3
+    g, plans = k4_plans
+    calls = []
+
+    def counting(atoms, rnd):
+        calls.append(rnd)
+        return query_fingerprint(atoms, rnd)
+
+    monkeypatch.setattr("localpir.verify.query_fingerprint", counting)
+    [(members, orbit)] = view_classes(plans, 1, g.index_set(1))
+    assert members == (1, 2, 3) and len(orbit) == 1728
+    # one class enumerated, then one point for each message that joins it
+    assert len(calls) == 1728 + 2
+    # the cap still counts every permutation point
+    with pytest.raises(EnumerationTooLarge,
+                       match="^server 1 needs 13824 permutation points, "
+                             "cap is 13823$"):
+        view_classes(plans, 1, g.index_set(1), cap=13823)
+
+
+@pytest.mark.parametrize("pos", [5, 0])
+def test_placed_positions_outside_the_message_raise_the_executor_text(
+        k4_plans, pos):
+    g, plans = k4_plans
+    queries = dict(plans[1].queries)
+    assert queries[1][0] == ((1, 1), (2, 1))
+    queries[1] = (((1, 1), (2, pos)),) + queries[1][1:]
+    mutated = mutated_family(plans, 1, queries)
+    with pytest.raises(UnresolvableRef) as executor:
+        Randomness({2: (1, 2, 3, 4)}).physical(2, pos)
+    with pytest.raises(UnresolvableRef) as placed:
+        view_classes(mutated, 1, (1,))
+    assert str(placed.value) == str(executor.value)
+    assert (outcome(privacy_check, mutated, g, 1)
+            == outcome(oracle_privacy_check, mutated, g, 1))
+
+
 # --- privacy -------------------------------------------------------------------
 
 def test_privacy_passes_on_cycle(c4, c4_plans):

@@ -42,6 +42,12 @@ def battery():
     star_edges = [(u + 4, v + 4) for (u, v) in family("star", 5).edges]
     yield ("union-c4+star5", build_graph(9, list(c4.edges) + star_edges),
            union_config())
+    # three message lengths: 2 on the cycle, 4 on K4, 1 on the star
+    k4_edges = [(u + 4, v + 4) for (u, v) in family("complete", 4).edges]
+    star_edges = [(u + 8, v + 8) for (u, v) in family("star", 5).edges]
+    yield ("union-c4+k4+s5",
+           build_graph(13, list(c4.edges) + k4_edges + star_edges),
+           union_config())
     yield ("union-3xc4", family("disjoint_copies", base=c4, copies=3),
            union_config())
 

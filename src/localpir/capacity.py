@@ -138,17 +138,24 @@ class BoundReport:
 # --- achievable-rate arithmetic ---------------------------------------------
 
 def union_capacity(parts) -> Fraction:
-    """Rate of a scheme assembled from per-component schemes.
+    """The one rate formula: K / sum over messages of D_theta / L_theta.
 
-    parts: iterable of (message_count, message_length, expected_download).
-    Value = sum(K_c * L_c) / sum(K_c * E[D_c]).
+    parts: iterable of (message_count, sum of D/L over those messages),
+    such as (K_c, K_c / R_c) per component of a union, or one part per
+    plan length of a family.  It is the rate once every message is
+    repeated to one common length L (Sun & Jafar, "The capacity of private
+    information retrieval", 2017), so K*L / sum D when all lengths are L.
+    The parts must download something.
     """
     parts = list(parts)
     if not parts:
         raise EmptyInput("no components given")
-    num = sum(Fraction(k) * Fraction(l) for (k, l, _) in parts)
-    den = sum(Fraction(k) * Fraction(d) for (k, _, d) in parts)
-    return Fraction(num, den)
+    # Integer sums over one denominator: Fraction sums are much slower.
+    den = math.lcm(*(d.denominator for (_, d) in parts))
+    cost = sum(d.numerator * (den // d.denominator) for (_, d) in parts)
+    if cost <= 0:
+        raise InvalidFamilyParams("the parts download nothing")
+    return Fraction(sum(k for (k, _) in parts) * den, cost)
 
 
 def subpacketization(deg_i: int, deg_j: int, t_i: int, t_j: int) -> int:
@@ -274,28 +281,17 @@ def best_scheme(g: Graph) -> tuple[Fraction, tuple[int, int] | None]:
 
 
 def component_schemes(g: Graph) -> tuple[tuple, ...]:
-    """One (component, rate, ts, length) per component storing messages.
+    """One (component, rate, ts) per component storing messages.
 
-    rate and ts are `best_scheme`'s, length is the message length: one
-    symbol for the cover plan.  Subset sizes are tuned only when every edge
-    joins the same degree pair, and t = 1 gives L = 2 on any pair, so one
-    edge's degrees give the length of every t-sum message.  Computed once
-    per graph.
+    rate and ts are `best_scheme`'s.  Computed once per graph.
     """
     return g.cached("component_schemes", _component_schemes)
 
 
 def _component_schemes(g: Graph) -> tuple[tuple, ...]:
-    table = []
-    for comp in components(g):
-        cg = comp.graph
-        if not cg.K:
-            continue        # an isolated server stores nothing
-        rate, ts = best_scheme(cg)
-        length = (1 if ts is None else subpacketization(
-            *sorted(map(cg.degree, cg.edges[0])), *ts))
-        table.append((comp, rate, ts, length))
-    return tuple(table)
+    # An isolated server stores nothing, so it gets no row.
+    return tuple((comp, *best_scheme(comp.graph))
+                 for comp in components(g) if comp.graph.K)
 
 
 # --- per-family reports ------------------------------------------------------
@@ -415,13 +411,12 @@ def _union_graph_bounds(g: Graph) -> BoundReport:
     """Compose the component table; isolated servers add nothing."""
     table = component_schemes(g)
     all_exact = True
-    for comp, rate, _, _ in table:
+    for comp, rate, _ in table:
         # Outside the families only rate 1 meets the trivial upper bound.
         report = _family_report(comp.graph)
         all_exact = all_exact and (rate == 1 if report is None
                                    else report.exact)
-    lower = BoundValue(union_capacity(
-        (comp.graph.K, length, length / rate)
-        for comp, rate, _, length in table))
+    lower = BoundValue(union_capacity((comp.graph.K, comp.graph.K / rate)
+                                      for comp, rate, _ in table))
     upper = lower if all_exact else BoundValue(Fraction(1))
     return BoundReport("union", g.n_vertices, lower, upper, all_exact)

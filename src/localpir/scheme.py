@@ -26,7 +26,8 @@ of its messages is wanted.
 
 Union plan: the plan of the component holding the desired message (its
 t-sum or cover plan, from `capacity.component_schemes`), renumbered into
-global ids; every other component only sets its messages' lengths.
+global ids together with its lengths.  Other components' messages may
+have other lengths; `capacity.union_capacity` composes their rates.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class SchemePlan:
     graph: Graph
     kind: str
     theta: int
-    lengths: dict[int, int]                 # message -> symbol count
+    lengths: dict[int, int]     # message -> length, over theta's component
     queries: dict[int, tuple[Atom, ...]]    # server -> atoms
     recipe: tuple[DecodeStep, ...]
     meta: dict = field(default_factory=dict)
@@ -245,7 +246,7 @@ def build_union_plan(g: Graph, theta: int) -> SchemePlan:
     """The plan of theta's component, in global ids.
 
     Every component runs the scheme `capacity.component_schemes` lists for
-    it; only theta's component builds a plan, the others set lengths.
+    it; only theta's component builds a plan.
     """
     if not 1 <= theta <= g.K:
         raise IndexOutOfRange(f"message {theta} outside 1..{g.K}")
@@ -257,11 +258,7 @@ _VERTEX_KEYS = ("role_i", "role_j", "cover_vertex")   # meta naming servers
 
 def _union_plans(g: Graph, thetas) -> dict[int, SchemePlan]:
     """Union plans for the given messages, from one component table."""
-    lengths: dict[int, int] = {}
-    owner = {}
-    for comp, _, ts, length in component_schemes(g):
-        lengths.update(dict.fromkeys(comp.edge_indices, length))
-        owner.update(dict.fromkeys(comp.edge_indices, (comp, ts)))
+    owner = g.cached("component_rows", _component_rows)
     plans = {}
     for theta in thetas:
         comp, ts = owner[theta]
@@ -269,6 +266,7 @@ def _union_plans(g: Graph, thetas) -> dict[int, SchemePlan]:
         sub = (build_bipartite_plan(comp.graph, local) if ts is None
                else build_et_plan(comp.graph, local, *ts))
         vertex, message = comp.vertices, comp.edge_indices
+        lengths = {message[m - 1]: n for m, n in sub.lengths.items()}
         queries = {vertex[s - 1]: tuple(tuple((message[m - 1], pos)
                                               for (m, pos) in atom)
                                         for atom in atoms)
@@ -282,9 +280,15 @@ def _union_plans(g: Graph, thetas) -> dict[int, SchemePlan]:
                                        step.source[1]),
                        tuple((vertex[s - 1], idx) for (s, idx) in step.cancel))
             for step in sub.recipe)
-        plans[theta] = SchemePlan(g, sub.kind, theta, dict(lengths),
+        plans[theta] = SchemePlan(g, sub.kind, theta, lengths,
                                   queries, recipe, meta)
     return plans
+
+
+def _component_rows(g: Graph) -> dict[int, tuple]:
+    """Message -> (its component, the component's subset sizes)."""
+    return {k: (comp, ts) for comp, _, ts in component_schemes(g)
+            for k in comp.edge_indices}
 
 
 def default_component_config(cg: Graph) -> PlanConfig:
@@ -397,6 +401,8 @@ def sample_randomness(plan: SchemePlan, rng: random.Random) -> Randomness:
     """
     perms = {}
     for msg in sorted({plan.theta, *plan.referenced_messages()}):
+        if msg not in plan.lengths:
+            raise UnresolvableRef(f"message {msg} has no length in the plan")
         perm = list(range(1, plan.lengths[msg] + 1))
         rng.shuffle(perm)
         perms[msg] = tuple(perm)

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, prod
 
+from .capacity import union_capacity
 from .errors import (
     EmptyInput,
     EnumerationTooLarge,
@@ -72,7 +73,11 @@ def view_classes(plans: dict[int, SchemePlan], server: int, thetas,
         plan = plans[t]
         atoms = plan.atoms_at(server)
         msgs = sorted({m for atom in atoms for (m, _) in atom})
-        lengths = [plan.lengths[m] for m in msgs]
+        lengths = [plan.lengths.get(m) for m in msgs]
+        if None in lengths:
+            raise UnresolvableRef(
+                f"server {server}: message {msgs[lengths.index(None)]} "
+                f"has no length in the plan for {t}")
         total = prod(map(factorial, lengths))
         if total > cap:
             raise EnumerationTooLarge(
@@ -236,11 +241,12 @@ def _certificate_fault(plan: SchemePlan, g: Graph, q: int) -> str | None:
     """Why the plan fails to decode for some storage and permutation.
 
     None means it decodes for all of them.  The checks: every atom at
-    server s references only messages s stores, at logical positions in
-    1..L_m; the recipe recovers positions 1..L in order; every answer a
-    step reads exists; and each step's source atom minus its cancel atoms
-    leaves exactly the desired symbol at the step's position, mod q.  A
-    fault names the atom or step and, for a step, the references left.
+    server s references only messages s stores and the plan gives a
+    length L_m, at logical positions in 1..L_m; the recipe recovers
+    positions 1..L in order; every answer a step reads exists; and each
+    step's source atom minus its cancel atoms leaves exactly the desired
+    symbol at the step's position, mod q.  A fault names the atom or step
+    and, for a step, the references left.
     """
     for s, atoms in plan.queries.items():
         if not 1 <= s <= g.n_vertices:
@@ -251,6 +257,9 @@ def _certificate_fault(plan: SchemePlan, g: Graph, q: int) -> str | None:
                 if m not in stored:
                     return (f"server {s} atom {idx} reads message {m}, "
                             f"which it does not store")
+                if m not in plan.lengths:
+                    return (f"server {s} atom {idx} reads message {m}, "
+                            f"which has no length in the plan")
                 if not 1 <= p <= plan.lengths[m]:
                     return (f"server {s} atom {idx} reads position {p} "
                             f"outside message {m} of length "
@@ -342,22 +351,30 @@ class CostReport:
 def cost_audit(plans: dict[int, SchemePlan], g: Graph) -> CostReport:
     """Count downloads and cross-check them against closed forms.
 
-    Rate is total message length over total download, messages weighted
-    equally (the desired index is uniform).
+    Rate is `capacity.union_capacity` over one part per plan length:
+    K / sum_theta D_theta / L_theta, messages weighted equally (the
+    desired index is uniform).  Plans of one length L give K*L / sum D.
+    A query to a server outside the graph is a mismatch, and so is a
+    family that downloads nothing, at rate 0.
     """
     per_theta = {t: plans[t].download_count() for t in sorted(plans)}
     k = len(per_theta)
     if k == 0:
         raise EmptyInput("no plans given")
     downloads = dict.fromkeys(g.vertices, 0)
-    for plan in plans.values():
-        for s, atoms in plan.queries.items():
-            downloads[s] += len(atoms)
-    per_server = {s: Fraction(c, k) for s, c in downloads.items()}
-    total = sum(per_theta.values())
-    lengths = sum(plans[t].length for t in plans)
+    # plans and their download, by plan length
+    count, downloaded = defaultdict(int), defaultdict(int)
     mismatches = []
     for t, plan in plans.items():
+        for s, atoms in plan.queries.items():
+            try:
+                downloads[s] += len(atoms)
+            except KeyError:
+                mismatches.append(f"theta {t}: queries server {s} outside "
+                                  f"1..{g.n_vertices}")
+        length = plan.length
+        count[length] += 1
+        downloaded[length] += per_theta[t]
         if plan.kind == "et":
             expect = et_download_cost(plan.meta["deg_i"], plan.meta["deg_j"],
                                       plan.meta["t_i"], plan.meta["t_j"])
@@ -366,13 +383,21 @@ def cost_audit(plans: dict[int, SchemePlan], g: Graph) -> CostReport:
                     f"theta {t}: downloaded {per_theta[t]}, "
                     f"closed form says {expect}")
         elif plan.kind == "bipartite":
-            expect = g.degree(plan.meta["cover_vertex"]) * plan.length
+            expect = g.degree(plan.meta["cover_vertex"]) * length
             if per_theta[t] != expect:
                 mismatches.append(
                     f"theta {t}: downloaded {per_theta[t]}, "
                     f"cover form says {expect}")
-    return CostReport(per_theta, per_server, Fraction(total, k),
-                      Fraction(lengths, total), mismatches)
+    total = sum(per_theta.values())
+    if total:
+        rate = union_capacity((count[n], Fraction(downloaded[n], n))
+                              for n in count)
+    else:
+        mismatches.append("no plan downloads anything")
+        rate = Fraction(0)
+    per_server = {s: Fraction(c, k) for s, c in downloads.items()}
+    return CostReport(per_theta, per_server, Fraction(total, k), rate,
+                      mismatches)
 
 
 @dataclass
@@ -399,9 +424,24 @@ class SchemeReport:
 
 def check_scheme(plans: dict[int, SchemePlan], g: Graph, q: int = 2,
                  seeds: int = 1, cap: int = DEFAULT_CAP) -> SchemeReport:
-    """Full audit: privacy at every server, decoding, and cost accounting."""
+    """Full audit: privacy at every server, decoding, and cost accounting.
+
+    A layout that cannot be sent, since it references a symbol outside its
+    plan's lengths, has no view: privacy at its server fails with that
+    layout as the witness and support 0.
+    """
     # Decoding first refuses a bad seed count before any enumeration.
     dec = decode_check(plans, g, q, seeds)
-    privacy = [privacy_check(plans, g, s, cap) for s in g.vertices]
+    privacy = []
+    for s in g.vertices:
+        try:
+            privacy.append(privacy_check(plans, g, s, cap))
+        except UnresolvableRef:
+            atoms = next(plans[t].atoms_at(s) for t in g.index_set(s)
+                         if not all(1 <= p <= plans[t].lengths.get(m, 0)
+                                    for atom in plans[t].atoms_at(s)
+                                    for (m, p) in atom))
+            layout = tuple(sorted(tuple(sorted(atom)) for atom in atoms))
+            privacy.append(PrivacyReport(s, g.index_set(s), "FAIL", 0, layout))
     cost = cost_audit(plans, g)
     return SchemeReport(privacy, dec, cost)

@@ -19,6 +19,7 @@ from localpir.scheme import (
     SchemePlan,
     bipartite_config,
     build_plan_family,
+    derive_recipe,
     et_config,
     fixture_config,
 )
@@ -97,6 +98,21 @@ def mutated_family(plans: dict, theta: int, queries) -> dict:
     out = dict(plans)
     out[theta] = plan_with_queries(plans[theta], queries)
     return out
+
+
+def repeated(plan: SchemePlan, r: int) -> SchemePlan:
+    """The plan run r times over messages r times as long.
+
+    Run b reads block b of each message, positions b*L_m + 1..(b+1)*L_m,
+    and each server answers the runs in order.  The kind is "repeated",
+    since the closed-form costs describe one run.
+    """
+    queries = {s: tuple(tuple((m, p + b * plan.lengths[m]) for (m, p) in atom)
+                        for b in range(r) for atom in atoms)
+               for s, atoms in plan.queries.items()}
+    return SchemePlan(plan.graph, "repeated", plan.theta,
+                      {m: r * n for m, n in plan.lengths.items()}, queries,
+                      derive_recipe(queries, plan.theta, r * plan.length))
 
 
 def shipped_corpus() -> list[tuple[str, Graph, PlanConfig]]:

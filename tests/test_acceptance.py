@@ -171,14 +171,15 @@ def test_criterion_6_union_composition(capsys):
     edges = list(c4.edges) + [(u + 4, v + 4) for (u, v) in s5.edges]
     mixed = build_graph(9, edges)
     rate = measure_rate(mixed, union_config()).rate
-    # hand total: cycle part 4 messages of length 2 downloading 4 each,
-    # star part 4 messages of length 1 downloading 1 each
-    hand = union_capacity([(4, 2, 4), (4, 1, 1)])
-    ok = ok and hand == Fraction(8 + 4, 16 + 4) == Fraction(3, 5)
+    # hand total at one message length: cycle part 4 messages of length 2
+    # downloading 4 each, star part 4 messages of length 1 downloading 1
+    # each, so K / sum D/L = 8 / (4 * 4/2 + 4 * 1/1)
+    hand = union_capacity([(4, 4 * Fraction(4, 2)), (4, 4 * Fraction(1, 1))])
+    ok = ok and hand == Fraction(8, 8 + 4) == Fraction(2, 3)
     ok = ok and rate == hand
     report(capsys, 6, ok,
            "2 and 3 identical 4-cycles keep rate 1/2; "
-           "4-cycle plus 5-star achieves the composed value 3/5")
+           "4-cycle plus 5-star achieves the composed value 2/3")
 
 
 def test_criterion_7_converse_consistency(capsys, corpus):

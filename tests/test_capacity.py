@@ -67,19 +67,24 @@ def test_bound_value_fraction_access():
 # --- achievable-rate arithmetic ---------------------------------------------
 
 def test_union_capacity_mixed_example():
-    # 4-cycle (4 messages, length 2, download 4 each) plus a 5-star
-    # (4 messages, length 1, download 1 each): (8+4)/(16+4) = 3/5.
-    assert union_capacity([(4, 2, 4), (4, 1, 1)]) == Fraction(3, 5)
+    # 4-cycle (4 messages, length 2, download 4 each: D/L sums to 8) plus
+    # a 5-star (4 messages, length 1, download 1 each: 4): 8/(8+4) = 2/3.
+    assert union_capacity([(4, 8), (4, 4)]) == Fraction(2, 3)
 
 
 def test_union_capacity_identical_parts_keep_the_rate():
-    single = union_capacity([(4, 2, 4)])
-    assert union_capacity([(4, 2, 4)] * 3) == single == Fraction(1, 2)
+    single = union_capacity([(4, 8)])
+    assert union_capacity([(4, 8)] * 3) == single == Fraction(1, 2)
 
 
 def test_union_capacity_rejects_empty():
     with pytest.raises(EmptyInput):
         union_capacity([])
+
+
+def test_union_capacity_rejects_parts_that_download_nothing():
+    with pytest.raises(InvalidFamilyParams):
+        union_capacity([(4, 0)])
 
 
 def test_et_rate_examples():
@@ -336,7 +341,7 @@ def test_graph_bounds_union_composition():
     mixed = build_graph(9, edges)
     rep = graph_bounds(mixed)
     assert rep.exact
-    assert rep.lower.as_fraction() == Fraction(3, 5)
+    assert rep.lower.as_fraction() == Fraction(2, 3)
 
 
 def test_graph_bounds_union_with_open_component_is_not_exact():

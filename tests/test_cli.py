@@ -79,8 +79,8 @@ def test_bounds_from_graph_file(capsys, union_file):
     obj = json.loads(out)
     assert obj["family"] == "union"
     assert obj["exact"] is True
-    assert obj["lower"] == {"num": 3, "den": 5, "radicand": 1,
-                            "approx": 0.6}
+    assert obj["lower"] == {"num": 2, "den": 3, "radicand": 1,
+                            "approx": 2 / 3}
 
 
 # --- scheme ------------------------------------------------------------------
@@ -194,7 +194,7 @@ def test_simulate_union_from_file(capsys, union_file):
     code, out, _ = run(capsys, "simulate", "--graph", union_file,
                        "--seeds", "1", "--format", "json")
     assert code == 0
-    assert json.loads(out)["rate"] == [3, 5]
+    assert json.loads(out)["rate"] == [2, 3]
 
 
 # --- input validation and exit contract ----------------------------------------

@@ -31,9 +31,9 @@ GOLDEN = [
      "be3e7b5e791ca3c7faaccd286be70f0eb519a896e95177634153ceedcb2f6ad2"),
     (("simulate", "--graph", UNION, "--theta", "6", "--seed", "1",
       "--format", "json"),
-     "2f407734367e66728b1f844ad6db73e6e6a9f55e622a36366e4c05be12d83238"),
+     "937561cbadbc00c4c91ed1f81c2ae6c270c6876369f4fc584e73419a3bc354fb"),
     (("bounds", "--graph", UNION, "--format", "json"),
-     "5b05a8690b7cb92cf9bf3365025bb0d58190a966a374bc68b9de44b1f637d6be"),
+     "fb81e6def1ee1e26d46c621935d20ff8a5657697746bc64d002b0d3cdc0ed8c9"),
 ]
 
 

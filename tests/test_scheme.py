@@ -3,7 +3,8 @@
 import dataclasses
 import itertools
 import random
-from math import comb
+from fractions import Fraction
+from math import comb, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import localpir.capacity
 import localpir.scheme
+from helpers import repeated
 from localpir.capacity import graph_bounds
 
 from localpir.errors import (
@@ -49,7 +51,7 @@ from localpir.scheme import (
     to_physical,
     union_config,
 )
-from localpir.verify import cost_audit, decode_check
+from localpir.verify import check_scheme, cost_audit, decode_check
 
 
 # --- combinatorial helpers ---------------------------------------------------
@@ -305,9 +307,9 @@ def test_union_plan_routes_to_the_right_component():
 def test_union_plan_lengths_differ_per_component():
     g = mixed_graph()
     plan = build_union_plan(g, 1)
-    assert plan.lengths[1] == 2      # cycle component, singleton sums
-    assert plan.lengths[5] == 1      # star component, direct downloads
-    assert plan.length == 2
+    assert plan.length == 2          # cycle component, singleton sums
+    assert set(plan.lengths) == {1, 2, 3, 4}
+    assert build_union_plan(g, 5).length == 1   # star, direct downloads
 
 
 def test_union_plan_lengths_match_component_plans():
@@ -356,6 +358,46 @@ def test_union_family_is_per_theta_plans_at_the_lower_bound(g):
     audit = cost_audit(plans, g)
     assert audit.mismatches == []
     assert audit.rate == graph_bounds(g).lower.as_fraction()
+
+
+def disjoint_union(*parts):
+    edges, offset = [], 0
+    for part in parts:
+        edges += [(u + offset, v + offset) for (u, v) in part.edges]
+        offset += part.n_vertices
+    return build_graph(offset, edges)
+
+
+@pytest.mark.parametrize("parts", [
+    ("cycle", "star"),                  # lengths 2 and 1
+    ("cycle", "complete", "star"),      # lengths 2, 4 and 1
+])
+def test_padded_union_family_runs_at_the_composed_rate(parts):
+    # The padded family repeats each component's plans to the least common
+    # multiple of the lengths, on disjoint position blocks: every message
+    # then has one length, and the family is an ordinary exact scheme.
+    g = disjoint_union(*(family(name, 5 if name == "star" else 4)
+                         for name in parts))
+    plans = build_plan_family(g, union_config())
+    assert len({p.length for p in plans.values()}) == len(parts)
+    common = lcm(*(p.length for p in plans.values()))
+    padded = {t: repeated(p, common // p.length) for t, p in plans.items()}
+    report = check_scheme(padded, g)
+    assert report.ok            # exact privacy, decode and cost
+    rate = Fraction(sum(p.length for p in padded.values()),
+                    sum(p.download_count() for p in padded.values()))
+    assert rate == cost_audit(plans, g).rate == report.cost.rate
+    assert rate == graph_bounds(g).lower.as_fraction()
+
+
+@settings(max_examples=60, deadline=None)
+@given(union_graphs(), st.integers(2, 4), st.data())
+def test_repeating_one_component_keeps_the_rate(g, r, data):
+    plans = build_plan_family(g, union_config())
+    comp = data.draw(st.sampled_from([c for c in components(g) if c.graph.K]))
+    longer = {t: repeated(p, r) if t in comp.edge_indices else p
+              for t, p in plans.items()}
+    assert cost_audit(longer, g).rate == cost_audit(plans, g).rate
 
 
 def test_union_family_runs_best_scheme_once_per_component(monkeypatch):
@@ -460,7 +502,7 @@ def run_pipeline(plan, q, seed):
     fld = Field(q)
     rng = random.Random(seed)
     storage = {k: [rng.randrange(q) for _ in range(plan.lengths[k])]
-               for k in plan.graph.messages}
+               for k in plan.lengths}
     rnd = sample_randomness(plan, rng)
     physical = to_physical(plan, rnd)
     answers = {

@@ -9,16 +9,19 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# (argv, closing line prefix, leading words of lines it must also print)
 SCRIPTS = [
-    (("capacity_survey.py", "--max-n", "6"), "complete_bipartite  6  2/5"),
-    (("reproduce_tables.py",), "matches frozen reference: yes"),
-    (("verify_battery.py", "--seeds", "1"), "0 failures, "),
+    (("capacity_survey.py", "--max-n", "6"), "complete_bipartite  6  2/5",
+     []),
+    (("reproduce_tables.py",), "matches frozen reference: yes", []),
+    (("verify_battery.py", "--seeds", "1"), "0 failures, ",
+     [["union-c4+star5", "PASS", "rate", "2/3"]]),
 ]
 
 
-@pytest.mark.parametrize("argv,closing", SCRIPTS,
-                         ids=[argv[0] for argv, _ in SCRIPTS])
-def test_script_runs_to_its_closing_line(argv, closing):
+@pytest.mark.parametrize("argv,closing,also", SCRIPTS,
+                         ids=[argv[0] for argv, _, _ in SCRIPTS])
+def test_script_runs_to_its_closing_line(argv, closing, also):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
@@ -29,3 +32,5 @@ def test_script_runs_to_its_closing_line(argv, closing):
     assert proc.returncode == 0, proc.stderr
     lines = [line for line in proc.stdout.splitlines() if line.strip()]
     assert lines[-1].startswith(closing)
+    for words in also:
+        assert any(line.split()[:len(words)] == words for line in lines)

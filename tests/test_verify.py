@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,7 @@ from localpir.scheme import (
     build_plan_family,
     derive_recipe,
     et_config,
+    sample_randomness,
     union_config,
 )
 from localpir.sim import execute_plan
@@ -425,12 +427,39 @@ def test_positions_outside_the_message_fail_without_index_error(c4, c4_plans,
     assert full.verdict == "FAIL" and not full.decode.ok
     assert all(r.ok for r in full.privacy)
     # server 1 stores message 1, so its privacy check reads the plan and
-    # refuses the position with the package's error
+    # refuses the position with the package's error; the full audit turns
+    # that into a privacy FAIL whose witness is the unsendable layout
     queries = dict(c4_plans[1].queries)
     assert queries[1] == (((1, 1), (4, 1)),)
     queries[1] = (((1, pos), (4, 1)),)
+    mutated = mutated_family(c4_plans, 1, queries)
     with pytest.raises(UnresolvableRef):
-        check_scheme(mutated_family(c4_plans, 1, queries), c4)
+        privacy_check(mutated, c4, 1)
+    full = check_scheme(mutated, c4)
+    assert full.verdict == "FAIL" and not full.decode.ok
+    assert full.privacy[0].to_json() == {
+        "server": 1, "thetas": [1, 4], "verdict": "FAIL", "support_size": 0,
+        "counterexample": [[[1, pos], [4, 1]]]}
+    assert all(r.ok for r in full.privacy[1:])
+
+
+def test_a_message_outside_the_plan_lengths_is_unresolvable():
+    # theta=1's union plan knows only its 4-cycle; one more atom reads
+    # message 5 at the star's centre, server 9, which stores it
+    g = build_graph(9, [(1, 2), (2, 3), (3, 4), (1, 4),
+                        (5, 9), (6, 9), (7, 9), (8, 9)])
+    plans = build_plan_family(g, union_config())
+    assert set(plans[1].lengths) == {1, 2, 3, 4}
+    mutated = mutated_family(plans, 1, {**plans[1].queries, 9: (((5, 1),),)})
+    rep = decode_check(mutated, g)
+    assert [f["reason"] for f in rep.failures] == [
+        "server 9 atom 0 reads message 5, which has no length in the plan",
+        "UnresolvableRef: message 5 has no length in the plan"]
+    with pytest.raises(UnresolvableRef):
+        sample_randomness(mutated[1], random.Random(0))
+    with pytest.raises(UnresolvableRef, match="^server 9: message 5 has no "
+                                              "length in the plan for 1$"):
+        view_classes(mutated, 9, (1,))
 
 
 def test_a_recipe_position_outside_the_message_fails_to_decode(c4, c4_plans):
@@ -483,6 +512,29 @@ def test_cost_audit_flags_closed_form_mismatch(c4, c4_plans):
     rep = cost_audit(tampered, c4)
     assert not rep.ok
     assert any("theta 1" in m for m in rep.mismatches)
+
+
+def test_a_server_outside_the_graph_is_a_cost_mismatch(c4, c4_plans):
+    # theta=1 on cycle-4 t=2, given one more atom at server 9
+    mutated = mutated_family(c4_plans, 1,
+                             {**c4_plans[1].queries, 9: (((1, 1),),)})
+    rep = check_scheme(mutated, c4)
+    assert rep.verdict == "FAIL"
+    assert rep.decode.failures[0]["reason"] == "server 9 outside 1..4"
+    assert rep.cost.mismatches[0] == "theta 1: queries server 9 outside 1..4"
+    assert list(rep.cost.per_server) == list(c4.vertices)
+
+
+def test_a_family_that_downloads_nothing_fails_at_rate_zero():
+    # path-2's cover plan with its one server silenced
+    g = family("path", 2)
+    plans = build_plan_family(g, bipartite_config())
+    [server] = plans[1].queries
+    rep = check_scheme(mutated_family(plans, 1,
+                                      silence_server(plans[1], server)), g)
+    assert rep.verdict == "FAIL" and not rep.cost.ok
+    assert rep.cost.rate == 0
+    assert rep.cost.mismatches[-1] == "no plan downloads anything"
 
 
 def test_cost_audit_rejects_empty(c4):

@@ -26,8 +26,7 @@ of its messages is wanted.
 
 Union plan: the plan of the component holding the desired message (its
 t-sum or cover plan, from `capacity.component_schemes`), renumbered into
-global ids together with its lengths.  Other components' messages may
-have other lengths; `capacity.union_capacity` composes their rates.
+global ids.  `capacity.union_capacity` composes the components' rates.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ class SchemePlan:
     graph: Graph
     kind: str
     theta: int
-    lengths: dict[int, int]     # message -> length, over theta's component
+    lengths: dict[int, int]     # theta and each message read -> length
     queries: dict[int, tuple[Atom, ...]]    # server -> atoms
     recipe: tuple[DecodeStep, ...]
     meta: dict = field(default_factory=dict)
@@ -169,6 +168,15 @@ def default_role_rule(g: Graph, k: int, t_i: int, t_j: int) -> tuple[int, int]:
 
 # --- plan constructions ----------------------------------------------------
 
+def _plan(g: Graph, kind: str, theta: int, length: int, queries: dict,
+          meta: dict, recipe: tuple | None = None) -> SchemePlan:
+    """Every builder returns here: one length for theta and what it reads."""
+    plan = SchemePlan(g, kind, theta, {}, queries,
+                      recipe or derive_recipe(queries, theta, length), meta)
+    plan.lengths = dict.fromkeys((theta, *plan.referenced_messages()), length)
+    return plan
+
+
 def build_et_plan(g: Graph, theta: int, t_i: int,
                   t_j: int | None = None) -> SchemePlan:
     """t-sum plan for message theta.
@@ -215,11 +223,9 @@ def build_et_plan(g: Graph, theta: int, t_i: int,
         queries.setdefault(server, []).append(atom)
 
     frozen = {server: tuple(atoms) for server, atoms in queries.items()}
-    lengths = dict.fromkeys(g.messages, length)
-    recipe = derive_recipe(frozen, theta, length)
     meta = {"t_i": t_i, "t_j": t_j, "role_i": i, "role_j": j,
             "deg_i": d_i, "deg_j": d_j}
-    return SchemePlan(g, "et", theta, lengths, frozen, recipe, meta)
+    return _plan(g, "et", theta, length, frozen, meta)
 
 
 def build_bipartite_plan(g: Graph, theta: int) -> SchemePlan:
@@ -236,10 +242,8 @@ def build_bipartite_plan(g: Graph, theta: int) -> SchemePlan:
     server = u if u in covering else v
 
     queries = {server: tuple(((msg, 1),) for msg in g.index_set(server))}
-    lengths = dict.fromkeys(g.messages, 1)
-    recipe = derive_recipe(queries, theta, 1)
     meta = {"m_star": m_star, "cover_vertex": server}
-    return SchemePlan(g, "bipartite", theta, lengths, queries, recipe, meta)
+    return _plan(g, "bipartite", theta, 1, queries, meta)
 
 
 def build_union_plan(g: Graph, theta: int) -> SchemePlan:
@@ -266,7 +270,6 @@ def _union_plans(g: Graph, thetas) -> dict[int, SchemePlan]:
         sub = (build_bipartite_plan(comp.graph, local) if ts is None
                else build_et_plan(comp.graph, local, *ts))
         vertex, message = comp.vertices, comp.edge_indices
-        lengths = {message[m - 1]: n for m, n in sub.lengths.items()}
         queries = {vertex[s - 1]: tuple(tuple((message[m - 1], pos)
                                               for (m, pos) in atom)
                                         for atom in atoms)
@@ -280,8 +283,8 @@ def _union_plans(g: Graph, thetas) -> dict[int, SchemePlan]:
                                        step.source[1]),
                        tuple((vertex[s - 1], idx) for (s, idx) in step.cancel))
             for step in sub.recipe)
-        plans[theta] = SchemePlan(g, sub.kind, theta, lengths,
-                                  queries, recipe, meta)
+        plans[theta] = _plan(g, sub.kind, theta, sub.length, queries, meta,
+                             recipe)
     return plans
 
 
@@ -307,11 +310,8 @@ def build_fixture_plan(name: str, theta: int,
     table, length = fixture_table(name)
     if theta not in table:
         raise IndexOutOfRange(f"message {theta} outside 1..{graph.K}")
-    queries = dict(table[theta])
-    lengths = dict.fromkeys(graph.messages, length)
-    recipe = derive_recipe(queries, theta, length)
-    meta = {"fixture": name}
-    return SchemePlan(graph, "fixture", theta, lengths, queries, recipe, meta)
+    return _plan(graph, "fixture", theta, length, dict(table[theta]),
+                 {"fixture": name})
 
 
 def build_plan(g: Graph, config: PlanConfig, theta: int) -> SchemePlan:

@@ -181,6 +181,14 @@ def privacy_check(plans: dict[int, SchemePlan], g: Graph, server: int,
     return PrivacyReport(server, thetas, verdict, len(support), fp)
 
 
+def _sendable(plan: SchemePlan, server: int) -> bool:
+    """Whether every reference the plan sends `server` lies within the
+    plan's lengths.  A layout that does not cannot be sent, so it has no
+    view."""
+    return all(1 <= p <= plan.lengths.get(m, 0)
+               for atom in plan.atoms_at(server) for (m, p) in atom)
+
+
 @dataclass
 class ProbeReport:
     """Outcome of testing the stricter hide-everything condition."""
@@ -208,13 +216,17 @@ def canonical_privacy_probe(plans: dict[int, SchemePlan], g: Graph,
     The local condition only compares messages the server stores; this
     probe lists every message outside the first stored one's view class.
     A non-empty list shows the scheme is local-private but not private in
-    the classical sense.
+    the classical sense.  A layout that cannot be sent has no view, so its
+    message shares no class; if it is the first stored one's, every other
+    message is listed.
     """
     thetas = g.index_set(server)
     if not thetas:
         return ProbeReport(server, 0, ())
     order = [thetas[0], *(t for t in g.messages if t != thetas[0])]
-    same, _ = view_classes(plans, server, order, cap)[0]
+    sent = [t for t in order if t not in plans or _sendable(plans[t], server)]
+    classes = view_classes(plans, server, sent, cap)
+    same = classes[0][0] if sent[:1] == order[:1] else order[:1]
     return ProbeReport(server, thetas[0],
                        tuple(t for t in g.messages if t not in same))
 
@@ -242,11 +254,12 @@ def _certificate_fault(plan: SchemePlan, g: Graph, q: int) -> str | None:
 
     None means it decodes for all of them.  The checks: every atom at
     server s references only messages s stores and the plan gives a
-    length L_m, at logical positions in 1..L_m; the recipe recovers
-    positions 1..L in order; every answer a step reads exists; and each
-    step's source atom minus its cancel atoms leaves exactly the desired
-    symbol at the step's position, mod q.  A fault names the atom or step
-    and, for a step, the references left.
+    length L_m, at logical positions in 1..L_m; the desired message has a
+    length L, and the recipe recovers positions 1..L in order; every
+    answer a step reads exists; and each step's source atom minus its
+    cancel atoms leaves exactly the desired symbol at the step's
+    position, mod q.  A fault names the atom or step and, for a step, the
+    references left.
     """
     for s, atoms in plan.queries.items():
         if not 1 <= s <= g.n_vertices:
@@ -264,6 +277,8 @@ def _certificate_fault(plan: SchemePlan, g: Graph, q: int) -> str | None:
                     return (f"server {s} atom {idx} reads position {p} "
                             f"outside message {m} of length "
                             f"{plan.lengths[m]}")
+    if plan.theta not in plan.lengths:
+        return f"desired message {plan.theta} has no length in the plan"
     positions = [step.position for step in plan.recipe]
     if positions != list(range(1, plan.length + 1)):
         return f"recipe recovers positions {positions}, not 1..{plan.length}"
@@ -354,8 +369,9 @@ def cost_audit(plans: dict[int, SchemePlan], g: Graph) -> CostReport:
     Rate is `capacity.union_capacity` over one part per plan length:
     K / sum_theta D_theta / L_theta, messages weighted equally (the
     desired index is uniform).  Plans of one length L give K*L / sum D.
-    A query to a server outside the graph is a mismatch, and so is a
-    family that downloads nothing, at rate 0.
+    Mismatches also include a query to a server outside the graph, a plan
+    with no length for its desired message (left out of the rate), and a
+    family that downloads nothing (rate 0).
     """
     per_theta = {t: plans[t].download_count() for t in sorted(plans)}
     k = len(per_theta)
@@ -372,6 +388,10 @@ def cost_audit(plans: dict[int, SchemePlan], g: Graph) -> CostReport:
             except KeyError:
                 mismatches.append(f"theta {t}: queries server {s} outside "
                                   f"1..{g.n_vertices}")
+        if plan.theta not in plan.lengths:
+            mismatches.append(f"theta {t}: desired message {plan.theta} has "
+                              f"no length in the plan")
+            continue
         length = plan.length
         count[length] += 1
         downloaded[length] += per_theta[t]
@@ -389,12 +409,11 @@ def cost_audit(plans: dict[int, SchemePlan], g: Graph) -> CostReport:
                     f"theta {t}: downloaded {per_theta[t]}, "
                     f"cover form says {expect}")
     total = sum(per_theta.values())
-    if total:
-        rate = union_capacity((count[n], Fraction(downloaded[n], n))
-                              for n in count)
-    else:
+    if not total:
         mismatches.append("no plan downloads anything")
-        rate = Fraction(0)
+    rate = (union_capacity((count[n], Fraction(downloaded[n], n))
+                           for n in count)
+            if any(downloaded.values()) else Fraction(0))
     per_server = {s: Fraction(c, k) for s, c in downloads.items()}
     return CostReport(per_theta, per_server, Fraction(total, k), rate,
                       mismatches)
@@ -438,9 +457,7 @@ def check_scheme(plans: dict[int, SchemePlan], g: Graph, q: int = 2,
             privacy.append(privacy_check(plans, g, s, cap))
         except UnresolvableRef:
             atoms = next(plans[t].atoms_at(s) for t in g.index_set(s)
-                         if not all(1 <= p <= plans[t].lengths.get(m, 0)
-                                    for atom in plans[t].atoms_at(s)
-                                    for (m, p) in atom))
+                         if not _sendable(plans[t], s))
             layout = tuple(sorted(tuple(sorted(atom)) for atom in atoms))
             privacy.append(PrivacyReport(s, g.index_set(s), "FAIL", 0, layout))
     cost = cost_audit(plans, g)

@@ -1,8 +1,10 @@
-"""Module layering: imports run one way and sit at module level.
+"""Module layering: imports run one way and sit at module level, and one
+function builds every plan.
 
 The package is layered cli/sim/verify -> scheme -> capacity -> graphs.  A
 function-local import is how a cycle usually sneaks back in, so both are
-checked from the source text.
+checked from the source text.  `scheme._plan` alone decides which messages
+a plan's lengths name, so no other code calls `SchemePlan(...)`.
 """
 
 import ast
@@ -68,3 +70,21 @@ def test_internal_imports_form_no_cycle():
 
     for mod in sorted(graph):
         visit(mod)
+
+
+def _builds_a_plan(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+    return name == "SchemePlan"
+
+
+def test_only_the_plan_constructor_calls_schemeplan():
+    constructor = next(fn for fn in MODULES["scheme"].body
+                       if getattr(fn, "name", None) == "_plan")
+    allowed = {id(node) for node in ast.walk(constructor)}
+    found = [f"{name} line {node.lineno}" for name, tree in MODULES.items()
+             for node in ast.walk(tree)
+             if _builds_a_plan(node) and id(node) not in allowed]
+    assert found == []

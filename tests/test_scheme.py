@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import localpir.capacity
 import localpir.scheme
-from helpers import repeated
+from helpers import corpus_plans, repeated
 from localpir.capacity import graph_bounds
 
 from localpir.errors import (
@@ -288,6 +288,18 @@ def test_bipartite_rejects_odd_cycle():
 
 # --- union plans ---------------------------------------------------------
 
+def assert_lengths_name_what_is_read(plan):
+    assert set(plan.lengths) == {plan.theta, *plan.referenced_messages()}
+    assert set(plan.lengths.values()) == {plan.length}
+
+
+@pytest.mark.parametrize("label,g,plans", corpus_plans(),
+                         ids=[label for label, _, _ in corpus_plans()])
+def test_shipped_plans_name_only_the_messages_they_read(label, g, plans):
+    for plan in plans.values():
+        assert_lengths_name_what_is_read(plan)
+
+
 def mixed_graph():
     c4 = family("cycle", 4)
     s5 = family("star", 5)
@@ -308,7 +320,7 @@ def test_union_plan_lengths_differ_per_component():
     g = mixed_graph()
     plan = build_union_plan(g, 1)
     assert plan.length == 2          # cycle component, singleton sums
-    assert set(plan.lengths) == {1, 2, 3, 4}
+    assert plan.lengths == {1: 2, 2: 2, 4: 2}   # theta and the messages read
     assert build_union_plan(g, 5).length == 1   # star, direct downloads
 
 
@@ -331,8 +343,8 @@ def test_union_plan_lengths_match_component_plans():
         for theta in comp.edge_indices:
             plan = build_union_plan(g, theta)
             assert plan.length == expected
-            for k in comp.edge_indices:
-                assert plan.lengths[k] == expected
+            assert set(plan.lengths) <= set(comp.edge_indices)
+            assert_lengths_name_what_is_read(plan)
     assert lengths == {1, 2, 4}
 
 
@@ -358,6 +370,8 @@ def test_union_family_is_per_theta_plans_at_the_lower_bound(g):
     audit = cost_audit(plans, g)
     assert audit.mismatches == []
     assert audit.rate == graph_bounds(g).lower.as_fraction()
+    for plan in plans.values():
+        assert_lengths_name_what_is_read(plan)
 
 
 def disjoint_union(*parts):
@@ -505,9 +519,10 @@ def run_pipeline(plan, q, seed):
                for k in plan.lengths}
     rnd = sample_randomness(plan, rng)
     physical = to_physical(plan, rnd)
+    # each server holds the drawn messages it stores, as in `_execute`
     answers = {
-        s: answer(atoms, {k: storage[k] for k in plan.graph.index_set(s)},
-                  fld)
+        s: answer(atoms, {k: storage[k] for k in plan.graph.index_set(s)
+                          if k in storage}, fld)
         for s, atoms in physical.items()}
     return decode(plan, answers, rnd, fld), storage
 

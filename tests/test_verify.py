@@ -314,6 +314,22 @@ def test_probe_requires_every_plan(c4, c4_plans):
         canonical_privacy_probe(partial, c4, 1)
 
 
+def test_probe_gives_an_unsendable_layout_no_view_class(c4, c4_plans):
+    # theta=1's server-1 atom reads position 3 of a length-2 message, so
+    # the full audit fails privacy there; the probe, whose reference is
+    # theta=1, lists every other message instead of raising
+    queries = {**c4_plans[1].queries, 1: (((1, 3), (4, 1)),)}
+    mutated = mutated_family(c4_plans, 1, queries)
+    assert check_scheme(mutated, c4).privacy[0].verdict == "FAIL"
+    assert canonical_privacy_probe(mutated, c4, 1).distinguishable == (2, 3, 4)
+    # at server 2, theta=2 shares the reference's class until its own
+    # layout there cannot be sent
+    assert canonical_privacy_probe(c4_plans, c4, 2).distinguishable == (3, 4)
+    queries = {**c4_plans[2].queries, 2: (((1, 1), (2, 3)),)}
+    mutated = mutated_family(c4_plans, 2, queries)
+    assert canonical_privacy_probe(mutated, c4, 2).distinguishable == (2, 3, 4)
+
+
 # --- decoding ------------------------------------------------------------------
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -449,7 +465,7 @@ def test_a_message_outside_the_plan_lengths_is_unresolvable():
     g = build_graph(9, [(1, 2), (2, 3), (3, 4), (1, 4),
                         (5, 9), (6, 9), (7, 9), (8, 9)])
     plans = build_plan_family(g, union_config())
-    assert set(plans[1].lengths) == {1, 2, 3, 4}
+    assert set(plans[1].lengths) == {1, 2, 4}
     mutated = mutated_family(plans, 1, {**plans[1].queries, 9: (((5, 1),),)})
     rep = decode_check(mutated, g)
     assert [f["reason"] for f in rep.failures] == [
@@ -523,6 +539,22 @@ def test_a_server_outside_the_graph_is_a_cost_mismatch(c4, c4_plans):
     assert rep.decode.failures[0]["reason"] == "server 9 outside 1..4"
     assert rep.cost.mismatches[0] == "theta 1: queries server 9 outside 1..4"
     assert list(rep.cost.per_server) == list(c4.vertices)
+
+
+def test_a_plan_without_a_length_for_theta_fails_the_audit(c4, c4_plans):
+    # theta=1 on cycle-4 t=2 with message 1 dropped from its lengths and
+    # only servers 3 and 4 queried
+    plan = c4_plans[1]
+    broken = dataclasses.replace(
+        plan, lengths={m: n for m, n in plan.lengths.items() if m != 1},
+        queries={s: plan.queries[s] for s in (3, 4)})
+    rep = check_scheme({**c4_plans, 1: broken}, c4)
+    assert rep.verdict == "FAIL"
+    assert rep.decode.failures[0] == {
+        "theta": 1, "seed": None,
+        "reason": "desired message 1 has no length in the plan"}
+    assert rep.cost.mismatches == [
+        "theta 1: desired message 1 has no length in the plan"]
 
 
 def test_a_family_that_downloads_nothing_fails_at_rate_zero():

@@ -188,8 +188,9 @@ def render_verify(report: SchemeReport, probes) -> str:
         if pr.counterexample is not None:
             line += f"  distinguishing fingerprint: {pr.counterexample}"
         lines.append(line)
-    lines.append(f"decode: {report.decode.verdict} "
-                 f"(exact; {report.decode.trials} end-to-end runs)")
+    runs = report.decode.trials
+    lines.append(f"decode: {report.decode.verdict} (exact"
+                 + (f"; {runs} end-to-end runs)" if runs else ")"))
     for failure in report.decode.failures[:5]:
         where = ("certificate" if failure["seed"] is None
                  else f"seed {failure['seed']}")
@@ -342,10 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def runtime_opts(p: argparse.ArgumentParser) -> None:
         p.add_argument("--q", type=int, default=2, help="prime field size")
-        p.add_argument("--seeds", type=int, default=1,
-                       help="end-to-end executor runs per message "
-                            "(default 1, at least 1); the decode verdict "
-                            "is exact")
+        p.add_argument("--seeds", type=int, default=0,
+                       help="optional end-to-end executor runs per message "
+                            "(default 0); the decode verdict is exact "
+                            "without them")
         p.add_argument("--cap", type=int, default=DEFAULT_CAP,
                        help=f"enumeration cap (default {DEFAULT_CAP})")
 

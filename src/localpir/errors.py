@@ -11,6 +11,10 @@ class CompositeModulus(LocalPIRError):
     """The requested modulus is not a prime number."""
 
 
+class ModulusTooLarge(LocalPIRError):
+    """The requested modulus is too large for primality to be decided."""
+
+
 # --- graphs --------------------------------------------------------------
 
 class SelfLoop(LocalPIRError):

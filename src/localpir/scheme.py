@@ -31,6 +31,7 @@ global ids.  `capacity.union_capacity` composes the components' rates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -435,6 +436,32 @@ def answer(atoms, storage: dict[int, list[int]], fld: Field) -> list[int]:
     return out
 
 
+@functools.cache
+def _byte_tables(q: int) -> tuple[bytes, bytes]:
+    """For q <= 256: the table reducing a byte mod q, and the bytes to
+    reject, those at or above 256 - 256 % q (the largest multiple of q
+    that is at most 256)."""
+    return (bytes(b % q for b in range(256)),
+            bytes(range(256 - 256 % q, 256)))
+
+
+def _draw_symbols(rng: random.Random, n: int, q: int) -> list[int]:
+    """n independent uniform symbols mod q, drawn from `rng`.
+
+    For q up to 256 the symbols are random bytes reduced mod q, drawn in
+    bulk; the bytes `_byte_tables` rejects are skipped and drawn again,
+    so every residue stays exactly uniform.  Larger fields draw one
+    `randrange` per symbol.
+    """
+    if q > 256:
+        return [rng.randrange(q) for _ in range(n)]
+    table, reject = _byte_tables(q)
+    out = b""
+    while len(out) < n:
+        out += rng.randbytes(n - len(out)).translate(table, reject)
+    return list(out)
+
+
 def _execute(plan: SchemePlan, rng: random.Random, fld: Field):
     """Run one plan against honest servers holding random storage.
 
@@ -447,7 +474,7 @@ def _execute(plan: SchemePlan, rng: random.Random, fld: Field):
     and answers keyed by server in ascending order.
     """
     rnd = sample_randomness(plan, rng)
-    storage = {k: [rng.randrange(fld.q) for _ in range(plan.lengths[k])]
+    storage = {k: _draw_symbols(rng, plan.lengths[k], fld.q)
                for k in rnd.perms}
     physical = to_physical(plan, rnd)
     answers = {s: answer(physical[s],

@@ -122,13 +122,14 @@ class RateReport:
 
 
 def measure_rate(g: Graph, config: PlanConfig, q: int = 2,
-                 seeds: int = 1) -> RateReport:
+                 seeds: int = 0) -> RateReport:
     """Exact achieved rate of a plan family, with its decode verdict.
 
-    The rate is total message length over total download across all
-    desired messages.  `decoded_ok` is `verify.decode_check`'s verdict at
-    field size q: exact by its certificate, and it also runs each plan
-    end to end `seeds` times.
+    The rate is `capacity.union_capacity`'s K / sum_theta D_theta/L_theta
+    over the family, as `verify.cost_audit` counts it.  `decoded_ok` is
+    `verify.decode_check`'s verdict at field size q, exact by its
+    certificate; no plan is executed unless `seeds` asks for end-to-end
+    runs of each.
     """
     plans = build_plan_family(g, config)
     decoded_ok = decode_check(plans, g, q, seeds).ok

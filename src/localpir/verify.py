@@ -301,19 +301,20 @@ def _certificate_fault(plan: SchemePlan, g: Graph, q: int) -> str | None:
 
 
 def decode_check(plans: dict[int, SchemePlan], g: Graph, q: int = 2,
-                 seeds: int = 1) -> DecodeReport:
-    """Decide exactly whether every plan decodes, then run each end to end.
+                 seeds: int = 0) -> DecodeReport:
+    """Decide exactly whether every plan decodes.
 
     The verdict rests on a certificate per plan (`_certificate_fault`): a
     failing plan gets one entry with seed None naming the atom or step at
-    fault.  Each plan also runs `seeds` times against honest servers on
-    fresh random storage and user randomness, and a run that decodes
-    wrongly or raises adds its own entry; `trials` counts these runs.  A
-    run can fail only where the certificate does, so their number never
-    changes the verdict.  Fewer than one seed is refused.
+    fault.  No plan is executed unless `seeds` asks for it: then each
+    plan also runs `seeds` times against honest servers on fresh random
+    storage and user randomness, a run that decodes wrongly or raises
+    adds its own entry, and `trials` counts these runs.  A run can fail
+    only where the certificate does, so the runs are an optional cross
+    check that never changes the verdict.  A negative count is refused.
     """
-    if seeds < 1:
-        raise InvalidFamilyParams(f"seeds must be at least 1, got {seeds}")
+    if seeds < 0:
+        raise InvalidFamilyParams(f"seeds must not be negative, got {seeds}")
     fld = Field(q)
     report = DecodeReport(trials=0)
     for theta in sorted(plans):
@@ -442,14 +443,18 @@ class SchemeReport:
 
 
 def check_scheme(plans: dict[int, SchemePlan], g: Graph, q: int = 2,
-                 seeds: int = 1, cap: int = DEFAULT_CAP) -> SchemeReport:
+                 seeds: int = 0, cap: int = DEFAULT_CAP) -> SchemeReport:
     """Full audit: privacy at every server, decoding, and cost accounting.
+
+    Every verdict is exact; no plan is executed unless `seeds` asks for
+    end-to-end runs (see `decode_check`).
 
     A layout that cannot be sent, since it references a symbol outside its
     plan's lengths, has no view: privacy at its server fails with that
     layout as the witness and support 0.
     """
-    # Decoding first refuses a bad seed count before any enumeration.
+    # Decoding runs first, so a bad modulus or seed count is refused
+    # before any privacy enumeration.
     dec = decode_check(plans, g, q, seeds)
     privacy = []
     for s in g.vertices:

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,16 @@ def test_verify_passes_on_cycle(capsys):
     assert "server 1: privacy PASS" in out
 
 
+@pytest.mark.parametrize("seeds,line", [
+    ((), "decode: PASS (exact)"),
+    (("--seeds", "3"), "decode: PASS (exact; 12 end-to-end runs)")])
+def test_the_decode_line_counts_runs_only_when_asked(capsys, seeds, line):
+    code, out, _ = run(capsys, "verify", "--family", "cycle", "--n", "4",
+                       "--t", "2", *seeds)
+    assert code == 0
+    assert line in out.splitlines()
+
+
 def test_verify_probe_lines(capsys):
     code, out, _ = run(capsys, "verify", "--family", "cycle", "--n", "4",
                        "--t", "2", "--seeds", "2", "--probe")
@@ -207,7 +218,7 @@ def test_simulate_union_from_file(capsys, union_file):
     ("scheme", "--family", "cycle", "--n", "4", "--theta", "9"),
     ("simulate", "--family", "cycle", "--n", "4", "--t", "2", "--theta", "0"),
     ("bounds", "--family", "complete_bipartite", "--n", "5"),
-    ("verify", "--family", "cycle", "--n", "4", "--t", "2", "--seeds", "0"),
+    ("verify", "--family", "cycle", "--n", "4", "--t", "2", "--seeds", "-1"),
     ("simulate", "--family", "cycle", "--n", "4", "--t", "2", "--seeds", "-1"),
     ("verify", "--family", "cycle", "--n", "4", "--scheme", "bipartite",
      "--t", "2"),
@@ -221,6 +232,20 @@ def test_invalid_inputs_exit_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.strip()
+
+
+@pytest.mark.parametrize("q,code", [(2**61 - 1, 0), (10**25, 2)])
+def test_a_large_modulus_is_decided_at_once(capsys, q, code):
+    # primality is exact below 3317044064679887385961981; above, refused
+    start = time.perf_counter()
+    got, out, err = run(capsys, "verify", "--family", "cycle", "--n", "4",
+                        "--t", "2", "--q", str(q))
+    assert time.perf_counter() - start < 1
+    assert got == code
+    if code:
+        assert "below 3317044064679887385961981" in err
+    else:
+        assert "decode: PASS (exact)\n" in out
 
 
 @pytest.mark.parametrize("command", ["scheme", "simulate"])

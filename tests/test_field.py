@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from localpir.errors import CompositeModulus
-from localpir.field import Field, is_prime
+from localpir.errors import CompositeModulus, ModulusTooLarge
+from localpir.field import PRIMALITY_BOUND, Field, is_prime
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -24,6 +24,22 @@ def test_is_prime_matches_sieve():
     flags = sieve(2000)
     for n in range(2000):
         assert is_prime(n) == flags[n], n
+
+
+def test_is_prime_decides_large_moduli():
+    assert is_prime(2**61 - 1)
+    assert is_prime(PRIMALITY_BOUND - 168)     # the largest prime below it
+    # strong pseudoprimes to the prime bases 2..7, 2..23 and 2..37
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(PRIMALITY_BOUND - 2)
+
+
+@pytest.mark.parametrize("q", [PRIMALITY_BOUND, 10**30])
+def test_modulus_at_or_above_the_primality_bound_is_refused(q):
+    with pytest.raises(ModulusTooLarge, match=str(PRIMALITY_BOUND)):
+        Field(q)
 
 
 @pytest.mark.parametrize("q", [0, 1, 4, 6, 8, 9, 10, 15, 100, 2047])

@@ -25,13 +25,13 @@ GOLDEN = [
      "2c9c6e81cb5174194f9c563c586942b209d3fd34352a05f6a66ca1c3036494e1"),
     (("verify", "--family", "cycle", "--n", "5", "--t", "2", "--probe",
       "--format", "json"),
-     "1ab7e3251093fef2f9195f678d5224dae56e5f58744634c9bf68a9617c8bde08"),
+     "421b7e8fcb69fb47916e1cbce51f9c02be0768a31c0f5f5f32b8d4712906aad9"),
     (("simulate", "--family", "complete", "--n", "4", "--t", "2",
       "--theta", "5", "--seed", "3", "--q", "5", "--format", "json"),
-     "be3e7b5e791ca3c7faaccd286be70f0eb519a896e95177634153ceedcb2f6ad2"),
+     "7ec2d74a76456e2320e759f480bf78015ea223ac0a153b39f5a21cfd517e6841"),
     (("simulate", "--graph", UNION, "--theta", "6", "--seed", "1",
       "--format", "json"),
-     "937561cbadbc00c4c91ed1f81c2ae6c270c6876369f4fc584e73419a3bc354fb"),
+     "e991c9d94a8bc68f7bfcd92c01ec77b356c0f8e9ba7780adddc633ff255a63c9"),
     (("bounds", "--graph", UNION, "--format", "json"),
      "fb81e6def1ee1e26d46c621935d20ff8a5657697746bc64d002b0d3cdc0ed8c9"),
 ]

@@ -550,6 +550,46 @@ def test_sample_randomness_covers_exactly_referenced_messages():
         assert sorted(perm) == list(range(1, plan.lengths[m] + 1))
 
 
+class ScriptedBytes:
+    """An rng whose `randbytes` hands out the given chunks in order."""
+
+    def __init__(self, *chunks):
+        self.chunks = list(chunks)
+        self.asked = []
+
+    def randbytes(self, n):
+        self.asked.append(n)
+        return self.chunks.pop(0)
+
+
+def test_draw_symbols_skips_rejected_bytes():
+    # q=3 keeps bytes below 255 = 3 * 85 only: 255 is skipped, drawn again
+    rng = ScriptedBytes(bytes([255, 4, 5]), bytes([7]))
+    assert localpir.scheme._draw_symbols(rng, 3, 3) == [1, 2, 1]
+    assert rng.asked == [3, 1]
+
+
+def test_draw_symbols_above_a_byte_falls_back_to_randrange():
+    class NoBytes(random.Random):
+        def randbytes(self, n):
+            raise AssertionError("drew bytes for q=257")
+
+    got = localpir.scheme._draw_symbols(NoBytes(4), 300, 257)
+    ref = random.Random(4)
+    assert got == [ref.randrange(257) for _ in range(300)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 251, 257, 65537])
+def test_draw_symbols_lie_in_the_field(q):
+    rng = random.Random(q)
+    for n in (0, 1, 2, 56, 1000):
+        symbols = localpir.scheme._draw_symbols(rng, n, q)
+        assert len(symbols) == n
+        assert all(0 <= x < q for x in symbols)
+    if q <= 7:
+        assert set(symbols) == set(range(q))
+
+
 def test_answer_rejects_unknown_refs():
     fld = Field(2)
     with pytest.raises(UnresolvableRef):

@@ -21,9 +21,12 @@ from helpers import (
     oracle_probe,
     plan_with_queries,
     seeded_decode_ok,
+    shipped_corpus,
     silence_server,
     strip_offset,
 )
+from localpir import scheme, sim, verify
+from localpir.cli import main
 from localpir.errors import (
     EmptyInput,
     EnumerationTooLarge,
@@ -31,7 +34,7 @@ from localpir.errors import (
     UndecodablePlan,
     UnresolvableRef,
 )
-from localpir.graphs import build_graph, family
+from localpir.graphs import build_graph, family, graph_to_json
 from localpir.scheme import (
     Randomness,
     bipartite_config,
@@ -41,7 +44,7 @@ from localpir.scheme import (
     sample_randomness,
     union_config,
 )
-from localpir.sim import execute_plan
+from localpir.sim import execute_plan, measure_rate
 from localpir.verify import (
     DEFAULT_CAP,
     canonical_privacy_probe,
@@ -397,17 +400,43 @@ def test_one_seed_misses_what_the_certificate_catches():
     assert not seeded_decode_ok(mutated[1], q=2)
 
 
-def test_certificate_agrees_with_seeded_runs_on_corpus_and_mutations():
+def test_default_verdicts_run_no_executor(monkeypatch, tmp_path, capsys):
+    # The certificate, privacy and cost checks decide every verdict on
+    # the shipped corpus: check_scheme, measure_rate and `verify` run no
+    # plan unless asked to.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a default verdict ran the executor")
+
+    for module in (scheme, sim, verify):
+        monkeypatch.setattr(module, "_execute", unreachable)
+    path = tmp_path / "graph.json"
+    for label, g, cfg in shipped_corpus():
+        rep = check_scheme(build_plan_family(g, cfg), g)
+        assert rep.verdict == "PASS" and rep.decode.trials == 0, label
+        assert measure_rate(g, cfg).decoded_ok, label
+        if cfg.kind == "fixture":
+            continue            # the CLI builds no fixture plans
+        path.write_text(json.dumps(graph_to_json(g)))
+        ts = (("--t-i", str(cfg.t_i), "--t-j", str(cfg.t_j))
+              if cfg.kind == "et" else ("--scheme", cfg.kind))
+        assert main(["verify", "--graph", str(path), *ts]) == 0, label
+        assert "decode: PASS (exact)\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seeds", [0, 1])
+def test_certificate_agrees_with_seeded_runs_on_corpus_and_mutations(seeds):
     # The shipped corpus and every strip_offset, corrupt_gamma and
     # silence_server mutation of each plan, at q in {2, 3, 5}: the
-    # certificate's verdict equals 32 seeded end-to-end runs'.
+    # certificate's verdict equals 32 seeded end-to-end runs', with or
+    # without runs of decode_check's own, so zero runs is not vacuous.
     checks = failing = 0
     for label, g, plans in corpus_plans():
         for theta, plan in plans.items():
             for queries in [plan.queries, *mutations(plan)]:
                 single = {theta: plan_with_queries(plan, queries)}
                 for q in (2, 3, 5):
-                    rep = decode_check(single, g, q=q, seeds=1)
+                    rep = decode_check(single, g, q=q, seeds=seeds)
+                    assert rep.trials == seeds
                     certified = all(f["seed"] is not None
                                     for f in rep.failures)
                     assert certified == seeded_decode_ok(single[theta], q), \
@@ -467,7 +496,7 @@ def test_a_message_outside_the_plan_lengths_is_unresolvable():
     plans = build_plan_family(g, union_config())
     assert set(plans[1].lengths) == {1, 2, 4}
     mutated = mutated_family(plans, 1, {**plans[1].queries, 9: (((5, 1),),)})
-    rep = decode_check(mutated, g)
+    rep = decode_check(mutated, g, seeds=1)
     assert [f["reason"] for f in rep.failures] == [
         "server 9 atom 0 reads message 5, which has no length in the plan",
         "UnresolvableRef: message 5 has no length in the plan"]
@@ -490,9 +519,9 @@ def test_a_recipe_position_outside_the_message_fails_to_decode(c4, c4_plans):
         (1, "UndecodablePlan: recipe position 3 outside 1..2")]
 
 
-@pytest.mark.parametrize("seeds", [0, -1])
+@pytest.mark.parametrize("seeds", [-1])
 def test_decode_check_refuses_fewer_than_one_seed(c4, c4_plans, seeds):
-    # zero trials would otherwise report a vacuous decode PASS
+    # zero runs are the default, since the certificate decides the verdict
     with pytest.raises(LocalPIRError):
         decode_check(c4_plans, c4, seeds=seeds)
     with pytest.raises(LocalPIRError):

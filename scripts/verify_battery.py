@@ -32,7 +32,8 @@ def battery():
     for n in range(3, 7):
         yield f"cycle{n}-t1", family("cycle", n), et_config(1)
         yield f"cycle{n}-t2", family("cycle", n), et_config(2)
-    yield "complete4-t2", family("complete", 4), et_config(2)
+    for n in range(4, 7):
+        yield f"complete{n}-t2", family("complete", n), et_config(2)
     yield "k33-t2", family("complete_bipartite", a=3, b=3), et_config(2)
     for n in range(3, 9):
         yield f"star{n}", family("star", n), bipartite_config()
@@ -58,6 +59,8 @@ def below_capacity():
     """Families run at a subset size below their best one.  Their rate is
     held to the upper bound only: the lower bound is the best size's rate."""
     yield "complete12-t1", family("complete", 12), et_config(1)
+    yield ("k24-t12", family("complete_bipartite", a=2, b=4),
+           et_config(1, 2))
 
 
 def retrievals():

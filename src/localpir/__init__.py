@@ -62,7 +62,6 @@ from .verify import (
     cost_audit,
     decode_check,
     privacy_check,
-    query_fingerprint,
     view_classes,
 )
 
@@ -80,7 +79,7 @@ __all__ = [
     "et_download_cost", "et_lower_bound", "et_rate", "execute_plan",
     "family", "family_bounds", "fixture_config", "graph_bounds",
     "graph_from_json", "graph_to_json", "is_prime", "lex_subsets",
-    "measure_rate", "privacy_check", "query_fingerprint", "run_retrieval",
+    "measure_rate", "privacy_check", "run_retrieval",
     "sample_randomness", "subpacketization", "to_physical",
     "union_capacity", "union_config", "view_classes",
 ]

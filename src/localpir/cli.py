@@ -3,9 +3,9 @@
 Storage comes from a named family (--family with --n) or a JSON file
 (--graph) shaped {"n": N, "edges": [[u, v], ...]} with 1-based vertices.
 Exit codes: 0 success, 1 a verifier verdict is FAIL, 2 invalid input or
-an enumeration over the cap, 3 an internal error (one line on stderr, no
-traceback).  `main` may be called repeatedly in one process; it builds
-its parser on the first call and reuses it.
+a privacy search over its node budget, 3 an internal error (one line on
+stderr, no traceback).  `main` may be called repeatedly in one process;
+it builds its parser on the first call and reuses it.
 """
 
 from __future__ import annotations
@@ -348,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 0); the decode verdict is exact "
                             "without them")
         p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                       help=f"enumeration cap (default {DEFAULT_CAP})")
+                       help="search nodes the exact privacy check may "
+                            f"visit per server (default {DEFAULT_CAP})")
 
     p_bounds = sub.add_parser("bounds",
                               help="capacity bounds for a family or graph")

@@ -66,7 +66,7 @@ class UndecodablePlan(LocalPIRError):
 # --- verify / capacity ---------------------------------------------------
 
 class EnumerationTooLarge(LocalPIRError):
-    """Exact enumeration would exceed the configured cap."""
+    """The exact privacy search would exceed its node budget."""
 
 
 class EmptyInput(LocalPIRError):

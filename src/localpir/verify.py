@@ -3,8 +3,13 @@
 Privacy is local: the physical queries a server receives must not depend
 on which of its own stored messages is wanted.  The only private randomness
 is one uniform permutation per message, so the server's view under a plan
-is uniform on the orbit of the plan's layout there.  Messages whose layouts
-share an orbit form one view class; verdicts are exact, never sampled.
+is uniform on the orbit of the plan's layout there.  Two layouts share an
+orbit iff per-message position permutations map one onto the other, an
+isomorphism of coloured hypergraphs, so each layout is put in a canonical
+form by colour refinement and individualisation (McKay and Piperno,
+"Practical graph isomorphism, II", 2014).  Messages whose layouts share a
+canonical form and lengths form one view class; verdicts are exact, never
+sampled.
 
 Decodability is decided by a linear identity, not by sampling.  Answers
 are linear in storage and every reference to a message goes through that
@@ -21,7 +26,8 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, prod
+from math import perm, prod
+from typing import Callable, NamedTuple
 
 from .capacity import union_capacity
 from .errors import (
@@ -33,108 +39,162 @@ from .errors import (
 )
 from .field import Field
 from .graphs import Graph
-from .scheme import Atom, Randomness, SchemePlan, _execute, et_download_cost
+from .scheme import Atom, SchemePlan, _execute, et_download_cost
 
 DEFAULT_CAP = 10**6
 
 Fingerprint = tuple[tuple[tuple[int, int], ...], ...]
 
 
-def query_fingerprint(atoms: tuple[Atom, ...], rnd: Randomness) -> Fingerprint:
-    """What a server actually observes, canonicalized.
+class ViewClass(NamedTuple):
+    """Messages whose layouts at one server give one view distribution.
 
-    References are mapped to physical positions, each atom's references are
-    sorted, and the atoms themselves are sorted, so two query lists that
-    differ only in presentation order produce the same fingerprint.
+    `view` is the layouts' canonical form: each message's referenced
+    positions renamed 1..r_m.  `lengths` are the lengths of the messages
+    it references, ascending by message, and `aut` counts the position
+    permutations that fix a layout.
     """
-    mapped = [tuple(sorted((m, rnd.physical(m, p)) for (m, p) in atom))
-              for atom in atoms]
-    return tuple(sorted(mapped))
+
+    members: tuple[int, ...]
+    view: Fingerprint
+    lengths: tuple[int, ...]
+    aut: int
+
+    @property
+    def orbit(self) -> int:
+        """The number of views: prod_m (L_m)_{r_m} placements of the read
+        positions, |Aut| of them per view."""
+        return prod(map(perm, self.lengths, _reads(self.view))) // self.aut
+
+
+def _reads(view: Fingerprint) -> list[int]:
+    """r_m, the positions a canonical view reads, ascending by message."""
+    top: dict[int, int] = {}
+    for atom in view:
+        for m, p in atom:
+            top[m] = max(top.get(m, 0), p)
+    return [top[m] for m in sorted(top)]
 
 
 def view_classes(plans: dict[int, SchemePlan], server: int, thetas,
-                 cap: int = DEFAULT_CAP) -> list[tuple[tuple, frozenset]]:
+                 cap: int = DEFAULT_CAP) -> list[ViewClass]:
     """Group the messages `thetas` by the view they give `server`.
 
     A message's layout is its atoms here under identity permutations, and
     its view is uniform on the layout's orbit under the permutations of
-    the messages it references.  A message joins the first class with its
-    referenced lengths whose orbit holds its layout, or else enumerates
-    its orbit, over placements of the positions it references
-    (`_placements`), into a new class: (messages in the given order,
-    orbit).  Every message's permutation count is held to `cap`, joined
-    or not.
+    the messages it references.  Layouts share an orbit iff they have one
+    canonical form (`_canonical`) and the same referenced lengths.
+    Classes come in order of their first message, members in the given
+    order.  The canonical searches of all messages together may visit at
+    most `cap` nodes.
     """
     for t in sorted(thetas):
         if t not in plans:
             raise EmptyInput(f"no plan for desired message {t}")
-    classes: list[tuple[list[int], list[int], frozenset[Fingerprint]]] = []
+    nodes = 0
+
+    def spend() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > cap:
+            raise EnumerationTooLarge(
+                f"server {server} searched {nodes} nodes, budget is {cap}")
+
+    classes: dict[tuple, tuple[list[int], int]] = {}
     for t in thetas:
         plan = plans[t]
         atoms = plan.atoms_at(server)
-        msgs = sorted({m for atom in atoms for (m, _) in atom})
-        lengths = [plan.lengths.get(m) for m in msgs]
+        refs = sorted({ref for atom in atoms for ref in atom})
+        msgs = sorted({m for m, _ in refs})
+        lengths = tuple(plan.lengths.get(m) for m in msgs)
         if None in lengths:
             raise UnresolvableRef(
                 f"server {server}: message {msgs[lengths.index(None)]} "
                 f"has no length in the plan for {t}")
-        total = prod(map(factorial, lengths))
-        if total > cap:
-            raise EnumerationTooLarge(
-                f"server {server} needs {total} permutation points, "
-                f"cap is {cap}")
-        atoms, spaces = _placements(atoms, msgs, lengths)
-        views = _views(atoms, msgs, spaces)
-        view = next(views)
-        # A view in an orbit has its messages, so lengths align in order,
-        # and orbits of equal lengths are equal or disjoint.
-        for known, members, orbit in classes:
-            if known == lengths and view in orbit:
-                members.append(t)
-                break
-        else:
-            classes.append((lengths, [t], frozenset({view, *views})))
-    return [(tuple(members), orbit) for _, members, orbit in classes]
-
-
-def _views(atoms: tuple[Atom, ...], msgs: list[int], spaces: list):
-    """The view at each point of the product of `spaces`, in order.  One
-    Randomness is refilled per point; a fingerprint keeps no reference."""
-    rnd = Randomness({})
-    for combo in itertools.product(*spaces):
-        rnd.perms.update(zip(msgs, combo))
-        yield query_fingerprint(atoms, rnd)
-
-
-def _placements(atoms: tuple[Atom, ...], msgs: list[int],
-                lengths: list[int]) -> tuple[tuple[Atom, ...], list]:
-    """The atoms and, per message, the placements that give every view.
-
-    A view reads a message's permutation only at the positions the atoms
-    reference, and each injective placement of those r positions among
-    the L extends to (L - r)! permutations.  So each message's positions
-    are renumbered by rank among the referenced ones and range over the
-    placements.  Where every length is below 3, each placement is a
-    whole permutation, so the atoms stand as they are: renumbering them
-    made t=1 plans, all of length 2, about a fifth slower to check.
-    """
-    if max(lengths, default=0) < 3:
-        return atoms, [itertools.permutations(range(1, n + 1))
-                       for n in lengths]
-    length = dict(zip(msgs, lengths))
-    used: dict[int, set[int]] = {m: set() for m in msgs}
-    for atom in atoms:
-        for (m, p) in atom:
-            if not 1 <= p <= length[m]:
+        for m, p in refs:
+            if not 1 <= p <= plan.lengths[m]:
                 raise UnresolvableRef(f"position {p} outside message {m} "
-                                      f"of length {length[m]}")
-            used[m].add(p)
-    rank = {m: {p: i for i, p in enumerate(sorted(ps), 1)}
-            for m, ps in used.items()}
-    ranked = tuple(tuple((m, rank[m][p]) for (m, p) in atom)
-                   for atom in atoms)
-    return ranked, [itertools.permutations(range(1, length[m] + 1),
-                                           len(used[m])) for m in msgs]
+                                      f"of length {plan.lengths[m]}")
+        view, aut = _canonical(atoms, refs, spend)
+        classes.setdefault((view, lengths), ([], aut))[0].append(t)
+    return [ViewClass(tuple(members), view, lengths, aut)
+            for (view, lengths), (members, aut) in classes.items()]
+
+
+def _canonical(atoms: tuple[Atom, ...], refs: list[tuple[int, int]],
+               spend: Callable[[], None]) -> tuple[Fingerprint, int]:
+    """The layout's canonical view and |Aut|, its automorphism count.
+
+    The vertices are the referenced (m, p), `refs` in ascending order,
+    coloured by m, and the atoms a multiset of edges.  Colour refinement
+    splits vertices by the colours of the atoms they lie in; the first
+    cell it leaves with more than one vertex has each of them
+    individualised in turn, and the search recurses.  A discrete
+    colouring is a leaf: it names each message's positions 1..r_m in
+    colour order.  The search tree does not depend on how positions are
+    numbered, so the least leaf view is canonical, and the leaves that
+    reach it are its images under Aut, one each.  `spend` is called once
+    per node.
+    """
+    spend()
+    msg = [m for m, _ in refs]
+    if len(set(msg)) == len(refs):
+        # one position per message: the layout is discrete already
+        return tuple(sorted(tuple(sorted((m, 1) for m, _ in atom))
+                            for atom in atoms)), 1
+    index = {ref: v for v, ref in enumerate(refs)}
+    edges = [[index[ref] for ref in atom] for atom in atoms]
+    incident: list[list[int]] = [[] for _ in refs]
+    for a, edge in enumerate(edges):
+        for v in edge:
+            incident[v].append(a)
+    # Colours stay in message order, so a discrete colouring numbers
+    # message m's vertices first[m], first[m] + 1, ...
+    first: dict[int, int] = {}
+    for v, m in enumerate(msg):
+        first.setdefault(m, v)
+    best, count = None, 0
+
+    def search(colour: list[int]) -> None:
+        nonlocal best, count
+        colour = _refine(colour, edges, incident)
+        sizes = Counter(colour)
+        cell = min((c for c, k in sizes.items() if k > 1), default=None)
+        if cell is None:
+            view = tuple(sorted(
+                tuple(sorted((msg[v], colour[v] - first[msg[v]] + 1)
+                             for v in e)) for e in edges))
+            if best is None or view < best:
+                best, count = view, 1
+            elif view == best:
+                count += 1
+            return
+        for v, c in enumerate(colour):
+            if c == cell:
+                spend()
+                search([2 * d + (d == cell and u != v)
+                        for u, d in enumerate(colour)])
+
+    search(msg)
+    return best, count
+
+
+def _refine(colour: list[int], edges: list[list[int]],
+            incident: list[list[int]]) -> list[int]:
+    """Split colour classes until stable: each vertex is recoloured by its
+    colour and the sorted colours of the edges it lies in, an edge's colour
+    being its vertices' sorted colours.  New colours are ranks, so they
+    keep the order of the classes they split."""
+    cells = len(set(colour))
+    while True:
+        edge_colour = [tuple(sorted(colour[v] for v in e)) for e in edges]
+        sig = [(c, tuple(sorted(edge_colour[a] for a in incident[v])))
+               for v, c in enumerate(colour)]
+        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
+        colour = [rank[s] for s in sig]
+        if len(rank) == cells:
+            return colour
+        cells = len(rank)
 
 
 def _fingerprint_json(fp: Fingerprint | None):
@@ -165,20 +225,59 @@ def privacy_check(plans: dict[int, SchemePlan], g: Graph, server: int,
                   cap: int = DEFAULT_CAP) -> PrivacyReport:
     """Decide whether `server` can tell apart the messages it stores.
 
-    PASS means the stored messages form one view class.  FAIL carries the
-    least view whose probability (1/|orbit| or 0) differs between classes;
-    the support is the union of the classes' orbits.
+    PASS means the stored messages form one view class.  The support is
+    the union of the classes' orbits (`_support`).  FAIL carries the least
+    canonical view among the classes, which has probability 1/|orbit| in
+    its class and a different one, 1/|orbit'| or 0, in another.  Where
+    every class has one view and one orbit size, the classes differ only
+    in lengths, and the witness moves a read position beyond another
+    class's length instead.
     """
     thetas = g.index_set(server)
     if not plans:
         raise EmptyInput("no plans given")
-    orbits = [orbit for _, orbit in view_classes(plans, server, thetas, cap)]
-    support = frozenset().union(*orbits)
-    differs = [fp for fp in support
-               if len({len(o) if fp in o else 0 for o in orbits}) > 1]
-    fp = min(differs, default=None)
-    verdict = "PASS" if fp is None else "FAIL"
-    return PrivacyReport(server, thetas, verdict, len(support), fp)
+    classes = view_classes(plans, server, thetas, cap)
+    if len(classes) < 2:
+        return PrivacyReport(server, thetas, "PASS",
+                             sum(c.orbit for c in classes))
+    support = _support(classes)
+    if len({(c.view, c.orbit) for c in classes}) > 1:
+        return PrivacyReport(server, thetas, "FAIL", support,
+                             min(c.view for c in classes))
+    view = classes[0].view
+    low = list(map(min, zip(*(c.lengths for c in classes))))
+    witness = min(_moved(view, k, c.lengths[k])
+                  for c in classes for k, n in enumerate(low)
+                  if c.lengths[k] > n)
+    return PrivacyReport(server, thetas, "FAIL", support, witness)
+
+
+def _support(classes: list[ViewClass]) -> int:
+    """|union of the classes' orbits|.  Orbits of distinct views are
+    disjoint.  One view's orbit at lengths L is its placements within the
+    box L, over |Aut|, so the orbits of one view at several lengths are
+    counted by inclusion and exclusion over the boxes' intersections."""
+    by_view = defaultdict(list)
+    for c in classes:
+        by_view[c.view].append(c)
+    total = 0
+    for view, same in by_view.items():
+        reads = _reads(view)
+        for k in range(1, len(same) + 1):
+            for part in itertools.combinations(same, k):
+                low = map(min, zip(*(c.lengths for c in part)))
+                total += ((-1) ** (k + 1) * prod(map(perm, low, reads))
+                          // same[0].aut)
+    return total
+
+
+def _moved(view: Fingerprint, k: int, n: int) -> Fingerprint:
+    """The view with the last read position of its k-th message moved to
+    position n, beyond the others."""
+    m = sorted({m for atom in view for m, _ in atom})[k]
+    last = (m, _reads(view)[k])
+    return tuple(sorted(tuple(sorted((m, n) if ref == last else ref
+                                     for ref in atom)) for atom in view))
 
 
 def _sendable(plan: SchemePlan, server: int) -> bool:
@@ -226,7 +325,7 @@ def canonical_privacy_probe(plans: dict[int, SchemePlan], g: Graph,
     order = [thetas[0], *(t for t in g.messages if t != thetas[0])]
     sent = [t for t in order if t not in plans or _sendable(plans[t], server)]
     classes = view_classes(plans, server, sent, cap)
-    same = classes[0][0] if sent[:1] == order[:1] else order[:1]
+    same = classes[0].members if sent[:1] == order[:1] else order[:1]
     return ProbeReport(server, thetas[0],
                        tuple(t for t in g.messages if t not in same))
 
@@ -454,7 +553,7 @@ def check_scheme(plans: dict[int, SchemePlan], g: Graph, q: int = 2,
     layout as the witness and support 0.
     """
     # Decoding runs first, so a bad modulus or seed count is refused
-    # before any privacy enumeration.
+    # before any privacy search.
     dec = decode_check(plans, g, q, seeds)
     privacy = []
     for s in g.vertices:

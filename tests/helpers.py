@@ -26,9 +26,9 @@ from localpir.scheme import (
 from localpir.sim import execute_plan
 from localpir.verify import (
     DEFAULT_CAP,
+    Fingerprint,
     PrivacyReport,
     ProbeReport,
-    query_fingerprint,
 )
 
 
@@ -137,6 +137,18 @@ def corpus_plans():
 
 
 # --- the enumeration oracle for privacy -----------------------------------
+
+def query_fingerprint(atoms, rnd: Randomness) -> Fingerprint:
+    """What a server actually observes, canonicalized.
+
+    References are mapped to physical positions, each atom's references are
+    sorted, and the atoms themselves are sorted, so two query lists that
+    differ only in presentation order produce the same fingerprint.
+    """
+    mapped = [tuple(sorted((m, rnd.physical(m, p)) for (m, p) in atom))
+              for atom in atoms]
+    return tuple(sorted(mapped))
+
 
 def fingerprint_distribution(plan: SchemePlan, server: int,
                              cap: int = DEFAULT_CAP) -> dict:

@@ -161,11 +161,15 @@ def test_verify_json_report(capsys):
 
 
 def test_verify_rejects_infeasible_enumeration(capsys):
+    # complete-5 t=2 searches one node per stored message, 4 per server
     code, out, err = run(capsys, "verify", "--family", "complete", "--n", "5",
-                         "--t", "2", "--seeds", "1")
+                         "--t", "2", "--cap", "3")
     assert code == 2
     assert out == ""
-    assert "cap" in err
+    assert err == "error: server 1 searched 4 nodes, budget is 3\n"
+    code, out, _ = run(capsys, "verify", "--family", "complete", "--n", "5",
+                       "--t", "2", "--cap", "4")
+    assert code == 0 and out.endswith("verdict: PASS\n")
 
 
 def test_verdict_exit_code_flags_failures():

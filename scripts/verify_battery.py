@@ -6,10 +6,8 @@ decode verdict (with its count of end-to-end runs, when `--seeds` asks
 for any), the audited rate, and whether that rate sits inside the
 theoretical bounds for the graph (at or below the upper bound only, for a
 family run below its best subset size).  The verdicts come from the
-certificates alone; runs are an optional cross check.
-Single retrievals on large graphs, too large to audit whole, follow, one
-line each.  Exit status is nonzero if any family fails any check or any
-retrieval fails to decode.
+certificates alone; runs are an optional cross check.  Exit status is
+nonzero if any family fails any check.
 """
 
 import argparse
@@ -24,7 +22,6 @@ from localpir.scheme import (
     fixture_config,
     union_config,
 )
-from localpir.sim import run_retrieval
 from localpir.verify import check_scheme
 
 
@@ -53,6 +50,9 @@ def battery():
            union_config())
     yield ("union-3xc4", family("disjoint_copies", base=c4, copies=3),
            union_config())
+    yield "cycle2000-t2", family("cycle", 2000), et_config(2)
+    yield ("union-100xc4", family("disjoint_copies", base=c4, copies=100),
+           union_config())
 
 
 def below_capacity():
@@ -61,13 +61,6 @@ def below_capacity():
     yield "complete12-t1", family("complete", 12), et_config(1)
     yield ("k24-t12", family("complete_bipartite", a=2, b=4),
            et_config(1, 2))
-
-
-def retrievals():
-    yield "cycle2000-t2", family("cycle", 2000), et_config(2), 1000
-    c4 = family("cycle", 4)
-    yield ("union-100xc4", family("disjoint_copies", base=c4, copies=100),
-           union_config(), 398)
 
 
 def main() -> int:
@@ -98,12 +91,6 @@ def main() -> int:
               f"privacy {sum(p.ok for p in rep.privacy)}/{len(rep.privacy)}  "
               f"decode exact {rep.decode.verdict}"
               + (f", {rep.decode.trials} runs" if rep.decode.trials else ""))
-    for label, g, cfg, theta in retrievals():
-        tr = run_retrieval(g, cfg, theta, seed=0, q=args.q)
-        failures += 0 if tr.decoded_ok else 1
-        print(f"{label:15s} {'PASS' if tr.decoded_ok else 'FAIL'}  "
-              f"retrieval theta {theta} of K={g.K}  D_k {tr.download}  "
-              f"decoded {'OK' if tr.decoded_ok else 'wrong'}")
     elapsed = time.perf_counter() - start
     print(f"\n{failures} failures, {elapsed:.1f}s")
     return 1 if failures else 0

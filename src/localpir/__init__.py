@@ -3,8 +3,9 @@
 Servers are graph vertices; each message is an edge, stored at exactly its
 two endpoint servers.  The privacy requirement is local: a server must not
 learn which message is wanted whenever that message is one it stores.  The
-package builds the known achievable schemes, verifies privacy by exact
-enumeration, simulates retrievals, and computes capacity bounds.
+package builds the known achievable schemes, decides privacy exactly by
+grouping each server's views into canonical view classes, simulates
+retrievals, and computes capacity bounds.
 """
 
 from .capacity import (
@@ -46,7 +47,6 @@ from .scheme import (
     et_config,
     et_download_cost,
     fixture_config,
-    lex_subsets,
     sample_randomness,
     subpacketization,
     to_physical,
@@ -78,8 +78,8 @@ __all__ = [
     "derive_recipe", "detect_family", "equal_degree_bound", "et_config",
     "et_download_cost", "et_lower_bound", "et_rate", "execute_plan",
     "family", "family_bounds", "fixture_config", "graph_bounds",
-    "graph_from_json", "graph_to_json", "is_prime", "lex_subsets",
-    "measure_rate", "privacy_check", "run_retrieval",
+    "graph_from_json", "graph_to_json", "is_prime", "measure_rate",
+    "privacy_check", "run_retrieval",
     "sample_randomness", "subpacketization", "to_physical",
     "union_capacity", "union_config", "view_classes",
 ]

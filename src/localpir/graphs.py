@@ -185,9 +185,6 @@ class Component:
     vertices: tuple[int, ...]
     edge_indices: tuple[int, ...]
 
-    def local_message(self, global_k: int) -> int:
-        return self.edge_indices.index(global_k) + 1
-
 
 def _neighbours(g: Graph, u: int):
     for k in g.incidence[u - 1]:

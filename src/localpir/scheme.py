@@ -24,9 +24,9 @@ degrees; the desired edge's endpoint in that part sends its entire storage,
 every other server stays silent.  Queries per server never depend on which
 of its messages is wanted.
 
-Union plan: the plan of the component holding the desired message (its
-t-sum or cover plan, from `capacity.component_schemes`), renumbered into
-global ids.  `capacity.union_capacity` composes the components' rates.
+Union plan: the t-sum or cover plan of the component holding the desired
+message (the scheme `capacity.component_schemes` lists for it), built on
+the whole graph.  `capacity.union_capacity` composes the components' rates.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .errors import (
     IndexOutOfRange,
     InvalidFamilyParams,
     RoleConflict,
-    TOutOfRange,
     UndecodablePlan,
     UnresolvableRef,
 )
@@ -134,16 +133,6 @@ def fixture_config(name: str) -> PlanConfig:
     return PlanConfig(kind="fixture", fixture=name)
 
 
-# --- combinatorial helpers -------------------------------------------------
-
-def lex_subsets(index_set, t: int) -> list[tuple[int, ...]]:
-    """All t-subsets in lexicographic order over the given element order."""
-    items = tuple(index_set)
-    if not 1 <= t <= len(items):
-        raise TOutOfRange(f"t={t} outside 1..{len(items)}")
-    return list(itertools.combinations(items, t))
-
-
 # --- role assignment -------------------------------------------------------
 
 def default_role_rule(g: Graph, k: int, t_i: int, t_j: int) -> tuple[int, int]:
@@ -170,10 +159,10 @@ def default_role_rule(g: Graph, k: int, t_i: int, t_j: int) -> tuple[int, int]:
 # --- plan constructions ----------------------------------------------------
 
 def _plan(g: Graph, kind: str, theta: int, length: int, queries: dict,
-          meta: dict, recipe: tuple | None = None) -> SchemePlan:
+          meta: dict) -> SchemePlan:
     """Every builder returns here: one length for theta and what it reads."""
     plan = SchemePlan(g, kind, theta, {}, queries,
-                      recipe or derive_recipe(queries, theta, length), meta)
+                      derive_recipe(queries, theta, length), meta)
     plan.lengths = dict.fromkeys((theta, *plan.referenced_messages()), length)
     return plan
 
@@ -206,7 +195,7 @@ def build_et_plan(g: Graph, theta: int, t_i: int,
         # those running occurrence counts from msg's other replica.
         shared: dict[int, list[int]] = {m: [] for m in stored if m != theta}
         atoms = queries.setdefault(endpoint, [])
-        for subset in lex_subsets(stored, t):
+        for subset in itertools.combinations(stored, t):
             refs = []
             for msg in subset:
                 counts[msg] += 1
@@ -237,7 +226,12 @@ def build_bipartite_plan(g: Graph, theta: int) -> SchemePlan:
     """
     if not 1 <= theta <= g.K:
         raise IndexOutOfRange(f"message {theta} outside 1..{g.K}")
-    m_star, covering, _ = cover_part(g)
+    return _cover_plan(g, theta, *cover_part(g)[:2])
+
+
+def _cover_plan(g: Graph, theta: int, m_star: int,
+                covering: frozenset[int]) -> SchemePlan:
+    """The desired edge's endpoint in `covering` sends its entire storage."""
     # A proper two-coloring puts exactly one endpoint in the covering part.
     u, v = g.endpoints(theta)
     server = u if u in covering else v
@@ -248,51 +242,32 @@ def build_bipartite_plan(g: Graph, theta: int) -> SchemePlan:
 
 
 def build_union_plan(g: Graph, theta: int) -> SchemePlan:
-    """The plan of theta's component, in global ids.
+    """The t-sum or cover plan of theta's component, built on the whole graph.
 
     Every component runs the scheme `capacity.component_schemes` lists for
     it; only theta's component builds a plan.
     """
     if not 1 <= theta <= g.K:
         raise IndexOutOfRange(f"message {theta} outside 1..{g.K}")
-    return _union_plans(g, (theta,))[theta]
-
-
-_VERTEX_KEYS = ("role_i", "role_j", "cover_vertex")   # meta naming servers
-
-
-def _union_plans(g: Graph, thetas) -> dict[int, SchemePlan]:
-    """Union plans for the given messages, from one component table."""
-    owner = g.cached("component_rows", _component_rows)
-    plans = {}
-    for theta in thetas:
-        comp, ts = owner[theta]
-        local = comp.local_message(theta)
-        sub = (build_bipartite_plan(comp.graph, local) if ts is None
-               else build_et_plan(comp.graph, local, *ts))
-        vertex, message = comp.vertices, comp.edge_indices
-        queries = {vertex[s - 1]: tuple(tuple((message[m - 1], pos)
-                                              for (m, pos) in atom)
-                                        for atom in atoms)
-                   for s, atoms in sub.queries.items()}
-        meta = {key: vertex[v - 1] if key in _VERTEX_KEYS else v
-                for key, v in sub.meta.items()}
-        # Renumbering keeps each server's atom order, so the component's
-        # recipe reads the same answers once its servers are renumbered.
-        recipe = tuple(
-            DecodeStep(step.position, (vertex[step.source[0] - 1],
-                                       step.source[1]),
-                       tuple((vertex[s - 1], idx) for (s, idx) in step.cancel))
-            for step in sub.recipe)
-        plans[theta] = _plan(g, sub.kind, theta, sub.length, queries, meta,
-                             recipe)
-    return plans
+    ts, cover = g.cached("component_rows", _component_rows)[theta]
+    return (_cover_plan(g, theta, *cover) if ts is None
+            else build_et_plan(g, theta, *ts))
 
 
 def _component_rows(g: Graph) -> dict[int, tuple]:
-    """Message -> (its component, the component's subset sizes)."""
-    return {k: (comp, ts) for comp, _, ts in component_schemes(g)
-            for k in comp.edge_indices}
+    """Message -> its component's (subset sizes, covering part).
+
+    A t-sum component has no covering part; a cover component has no
+    subset sizes, and its (m_star, servers) are in global ids.
+    """
+    rows = {}
+    for comp, _, ts in component_schemes(g):
+        cover = None
+        if ts is None:
+            m_star, covering, _ = cover_part(comp.graph)
+            cover = (m_star, frozenset(comp.vertices[v - 1] for v in covering))
+        rows.update(dict.fromkeys(comp.edge_indices, (ts, cover)))
+    return rows
 
 
 def default_component_config(cg: Graph) -> PlanConfig:
@@ -328,9 +303,7 @@ def build_plan(g: Graph, config: PlanConfig, theta: int) -> SchemePlan:
 
 
 def build_plan_family(g: Graph, config: PlanConfig) -> dict[int, SchemePlan]:
-    """One plan per desired message; a union reads its table once."""
-    if config.kind == "union":
-        return _union_plans(g, g.messages)
+    """One plan per desired message; union plans share one component table."""
     return {theta: build_plan(g, config, theta) for theta in g.messages}
 
 

@@ -165,7 +165,6 @@ def test_component_edges_and_back_maps(g):
         for local_v, global_v in enumerate(comp.vertices, start=1):
             assert comp.graph.degree(local_v) == g.degree(global_v)
         for local_k, global_k in enumerate(comp.edge_indices, start=1):
-            assert comp.local_message(global_k) == local_k
             u, v = g.endpoints(global_k)
             lu, lv = comp.graph.endpoints(local_k)
             assert {comp.vertices[lu - 1], comp.vertices[lv - 1]} == {u, v}

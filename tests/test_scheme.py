@@ -29,6 +29,7 @@ from localpir.field import Field
 from localpir.fixtures import C4_TABLE, K4_TABLE
 from localpir.graphs import build_graph, components, family
 from localpir.scheme import (
+    DecodeStep,
     PlanConfig,
     answer,
     bipartite_config,
@@ -45,7 +46,6 @@ from localpir.scheme import (
     et_config,
     et_download_cost,
     fixture_config,
-    lex_subsets,
     sample_randomness,
     subpacketization,
     to_physical,
@@ -55,28 +55,6 @@ from localpir.verify import check_scheme, cost_audit, decode_check
 
 
 # --- combinatorial helpers ---------------------------------------------------
-
-def test_lex_subsets_example():
-    assert lex_subsets((1, 2, 3), 2) == [(1, 2), (1, 3), (2, 3)]
-
-
-def test_lex_subsets_rejects_bad_t():
-    with pytest.raises(TOutOfRange):
-        lex_subsets((1, 2, 3), 0)
-    with pytest.raises(TOutOfRange):
-        lex_subsets((1, 2, 3), 4)
-
-
-@given(st.integers(1, 8), st.data())
-def test_lex_subsets_matches_bitmask_oracle(n, data):
-    items = tuple(range(1, n + 1))
-    t = data.draw(st.integers(1, n))
-    oracle = sorted(
-        tuple(items[i] for i in range(n) if mask >> i & 1)
-        for mask in range(1 << n)
-        if bin(mask).count("1") == t)
-    assert lex_subsets(items, t) == oracle
-
 
 def test_occurrence_index_example():
     """Each interference singleton fetches the occurrence index of its
@@ -89,7 +67,7 @@ def test_occurrence_index_example():
             plan = build_et_plan(g, theta, t)
             expected = {}
             for e in (plan.meta["role_i"], plan.meta["role_j"]):
-                subsets = lex_subsets(g.index_set(e), t)
+                subsets = list(itertools.combinations(g.index_set(e), t))
                 for msg in g.index_set(e):
                     if msg == theta:
                         continue
@@ -123,6 +101,10 @@ def test_subpacketization_examples():
     assert subpacketization(3, 3, 2, 2) == 4
     with pytest.raises(TOutOfRange):
         subpacketization(2, 2, 3, 2)
+    # The t-sum plan refuses a subset size outside 1..degree the same way.
+    for t in (0, 3):
+        with pytest.raises(TOutOfRange, match=f"t={t} outside 1..2"):
+            build_et_plan(family("cycle", 4), 1, t)
 
 
 # --- role assignment ---------------------------------------------------------
@@ -430,7 +412,8 @@ def test_union_family_runs_best_scheme_once_per_component(monkeypatch):
     assert len(calls) == 100
 
 
-def test_union_recipe_is_renumbered_not_derived_again(monkeypatch):
+def test_union_recipe_is_derived_once_per_plan_on_the_global_layout(
+        monkeypatch):
     real = localpir.scheme.derive_recipe
     calls = []
 
@@ -442,9 +425,59 @@ def test_union_recipe_is_renumbered_not_derived_again(monkeypatch):
     g = family("disjoint_copies", base=family("cycle", 4), copies=100)
     plans = build_plan_family(g, union_config())
     assert len(calls) == 400
+    assert sorted(calls) == list(g.messages)
     mixed = build_plan_family(mixed_graph(), union_config())
     for plan in [*plans.values(), *mixed.values()]:
         assert plan.recipe == real(plan.queries, plan.theta, plan.length)
+
+
+def shipped_unions():
+    """The mixed unions and 100 copies of C4."""
+    c4, k4 = family("cycle", 4), family("complete", 4)
+    s5, p5 = family("star", 5), family("path", 5)
+    four = disjoint_union(c4, k4, s5, p5)
+    yield mixed_graph()
+    yield disjoint_union(c4, k4, s5)
+    yield family("disjoint_copies", base=c4, copies=3)
+    yield build_graph(four.n_vertices + 1, four.edges)  # isolated server
+    yield disjoint_union(family("complete_bipartite", a=2, b=5),
+                         family("path", 6), family("cycle", 7))
+    yield family("disjoint_copies", base=c4, copies=100)
+
+
+def in_global_ids(comp, plan):
+    """A component's plan renumbered through the component's back-maps."""
+    def vertex(v):
+        return comp.vertices[v - 1]
+
+    def answer_at(ref):
+        return (vertex(ref[0]), ref[1])
+
+    queries = [(vertex(s), tuple(tuple((comp.edge_indices[m - 1], p)
+                                       for (m, p) in atom) for atom in atoms))
+               for s, atoms in plan.queries.items()]
+    recipe = tuple(DecodeStep(step.position, answer_at(step.source),
+                              tuple(map(answer_at, step.cancel)))
+                   for step in plan.recipe)
+    meta = {key: vertex(v) if key in ("role_i", "role_j", "cover_vertex")
+            else v for key, v in plan.meta.items()}
+    lengths = {comp.edge_indices[m - 1]: n for m, n in plan.lengths.items()}
+    return plan.kind, lengths, queries, recipe, meta
+
+
+def test_union_plan_is_its_component_plan_renumbered():
+    for g in shipped_unions():
+        checked = 0
+        for comp in (c for c in components(g) if c.graph.K):
+            cfg = default_component_config(comp.graph)
+            for local, theta in enumerate(comp.edge_indices, start=1):
+                plan = build_union_plan(g, theta)
+                got = (plan.kind, plan.lengths, list(plan.queries.items()),
+                       plan.recipe, plan.meta)
+                assert got == in_global_ids(
+                    comp, build_plan(comp.graph, cfg, local))
+                checked += 1
+        assert checked == g.K
 
 
 def test_union_plan_is_its_component_plan_in_global_ids():

@@ -16,7 +16,8 @@ SCRIPTS = [
     (("reproduce_tables.py",), "matches frozen reference: yes", []),
     (("verify_battery.py", "--seeds", "1"), "0 failures, ",
      [["union-c4+star5", "PASS", "rate", "2/3"],
-      ["complete5-t2", "PASS", "rate", "1/3"]]),
+      ["complete5-t2", "PASS", "rate", "1/3"],
+      ["union-100xc4", "PASS", "rate", "1/2"]]),
 ]
 
 

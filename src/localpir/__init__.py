@@ -34,7 +34,6 @@ from .graphs import (
 )
 from .scheme import (
     PlanConfig,
-    Randomness,
     SchemePlan,
     bipartite_config,
     build_bipartite_plan,
@@ -42,14 +41,11 @@ from .scheme import (
     build_plan,
     build_plan_family,
     build_union_plan,
-    decode,
     derive_recipe,
     et_config,
     et_download_cost,
     fixture_config,
-    sample_randomness,
     subpacketization,
-    to_physical,
     union_config,
 )
 from .sim import RateReport, Transcript, execute_plan, measure_rate, run_retrieval
@@ -68,18 +64,16 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "BoundValue", "Comparator", "DEFAULT_CAP", "Field",
-    "Graph", "LocalPIRError", "PlanConfig", "PrivacyReport", "RateReport",
-    "Randomness", "SchemePlan", "SchemeReport", "Transcript",
-    "bipartite_config", "bipartite_lower_bound", "bipartition",
-    "build_bipartite_plan", "build_et_plan", "build_graph", "build_plan",
-    "build_plan_family", "build_union_plan", "canonical_privacy_probe",
-    "check_scheme", "components", "cost_audit", "decode", "decode_check",
-    "derive_recipe", "detect_family", "equal_degree_bound", "et_config",
-    "et_download_cost", "et_lower_bound", "et_rate", "execute_plan",
-    "family", "family_bounds", "fixture_config", "graph_bounds",
-    "graph_from_json", "graph_to_json", "is_prime", "measure_rate",
-    "privacy_check", "run_retrieval",
-    "sample_randomness", "subpacketization", "to_physical",
+    "BoundReport", "BoundValue", "Comparator", "DEFAULT_CAP", "Field", "Graph",
+    "LocalPIRError", "PlanConfig", "PrivacyReport", "RateReport", "SchemePlan",
+    "SchemeReport", "Transcript", "bipartite_config", "bipartite_lower_bound",
+    "bipartition", "build_bipartite_plan", "build_et_plan", "build_graph",
+    "build_plan", "build_plan_family", "build_union_plan",
+    "canonical_privacy_probe", "check_scheme", "components", "cost_audit",
+    "decode_check", "derive_recipe", "detect_family", "equal_degree_bound",
+    "et_config", "et_download_cost", "et_lower_bound", "et_rate",
+    "execute_plan", "family", "family_bounds", "fixture_config",
+    "graph_bounds", "graph_from_json", "graph_to_json", "is_prime",
+    "measure_rate", "privacy_check", "run_retrieval", "subpacketization",
     "union_capacity", "union_config", "view_classes",
 ]

@@ -219,16 +219,25 @@ def et_lower_bound(d_i: int, d_j: int) -> tuple[Fraction, int, int]:
 
 
 def equal_degree_bound(d: int) -> Fraction:
-    """Closed-form best t-sum rate when both endpoints have degree d.
+    """Closed-form best t-sum rate when both endpoints have degree d."""
+    return _equal_degree_optimum(d)[0]
 
-    The objective 1/(d/t + t - 1) peaks at an integer next to sqrt(d), so
-    only floor and ceiling need checking.
+
+def _equal_degree_optimum(d: int) -> tuple[Fraction, int]:
+    """`et_lower_bound(d, d)` as (rate, t), with t_i = t_j = t.
+
+    With both degrees d, the rate at (t_i, t_j) is 1 over a mean of
+    x_t = d/t + t - 1 at t_i and t_j, weighted by C(d-1, t-1).  So the
+    lexicographically least optimum is (t, t) at the smaller minimiser of
+    x_t, which lies next to sqrt(d): only floor and ceiling need checking.
     """
     if d < 1:
         raise TOutOfRange(f"degree must be >= 1, got {d}")
     root = isqrt(d)
-    candidates = {root, root if root * root == d else root + 1}
-    return max(Fraction(t, d + t * (t - 1)) for t in candidates if t >= 1)
+    # max keeps the first of equal rates, so the smaller t wins a tie
+    t = max((root,) if root * root == d else (root, root + 1),
+            key=lambda t: Fraction(t, d + t * (t - 1)))
+    return Fraction(t, d + t * (t - 1)), t
 
 
 def cover_part(g: Graph) -> tuple[int, frozenset[int], int]:
@@ -359,10 +368,10 @@ def _regular_report(name: str, n: int, d: int, cited_lower: BoundValue,
     A 2-regular member (complete-3, K(2,2)) is a cycle and takes the cycle
     converse 1/2; every other member has the trivial upper bound 1.
     """
-    value, t_i, t_j = et_lower_bound(d, d)
+    value, t = _equal_degree_optimum(d)
     upper = value if d == 2 else Fraction(1)
     return BoundReport(name, n, BoundValue(value), BoundValue(upper),
-                       value == upper, optimizer=(t_i, t_j),
+                       value == upper, optimizer=(t, t),
                        cited_lower=cited_lower, cited_note=cited_note,
                        comparators=comparators)
 

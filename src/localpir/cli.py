@@ -347,9 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="optional end-to-end executor runs per message "
                             "(default 0); the decode verdict is exact "
                             "without them")
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                       help="search nodes the exact privacy check may "
-                            f"visit per server (default {DEFAULT_CAP})")
 
     p_bounds = sub.add_parser("bounds",
                               help="capacity bounds for a family or graph")
@@ -369,6 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     graph_opts(p_verify)
     scheme_opts(p_verify)
     runtime_opts(p_verify)
+    p_verify.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                          help="search nodes the exact privacy check may "
+                               f"visit per server (default {DEFAULT_CAP})")
     p_verify.add_argument("--probe", action="store_true",
                           help="also test the stricter hide-everything "
                                "condition at each server")

@@ -56,7 +56,7 @@ class UnresolvableRef(LocalPIRError):
 
 
 class IncompleteAnswers(LocalPIRError):
-    """Decoding was attempted with answers missing for some atoms."""
+    """A decoding recipe read an answer its server never sent."""
 
 
 class UndecodablePlan(LocalPIRError):

@@ -3,9 +3,11 @@
 A plan fixes, for one desired message, the logical query layout per server
 (atoms = sums of symbol references), plus a decoding recipe.  Logical
 position m of message k means the m-th symbol under the user's private
-permutation of message k; the executor translates logical positions to
-physical ones before anything is sent, so servers only ever see physical
-indices.
+permutation of message k.  One executor, `_execute`, runs a plan: it draws
+the permutations and storage, translates logical positions to physical
+ones before anything is sent (servers only ever see physical indices),
+answers from each server's stored messages, and runs the recipe.
+`sim.execute_plan` and `verify.decode_check(seeds=n)` call it.
 
 Three constructions are provided.
 
@@ -352,63 +354,6 @@ def derive_recipe(queries: dict[int, tuple[Atom, ...]], theta: int,
     return tuple(steps[m] for m in range(1, length + 1))
 
 
-@dataclass
-class Randomness:
-    """The user's private per-message permutations (logical -> physical)."""
-
-    perms: dict[int, tuple[int, ...]]
-
-    def physical(self, msg: int, logical_pos: int) -> int:
-        perm = self.perms[msg]
-        if not 1 <= logical_pos <= len(perm):
-            raise UnresolvableRef(
-                f"position {logical_pos} outside message {msg} "
-                f"of length {len(perm)}")
-        return perm[logical_pos - 1]
-
-
-def sample_randomness(plan: SchemePlan, rng: random.Random) -> Randomness:
-    """One permutation per referenced message and the desired one, ascending.
-
-    Decoding reads the desired message's permutation even when a broken
-    plan never queries it.
-    """
-    perms = {}
-    for msg in sorted({plan.theta, *plan.referenced_messages()}):
-        if msg not in plan.lengths:
-            raise UnresolvableRef(f"message {msg} has no length in the plan")
-        perm = list(range(1, plan.lengths[msg] + 1))
-        rng.shuffle(perm)
-        perms[msg] = tuple(perm)
-    return Randomness(perms)
-
-
-def to_physical(plan: SchemePlan, rnd: Randomness) -> dict[int, tuple[Atom, ...]]:
-    """Translate the logical layout into the queries servers actually see."""
-    return {
-        server: tuple(
-            tuple((m, rnd.physical(m, p)) for (m, p) in atom)
-            for atom in atoms)
-        for server, atoms in plan.queries.items()}
-
-
-def answer(atoms, storage: dict[int, list[int]], fld: Field) -> list[int]:
-    """Evaluate a server's atoms against its stored (physical) symbols."""
-    out = []
-    for atom in atoms:
-        total = 0
-        for (msg, pos) in atom:
-            if msg not in storage:
-                raise UnresolvableRef(f"message {msg} not stored here")
-            vec = storage[msg]
-            if not 1 <= pos <= len(vec):
-                raise UnresolvableRef(
-                    f"position {pos} outside message {msg} of length {len(vec)}")
-            total += vec[pos - 1]
-        out.append(total % fld.q)
-    return out
-
-
 @functools.cache
 def _byte_tables(q: int) -> tuple[bytes, bytes]:
     """For q <= 256: the table reducing a byte mod q, and the bytes to
@@ -438,35 +383,46 @@ def _draw_symbols(rng: random.Random, n: int, q: int) -> list[int]:
 def _execute(plan: SchemePlan, rng: random.Random, fld: Field):
     """Run one plan against honest servers holding random storage.
 
-    Draws the user's permutations, then storage, from `rng`, both for the
-    messages `sample_randomness` covers only: no answer reads any other
-    message, so a run costs its plan, not its graph.  Each server sees
-    the drawn messages it stores, so a reference to one it does not store
-    stays unresolvable.  Returns (storage, physical queries, answers,
-    decoded), with storage keyed by the drawn messages in ascending order
-    and answers keyed by server in ascending order.
+    Draws the user's permutations (logical -> physical), then storage,
+    for the desired message and each one the plan reads, ascending; no
+    answer reads any other message, so a run costs its plan, not its
+    graph.  Each server answers from the drawn messages it stores.
+    Returns (storage, physical queries, answers keyed by ascending
+    server, decoded in stored symbol order).
     """
-    rnd = sample_randomness(plan, rng)
-    storage = {k: _draw_symbols(rng, plan.lengths[k], fld.q)
-               for k in rnd.perms}
-    physical = to_physical(plan, rnd)
-    answers = {s: answer(physical[s],
-                         {k: storage[k] for k in plan.graph.index_set(s)
-                          if k in storage}, fld)
-               for s in sorted(physical)}
-    return storage, physical, answers, decode(plan, answers, rnd, fld)
+    perms = {}
+    for msg in sorted({plan.theta, *plan.referenced_messages()}):
+        if msg not in plan.lengths:
+            raise UnresolvableRef(f"message {msg} has no length in the plan")
+        perm = list(range(1, plan.lengths[msg] + 1))
+        rng.shuffle(perm)
+        perms[msg] = perm
+    storage = {m: _draw_symbols(rng, len(perm), fld.q)
+               for m, perm in perms.items()}
 
+    def place(m: int, p: int) -> Ref:
+        perm = perms[m]
+        if not 1 <= p <= len(perm):
+            raise UnresolvableRef(
+                f"position {p} outside message {m} of length {len(perm)}")
+        return m, perm[p - 1]
 
-def decode(plan: SchemePlan, answers: dict[int, list[int]],
-           rnd: Randomness, fld: Field) -> list[int]:
-    """Recover the desired message as stored (physical symbol order)."""
-    for server, atoms in plan.queries.items():
-        got = answers.get(server)
-        if got is None or len(got) != len(atoms):
-            raise IncompleteAnswers(
-                f"server {server}: expected {len(atoms)} answers, "
-                f"got {0 if got is None else len(got)}")
-    def lookup(server: int, idx: int) -> int:
+    physical = {s: tuple(tuple(place(m, p) for (m, p) in atom)
+                         for atom in atoms)
+                for s, atoms in plan.queries.items()}
+    answers = {}
+    for s in sorted(physical):
+        held = {k: storage[k] for k in plan.graph.index_set(s) if k in storage}
+        out = answers[s] = []
+        for atom in physical[s]:
+            total = 0
+            for (m, p) in atom:
+                if m not in held:
+                    raise UnresolvableRef(f"message {m} not stored here")
+                total += held[m][p - 1]
+            out.append(total % fld.q)
+
+    def read(server: int, idx: int) -> int:
         got = answers.get(server, [])
         if not 0 <= idx < len(got):
             raise IncompleteAnswers(
@@ -474,16 +430,14 @@ def decode(plan: SchemePlan, answers: dict[int, list[int]],
                 f"which sent {len(got)}")
         return got[idx]
 
-    logical = [0] * plan.length
+    perm = perms[plan.theta]
+    decoded = [0] * len(perm)
     for step in plan.recipe:
-        if not 1 <= step.position <= plan.length:
+        if not 1 <= step.position <= len(perm):
             raise UndecodablePlan(
-                f"recipe position {step.position} outside 1..{plan.length}")
-        value = lookup(*step.source)
-        for (server, idx) in step.cancel:
-            value = fld.sub(value, lookup(server, idx))
-        logical[step.position - 1] = value
-    physical = [0] * plan.length
-    for m, value in enumerate(logical, start=1):
-        physical[rnd.physical(plan.theta, m) - 1] = value
-    return physical
+                f"recipe position {step.position} outside 1..{len(perm)}")
+        value = read(*step.source)
+        for ref in step.cancel:
+            value = fld.sub(value, read(*ref))
+        decoded[perm[step.position - 1] - 1] = value
+    return storage, physical, answers, decoded

@@ -11,11 +11,15 @@ import itertools
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from localpir.errors import EmptyInput, EnumerationTooLarge, LocalPIRError
+from localpir.errors import (
+    EmptyInput,
+    EnumerationTooLarge,
+    LocalPIRError,
+    UnresolvableRef,
+)
 from localpir.graphs import Graph, family
 from localpir.scheme import (
     PlanConfig,
-    Randomness,
     SchemePlan,
     bipartite_config,
     build_plan_family,
@@ -138,14 +142,26 @@ def corpus_plans():
 
 # --- the enumeration oracle for privacy -----------------------------------
 
-def query_fingerprint(atoms, rnd: Randomness) -> Fingerprint:
+def _physical(perms: dict, msg: int, pos: int) -> int:
+    """Where logical position `pos` of `msg` lands under `perms`, a map
+    from message to its permutation tuple (logical -> physical); a position
+    outside the message raises the executor's refusal."""
+    perm = perms[msg]
+    if not 1 <= pos <= len(perm):
+        raise UnresolvableRef(
+            f"position {pos} outside message {msg} of length {len(perm)}")
+    return perm[pos - 1]
+
+
+def query_fingerprint(atoms, perms: dict) -> Fingerprint:
     """What a server actually observes, canonicalized.
 
-    References are mapped to physical positions, each atom's references are
-    sorted, and the atoms themselves are sorted, so two query lists that
-    differ only in presentation order produce the same fingerprint.
+    References are mapped to physical positions through `perms`, each
+    atom's references are sorted, and the atoms themselves are sorted, so
+    two query lists that differ only in presentation order produce the
+    same fingerprint.
     """
-    mapped = [tuple(sorted((m, rnd.physical(m, p)) for (m, p) in atom))
+    mapped = [tuple(sorted((m, _physical(perms, m, p)) for (m, p) in atom))
               for atom in atoms]
     return tuple(sorted(mapped))
 
@@ -171,7 +187,7 @@ def _distribution(atoms, lengths) -> dict:
     spaces = [itertools.permutations(range(1, n + 1)) for _, n in lengths]
     counts: dict = {}
     for combo in itertools.product(*spaces):
-        fp = query_fingerprint(atoms, Randomness(dict(zip(msgs, combo))))
+        fp = query_fingerprint(atoms, dict(zip(msgs, combo)))
         counts[fp] = counts.get(fp, 0) + 1
     total = sum(counts.values())
     return {fp: Fraction(c, total) for fp, c in counts.items()}

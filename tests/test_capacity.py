@@ -1,5 +1,6 @@
 """Capacity bounds: golden values, optimizer search, exact arithmetic."""
 
+import time
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -170,6 +171,28 @@ def test_equal_degree_bound_matches_brute_force_small(d):
 def test_equal_degree_bound_rejects_bad_degree():
     with pytest.raises(TOutOfRange):
         equal_degree_bound(0)
+
+
+@pytest.mark.parametrize("name,ns,degree", [
+    ("complete", range(2, 101), lambda n: n - 1),
+    ("complete_bipartite", range(2, 201, 2), lambda n: n // 2),
+], ids=["complete", "complete_bipartite"])
+def test_regular_family_bounds_match_the_brute_force_optimum(name, ns,
+                                                            degree):
+    # degrees up to 100: the closed form against et_lower_bound's search
+    for n in ns:
+        rep = family_bounds(name, n)
+        value, t_i, t_j = et_lower_bound(degree(n), degree(n))
+        assert (rep.lower.as_fraction(), rep.optimizer) == (value, (t_i, t_j))
+
+
+def test_large_complete_bounds_skip_the_quadratic_search():
+    # et_lower_bound(2999, 2999) took about 45 s over big integers
+    start = time.perf_counter()
+    rep = family_bounds("complete", 3000)
+    assert time.perf_counter() - start < 1
+    assert rep.optimizer == (55, 55)
+    assert rep.lower.as_fraction() == Fraction(55, 5969)
 
 
 # --- cover bound -------------------------------------------------------------

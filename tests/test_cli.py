@@ -172,6 +172,16 @@ def test_verify_rejects_infeasible_enumeration(capsys):
     assert code == 0 and out.endswith("verdict: PASS\n")
 
 
+def test_only_verify_takes_a_node_budget(capsys):
+    # simulate runs no privacy search, so it has no budget to set
+    with pytest.raises(SystemExit) as exit_:
+        main(["simulate", "--family", "cycle", "--n", "5", "--t", "2",
+              "--cap", "5"])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: unrecognized arguments: --cap 5\n")
+
+
 def test_verdict_exit_code_flags_failures():
     g = family("cycle", 4)
     plans = build_plan_family(g, et_config(2, 2))
@@ -482,8 +492,9 @@ def options(draw, command):
         if theta is not None:
             argv += ["--theta", str(theta)]
     if command in ("verify", "simulate"):
-        argv += ["--q", str(draw(st.sampled_from((2, 3, 4)))),
-                 "--cap", "1000"]
+        argv += ["--q", str(draw(st.sampled_from((2, 3, 4))))]
+    if command == "verify":
+        argv += ["--cap", "1000"]
     return argv
 
 

@@ -16,22 +16,18 @@ from helpers import corpus_plans, repeated
 from localpir.capacity import graph_bounds
 
 from localpir.errors import (
-    IncompleteAnswers,
     IndexOutOfRange,
     InvalidFamilyParams,
     NotBipartite,
     RoleConflict,
     TOutOfRange,
     UndecodablePlan,
-    UnresolvableRef,
 )
-from localpir.field import Field
 from localpir.fixtures import C4_TABLE, K4_TABLE
 from localpir.graphs import build_graph, components, family
 from localpir.scheme import (
     DecodeStep,
     PlanConfig,
-    answer,
     bipartite_config,
     build_bipartite_plan,
     build_et_plan,
@@ -39,18 +35,16 @@ from localpir.scheme import (
     build_plan,
     build_plan_family,
     build_union_plan,
-    decode,
     default_component_config,
     default_role_rule,
     derive_recipe,
     et_config,
     et_download_cost,
     fixture_config,
-    sample_randomness,
     subpacketization,
-    to_physical,
     union_config,
 )
+from localpir.sim import execute_plan
 from localpir.verify import check_scheme, cost_audit, decode_check
 
 
@@ -545,21 +539,6 @@ def test_derive_recipe_rejects_double_desired_ref():
         derive_recipe(queries, 1, 2)
 
 
-def run_pipeline(plan, q, seed):
-    fld = Field(q)
-    rng = random.Random(seed)
-    storage = {k: [rng.randrange(q) for _ in range(plan.lengths[k])]
-               for k in plan.lengths}
-    rnd = sample_randomness(plan, rng)
-    physical = to_physical(plan, rnd)
-    # each server holds the drawn messages it stores, as in `_execute`
-    answers = {
-        s: answer(atoms, {k: storage[k] for k in plan.graph.index_set(s)
-                          if k in storage}, fld)
-        for s, atoms in physical.items()}
-    return decode(plan, answers, rnd, fld), storage
-
-
 @pytest.mark.parametrize("q", [2, 3, 5])
 @pytest.mark.parametrize("cfg,g", [
     (et_config(2), family("cycle", 4)),
@@ -571,16 +550,8 @@ def test_decode_round_trip(q, cfg, g):
     for theta in g.messages:
         plan = build_plan(g, cfg, theta)
         for seed in range(5):
-            decoded, storage = run_pipeline(plan, q, seed)
-            assert decoded == storage[theta]
-
-
-def test_sample_randomness_covers_exactly_referenced_messages():
-    plan = build_et_plan(family("cycle", 4), 1, 2)
-    rnd = sample_randomness(plan, random.Random(0))
-    assert tuple(sorted(rnd.perms)) == plan.referenced_messages()
-    for m, perm in rnd.perms.items():
-        assert sorted(perm) == list(range(1, plan.lengths[m] + 1))
+            tr = execute_plan(plan, seed, q)
+            assert tr.decoded == tr.storage[theta] and tr.decoded_ok
 
 
 class ScriptedBytes:
@@ -623,23 +594,26 @@ def test_draw_symbols_lie_in_the_field(q):
         assert set(symbols) == set(range(q))
 
 
-def test_answer_rejects_unknown_refs():
-    fld = Field(2)
-    with pytest.raises(UnresolvableRef):
-        answer((((9, 1),),), {1: [0]}, fld)
-    with pytest.raises(UnresolvableRef):
-        answer((((1, 3),),), {1: [0, 1]}, fld)
-
-
-def test_decode_requires_complete_answers():
-    plan = build_et_plan(family("cycle", 4), 1, 2)
-    fld = Field(2)
-    rnd = sample_randomness(plan, random.Random(0))
-    with pytest.raises(IncompleteAnswers):
-        decode(plan, {}, rnd, fld)
-    short = {s: [0] * (len(atoms) - 1) for s, atoms in plan.queries.items()}
-    with pytest.raises(IncompleteAnswers):
-        decode(plan, short, rnd, fld)
+@pytest.mark.parametrize("atoms,certified,executed", [
+    # server 3 stores messages 2 and 3 only
+    ((((4, 1),),),
+     "server 3 atom 0 reads message 4, which it does not store",
+     "UnresolvableRef: message 4 not stored here"),
+    # step 2 cancels against server 3's one atom
+    ((),
+     "step 2 reads atom 0 of server 3, which receives 0",
+     "IncompleteAnswers: recipe needs answer 0 from server 3, which sent 0"),
+], ids=["unstored-message", "unsent-answer"])
+def test_executor_refusals_keep_their_texts(atoms, certified, executed):
+    # theta=1 on cycle-4 t=2 (L=2) with server 3's atoms replaced; a
+    # recipe position outside 1..L is test_verify's
+    # test_a_recipe_position_outside_the_message_fails_to_decode
+    g = family("cycle", 4)
+    plan = build_et_plan(g, 1, 2)
+    mutated = dataclasses.replace(plan, queries={**plan.queries, 3: atoms})
+    rep = decode_check({1: mutated}, g, q=2, seeds=2)
+    assert [(f["seed"], f["reason"]) for f in rep.failures] == [
+        (None, certified), (0, executed), (1, executed)]
 
 
 def test_plan_family_covers_every_message():

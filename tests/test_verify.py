@@ -3,7 +3,6 @@
 import dataclasses
 import itertools
 import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -37,12 +36,10 @@ from localpir.errors import (
 )
 from localpir.graphs import build_graph, family, graph_to_json
 from localpir.scheme import (
-    Randomness,
     bipartite_config,
     build_plan_family,
     derive_recipe,
     et_config,
-    sample_randomness,
     union_config,
 )
 from localpir.sim import execute_plan, measure_rate
@@ -76,9 +73,9 @@ def k4_plans():
 # --- fingerprints --------------------------------------------------------------
 
 def test_query_fingerprint_ignores_presentation_order():
-    rnd = Randomness({1: (2, 1), 2: (1, 2)})
-    a = query_fingerprint((((1, 1), (2, 2)), ((2, 1),)), rnd)
-    b = query_fingerprint((((2, 1),), ((2, 2), (1, 1))), rnd)
+    perms = {1: (2, 1), 2: (1, 2)}
+    a = query_fingerprint((((1, 1), (2, 2)), ((2, 1),)), perms)
+    b = query_fingerprint((((2, 1),), ((2, 2), (1, 1))), perms)
     assert a == b
     # positions are physical: logical (1, 1) lands on slot 2
     assert a == (((1, 2), (2, 2)), ((2, 1),))
@@ -324,7 +321,7 @@ def test_placed_positions_outside_the_message_raise_the_executor_text(
     queries[1] = (((1, 1), (2, pos)),) + queries[1][1:]
     mutated = mutated_family(plans, 1, queries)
     with pytest.raises(UnresolvableRef) as executor:
-        Randomness({2: (1, 2, 3, 4)}).physical(2, pos)
+        execute_plan(mutated[1], seed=0)
     with pytest.raises(UnresolvableRef) as placed:
         view_classes(mutated, 1, (1,))
     assert str(placed.value) == str(executor.value)
@@ -570,10 +567,8 @@ def test_positions_outside_the_message_fail_without_index_error(c4, c4_plans,
         "theta": 1, "seed": None,
         "reason": f"server 3 atom 0 reads position {pos} outside message 2 "
                   f"of length 2"}
-    assert all(f["reason"].startswith("UnresolvableRef: ")
-               for f in rep.failures[1:])
-    with pytest.raises(UnresolvableRef):
-        Randomness({2: (2, 1)}).physical(2, pos)
+    assert [f["reason"] for f in rep.failures[1:]] == 2 * [
+        f"UnresolvableRef: position {pos} outside message 2 of length 2"]
     # server 3 does not store message 1, so privacy never reads this
     # plan there; the full audit fails on decoding alone
     full = check_scheme(mutated, c4)
@@ -608,8 +603,9 @@ def test_a_message_outside_the_plan_lengths_is_unresolvable():
     assert [f["reason"] for f in rep.failures] == [
         "server 9 atom 0 reads message 5, which has no length in the plan",
         "UnresolvableRef: message 5 has no length in the plan"]
-    with pytest.raises(UnresolvableRef):
-        sample_randomness(mutated[1], random.Random(0))
+    with pytest.raises(UnresolvableRef,
+                       match="^message 5 has no length in the plan$"):
+        execute_plan(mutated[1], seed=0)
     with pytest.raises(UnresolvableRef, match="^server 9: message 5 has no "
                                               "length in the plan for 1$"):
         view_classes(mutated, 9, (1,))

@@ -21,7 +21,7 @@ from .capacity import (
     union_capacity,
 )
 from .errors import LocalPIRError
-from .field import Field, is_prime
+from .field import is_prime
 from .graphs import (
     Graph,
     bipartition,
@@ -64,7 +64,7 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "BoundValue", "Comparator", "DEFAULT_CAP", "Field", "Graph",
+    "BoundReport", "BoundValue", "Comparator", "DEFAULT_CAP", "Graph",
     "LocalPIRError", "PlanConfig", "PrivacyReport", "RateReport", "SchemePlan",
     "SchemeReport", "Transcript", "bipartite_config", "bipartite_lower_bound",
     "bipartition", "build_bipartite_plan", "build_et_plan", "build_graph",

@@ -194,15 +194,24 @@ def et_rate(d_i: int, d_j: int, t_i: int, t_j: int) -> Fraction:
 
 
 def et_lower_bound(d_i: int, d_j: int) -> tuple[Fraction, int, int]:
-    """Best t-sum rate over every (t_i, t_j), by brute force.
+    """Best t-sum rate over every (t_i, t_j), ties to the least pair.
 
-    Ties resolve to the lexicographically smallest pair.  The search is
-    integer-only: the rate for (t_i, t_j) equals
+    With equal degrees d the rate at (t_i, t_j) is 1 over a mean of
+    x_t = d/t + t - 1 at t_i and t_j, weighted by C(d-1, t-1).  So the
+    lexicographically least optimum is (t, t) at the smaller minimiser of
+    x_t, which lies next to sqrt(d): only floor and ceiling need checking.
+    Otherwise the search is integer-only: the rate for (t_i, t_j) equals
     t_i*t_j*(b_i+b_j) / (g_i*t_j + g_j*t_i) with b = C(d-1, t-1) and
     g = b*(d + t*(t-1)).
     """
     if d_i < 1 or d_j < 1:
         raise TOutOfRange(f"degrees must be >= 1, got ({d_i},{d_j})")
+    if d_i == d_j:
+        root = isqrt(d_i)
+        # max keeps the first of equal rates, so the smaller t wins a tie
+        t = max((root,) if root * root == d_i else (root, root + 1),
+                key=lambda t: Fraction(t, d_i + t * (t - 1)))
+        return Fraction(t, d_i + t * (t - 1)), t, t
     bs_i = [comb(d_i - 1, t - 1) for t in range(1, d_i + 1)]
     bs_j = [comb(d_j - 1, t - 1) for t in range(1, d_j + 1)]
     gs_i = [b * (d_i + t * (t - 1)) for t, b in enumerate(bs_i, start=1)]
@@ -220,24 +229,7 @@ def et_lower_bound(d_i: int, d_j: int) -> tuple[Fraction, int, int]:
 
 def equal_degree_bound(d: int) -> Fraction:
     """Closed-form best t-sum rate when both endpoints have degree d."""
-    return _equal_degree_optimum(d)[0]
-
-
-def _equal_degree_optimum(d: int) -> tuple[Fraction, int]:
-    """`et_lower_bound(d, d)` as (rate, t), with t_i = t_j = t.
-
-    With both degrees d, the rate at (t_i, t_j) is 1 over a mean of
-    x_t = d/t + t - 1 at t_i and t_j, weighted by C(d-1, t-1).  So the
-    lexicographically least optimum is (t, t) at the smaller minimiser of
-    x_t, which lies next to sqrt(d): only floor and ceiling need checking.
-    """
-    if d < 1:
-        raise TOutOfRange(f"degree must be >= 1, got {d}")
-    root = isqrt(d)
-    # max keeps the first of equal rates, so the smaller t wins a tie
-    t = max((root,) if root * root == d else (root, root + 1),
-            key=lambda t: Fraction(t, d + t * (t - 1)))
-    return Fraction(t, d + t * (t - 1)), t
+    return et_lower_bound(d, d)[0]
 
 
 def cover_part(g: Graph) -> tuple[int, frozenset[int], int]:
@@ -368,10 +360,10 @@ def _regular_report(name: str, n: int, d: int, cited_lower: BoundValue,
     A 2-regular member (complete-3, K(2,2)) is a cycle and takes the cycle
     converse 1/2; every other member has the trivial upper bound 1.
     """
-    value, t = _equal_degree_optimum(d)
+    value, t_i, t_j = et_lower_bound(d, d)
     upper = value if d == 2 else Fraction(1)
     return BoundReport(name, n, BoundValue(value), BoundValue(upper),
-                       value == upper, optimizer=(t, t),
+                       value == upper, optimizer=(t_i, t_j),
                        cited_lower=cited_lower, cited_note=cited_note,
                        comparators=comparators)
 

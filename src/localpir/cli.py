@@ -78,13 +78,12 @@ def family_graph(name: str, n: int) -> Graph:
 def resolve_config(args, g: Graph) -> PlanConfig:
     t_i = args.t_i if args.t_i is not None else args.t
     t_j = args.t_j if args.t_j is not None else args.t
-    if args.scheme in ("bipartite", "union"):
+    if args.scheme == "bipartite":
         if (t_i, t_j) != (None, None):
             raise InvalidFamilyParams(
-                f"--scheme {args.scheme} takes no --t, --t-i or --t-j")
-        return (bipartite_config() if args.scheme == "bipartite"
-                else union_config())
-    if args.scheme == "et" or (t_i, t_j) != (None, None):
+                "--scheme bipartite takes no --t, --t-i or --t-j")
+        return bipartite_config()
+    if (t_i, t_j) != (None, None):
         if t_i is None:
             raise InvalidFamilyParams("the t-sum scheme needs --t or --t-i")
         return et_config(t_i, t_j)
@@ -330,10 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
                        default="table", help="output rendering")
 
     def scheme_opts(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--scheme",
-                       choices=("auto", "et", "bipartite", "union"),
+        p.add_argument("--scheme", choices=("auto", "bipartite"),
                        default="auto",
-                       help="plan construction; auto tunes per component")
+                       help="plan construction; auto tunes per component "
+                            "unless a --t option asks for t-sum")
         p.add_argument("--t", type=int,
                        help="t-sum subset size for both endpoints")
         p.add_argument("--t-i", type=int, dest="t_i",

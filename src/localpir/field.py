@@ -1,8 +1,8 @@
-"""The prime field GF(q) as a context for plain int symbols.
+"""The prime field GF(q) for plain int symbols.
 
 Retrieval schemes only ever add and subtract stored symbols.  Symbols
-travel through the package as plain ints reduced mod q; `Field` validates
-the modulus and carries it, and decoding subtracts through it.
+travel through the package as plain ints reduced mod q; `check_modulus`
+refuses a q that does not give a field.
 """
 
 from __future__ import annotations
@@ -49,23 +49,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class Field:
-    """The prime field GF(q), acting on ints in [0, q)."""
-
-    def __init__(self, q: int):
-        if not is_prime(q):
-            raise CompositeModulus(f"modulus {q} is not prime")
-        self.q = q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def __eq__(self, other):
-        return isinstance(other, Field) and other.q == self.q
-
-    def __hash__(self):
-        return hash(("Field", self.q))
-
-    def __repr__(self):
-        return f"Field(q={self.q})"
-
+def check_modulus(q: int) -> None:
+    """Refuse a modulus q that is not a prime `is_prime` can decide."""
+    if not is_prime(q):
+        raise CompositeModulus(f"modulus {q} is not prime")

@@ -195,7 +195,8 @@ def _neighbours(g: Graph, u: int):
 def components(g: Graph) -> tuple[Component, ...]:
     """Connected components ordered by their smallest vertex.
 
-    Computed once per graph.
+    Computed once per graph.  A connected graph's one component is the
+    graph itself, and each component's graph is known to be connected.
     """
     return g.cached("components", _components)
 
@@ -217,12 +218,17 @@ def _components(g: Graph) -> tuple[Component, ...]:
                     seen.add(w)
                     stack.append(w)
         vlist = tuple(sorted(verts))
+        if len(vlist) == g.n_vertices:
+            return (Component(g, vlist, tuple(g.messages)),)
         vpos = {v: i for i, v in enumerate(vlist, start=1)}
         elist = tuple(sorted({k for v in vlist for k in g.incidence[v - 1]}))
         # vpos is increasing, so local edges keep u < v and need no checks.
         local_edges = tuple((vpos[g.edges[k - 1][0]], vpos[g.edges[k - 1][1]])
                             for k in elist)
-        result.append(Component(Graph(len(vlist), local_edges), vlist, elist))
+        cg = Graph(len(vlist), local_edges)
+        cg._memo["components"] = (
+            Component(cg, tuple(cg.vertices), tuple(cg.messages)),)
+        result.append(Component(cg, vlist, elist))
     return tuple(result)
 
 

@@ -55,7 +55,6 @@ from .errors import (
     UndecodablePlan,
     UnresolvableRef,
 )
-from .field import Field
 from .fixtures import fixture_graph, fixture_table
 from .graphs import Graph
 
@@ -380,7 +379,7 @@ def _draw_symbols(rng: random.Random, n: int, q: int) -> list[int]:
     return list(out)
 
 
-def _execute(plan: SchemePlan, rng: random.Random, fld: Field):
+def _execute(plan: SchemePlan, rng: random.Random, q: int):
     """Run one plan against honest servers holding random storage.
 
     Draws the user's permutations (logical -> physical), then storage,
@@ -397,7 +396,7 @@ def _execute(plan: SchemePlan, rng: random.Random, fld: Field):
         perm = list(range(1, plan.lengths[msg] + 1))
         rng.shuffle(perm)
         perms[msg] = perm
-    storage = {m: _draw_symbols(rng, len(perm), fld.q)
+    storage = {m: _draw_symbols(rng, len(perm), q)
                for m, perm in perms.items()}
 
     def place(m: int, p: int) -> Ref:
@@ -420,7 +419,7 @@ def _execute(plan: SchemePlan, rng: random.Random, fld: Field):
                 if m not in held:
                     raise UnresolvableRef(f"message {m} not stored here")
                 total += held[m][p - 1]
-            out.append(total % fld.q)
+            out.append(total % q)
 
     def read(server: int, idx: int) -> int:
         got = answers.get(server, [])
@@ -438,6 +437,6 @@ def _execute(plan: SchemePlan, rng: random.Random, fld: Field):
                 f"recipe position {step.position} outside 1..{len(perm)}")
         value = read(*step.source)
         for ref in step.cancel:
-            value = fld.sub(value, read(*ref))
+            value = (value - read(*ref)) % q
         decoded[perm[step.position - 1] - 1] = value
     return storage, physical, answers, decoded

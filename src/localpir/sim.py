@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .capacity import BoundReport, graph_bounds
-from .field import Field
+from .field import check_modulus
 from .graphs import Graph, detect_family
 from .scheme import (
     PlanConfig,
@@ -71,8 +71,9 @@ def execute_plan(plan: SchemePlan, seed: int, q: int = 2) -> Transcript:
     `seed`, so a transcript replays exactly.  Only the messages the plan
     references and the desired one are drawn.
     """
+    check_modulus(q)
     rng = random.Random(f"localpir:{plan.theta}:{seed}")
-    storage, physical, answers, decoded = _execute(plan, rng, Field(q))
+    storage, physical, answers, decoded = _execute(plan, rng, q)
     logs = tuple(ServerLog(s, physical[s], tuple(vals))
                  for s, vals in answers.items())
     return Transcript(plan.theta, seed, q, logs,

@@ -37,7 +37,7 @@ from .errors import (
     LocalPIRError,
     UnresolvableRef,
 )
-from .field import Field
+from .field import check_modulus
 from .graphs import Graph
 from .scheme import Atom, SchemePlan, _execute, et_download_cost
 
@@ -414,7 +414,7 @@ def decode_check(plans: dict[int, SchemePlan], g: Graph, q: int = 2,
     """
     if seeds < 0:
         raise InvalidFamilyParams(f"seeds must not be negative, got {seeds}")
-    fld = Field(q)
+    check_modulus(q)
     report = DecodeReport(trials=0)
     for theta in sorted(plans):
         plan = plans[theta]
@@ -426,7 +426,7 @@ def decode_check(plans: dict[int, SchemePlan], g: Graph, q: int = 2,
             report.trials += 1
             rng = random.Random(f"decode:{theta}:{seed}")
             try:
-                storage, _, _, got = _execute(plan, rng, fld)
+                storage, _, _, got = _execute(plan, rng, q)
             except LocalPIRError as exc:
                 report.failures.append(
                     {"theta": theta, "seed": seed,

@@ -1,5 +1,6 @@
 """Capacity bounds: golden values, optimizer search, exact arithmetic."""
 
+import functools
 import time
 from fractions import Fraction
 from math import comb, isqrt
@@ -26,6 +27,7 @@ from localpir.errors import (
     TOutOfRange,
     UnsupportedFamily,
 )
+from localpir import graphs
 from localpir.graphs import build_graph, family
 
 
@@ -112,7 +114,9 @@ def comb0(n, k):
     return comb(n, k) if 0 <= k <= n else 0
 
 
+@functools.cache
 def brute_et_optimum(d_i, d_j):
+    # every (t_i, t_j) in lexicographic order, so ties keep the least pair
     best = None
     for t_i in range(1, d_i + 1):
         for t_j in range(1, d_j + 1):
@@ -126,13 +130,12 @@ def brute_et_optimum(d_i, d_j):
 
 
 @pytest.mark.parametrize("d_i,d_j", [
-    (1, 1), (1, 4), (2, 2), (2, 5), (3, 3), (4, 7), (6, 6), (8, 8), (9, 3),
+    (1, 4), (2, 5), (4, 7), (9, 3), *((d, d) for d in range(1, 61)),
 ])
 def test_et_lower_bound_matches_direct_ratio_search(d_i, d_j):
     # Independent oracle: rank by the plain length/download ratio.
     got = et_lower_bound(d_i, d_j)
-    want = brute_et_optimum(d_i, d_j)
-    assert got[0] == want[0]
+    assert got == brute_et_optimum(d_i, d_j)
     assert et_rate(d_i, d_j, got[1], got[2]) == got[0]
 
 
@@ -162,7 +165,7 @@ def test_et_lower_bound_dominates_every_choice(d_i, d_j, data):
 
 @pytest.mark.parametrize("d", list(range(1, 41)))
 def test_equal_degree_bound_matches_brute_force_small(d):
-    value, t_i, t_j = et_lower_bound(d, d)
+    value, t_i, t_j = brute_et_optimum(d, d)
     assert equal_degree_bound(d) == value
     assert t_i == t_j
     assert t_i in {isqrt(d), isqrt(d) + 1}
@@ -179,10 +182,10 @@ def test_equal_degree_bound_rejects_bad_degree():
 ], ids=["complete", "complete_bipartite"])
 def test_regular_family_bounds_match_the_brute_force_optimum(name, ns,
                                                             degree):
-    # degrees up to 100: the closed form against et_lower_bound's search
+    # degrees up to 100: the closed form against the direct ratio search
     for n in ns:
         rep = family_bounds(name, n)
-        value, t_i, t_j = et_lower_bound(degree(n), degree(n))
+        value, t_i, t_j = brute_et_optimum(degree(n), degree(n))
         assert (rep.lower.as_fraction(), rep.optimizer) == (value, (t_i, t_j))
 
 
@@ -365,6 +368,29 @@ def test_graph_bounds_union_composition():
     rep = graph_bounds(mixed)
     assert rep.exact
     assert rep.lower.as_fraction() == Fraction(2, 3)
+
+
+@pytest.mark.parametrize("label", ["complete40+isolated", "5xC4"])
+def test_graph_bounds_finds_the_components_once(monkeypatch, label):
+    # a component's graph is known to be connected, so recognising its
+    # family must not search it for components again
+    if label == "5xC4":
+        g = family("disjoint_copies", base=family("cycle", 4), copies=5)
+        want = family_bounds("cycle", 4)
+    else:
+        g = build_graph(41, family("complete", 40).edges)
+        want = family_bounds("complete", 40)
+    searched, find = [], graphs._components
+
+    def counted(h):
+        searched.append(h)
+        return find(h)
+
+    monkeypatch.setattr(graphs, "_components", counted)
+    rep = graph_bounds(g)
+    assert searched == [g]
+    assert (rep.family, rep.lower, rep.exact) == ("union", want.lower,
+                                                 want.exact)
 
 
 def test_graph_bounds_union_with_open_component_is_not_exact():

@@ -182,6 +182,16 @@ def test_only_verify_takes_a_node_budget(capsys):
         "error: unrecognized arguments: --cap 5\n")
 
 
+@pytest.mark.parametrize("name", ["et", "union"])
+def test_scheme_takes_only_auto_or_bipartite(capsys, name):
+    # auto already picks t-sum from a --t option and the union plans from
+    # the components, so neither needs a name of its own
+    with pytest.raises(SystemExit) as exit_:
+        main(["scheme", "--family", "cycle", "--n", "4", "--scheme", name])
+    assert exit_.value.code == 2
+    assert f"invalid choice: '{name}'" in capsys.readouterr().err
+
+
 def test_verdict_exit_code_flags_failures():
     g = family("cycle", 4)
     plans = build_plan_family(g, et_config(2, 2))
@@ -236,7 +246,7 @@ def test_simulate_union_from_file(capsys, union_file):
     ("simulate", "--family", "cycle", "--n", "4", "--t", "2", "--seeds", "-1"),
     ("verify", "--family", "cycle", "--n", "4", "--scheme", "bipartite",
      "--t", "2"),
-    ("verify", "--family", "cycle", "--n", "4", "--scheme", "union",
+    ("verify", "--family", "cycle", "--n", "4", "--scheme", "bipartite",
      "--t-i", "3"),
     ("scheme", "--family", "path", "--n", "4", "--scheme", "bipartite",
      "--t-j", "1"),
@@ -481,7 +491,7 @@ def options(draw, command):
     argv = []
     if command == "bounds":
         return argv
-    scheme = draw(st.sampled_from((None, "auto", "et", "bipartite", "union")))
+    scheme = draw(st.sampled_from((None, "auto", "bipartite")))
     if scheme is not None:
         argv += ["--scheme", scheme]
     t = draw(st.none() | st.integers(0, 3))

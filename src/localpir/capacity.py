@@ -1,9 +1,8 @@
 """Exact capacity bounds for local retrieval on replicated storage.
 
-All stored values are exact: rationals are `fractions.Fraction`, and the
-handful of square-root expressions are kept symbolically as
-coeff / sqrt(radicand) pairs compared by squaring.  Floats appear only in
-reports as approximations and in third-party comparison literals.
+Every bound is an exact rational, a `fractions.Fraction`: the lower bounds
+are rates of schemes this package runs.  Floats appear only in reports as
+approximations and in third-party comparison literals.
 """
 
 from __future__ import annotations
@@ -23,75 +22,18 @@ from .errors import (
 from .graphs import Graph, bipartition, components, detect_family
 
 
-@dataclass(frozen=True)
-class BoundValue:
-    """Exact nonnegative value coeff / sqrt(radicand).
+class BoundValue(Fraction):
+    """An exact rational bound, with the JSON form reports print."""
 
-    Rational values have radicand 1.  Square factors are folded into the
-    coefficient at construction so equal values compare equal.
-    """
-
-    coeff: Fraction
-    radicand: int = 1
-
-    def __post_init__(self):
-        coeff = Fraction(self.coeff)
-        if coeff < 0 or self.radicand < 1:
-            raise InvalidFamilyParams("bound values must be nonnegative")
-        r, s = self.radicand, 1
-        f = 2
-        while f * f <= r:
-            while r % (f * f) == 0:
-                r //= f * f
-                s *= f
-            f += 1
-        object.__setattr__(self, "coeff", coeff / s if r != self.radicand else coeff)
-        object.__setattr__(self, "radicand", r)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.radicand == 1
+    __slots__ = ()
 
     def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise InvalidFamilyParams(f"{self} is irrational")
-        return self.coeff
-
-    def as_float(self) -> float:
-        return float(self.coeff) / math.sqrt(self.radicand)
-
-    def _squared(self) -> Fraction:
-        return self.coeff * self.coeff / self.radicand
-
-    def __lt__(self, other):
-        return self._squared() < _as_bound(other)._squared()
-
-    def __le__(self, other):
-        return self._squared() <= _as_bound(other)._squared()
-
-    def __gt__(self, other):
-        return self._squared() > _as_bound(other)._squared()
-
-    def __ge__(self, other):
-        return self._squared() >= _as_bound(other)._squared()
-
-    def __str__(self):
-        if self.is_rational:
-            return str(self.coeff)
-        num, den = self.coeff.numerator, self.coeff.denominator
-        if den == 1:
-            return f"{num}/sqrt({self.radicand})"
-        return f"{num}/({den}*sqrt({self.radicand}))"
+        return Fraction(self)
 
     def to_json(self) -> dict:
-        return {"num": self.coeff.numerator, "den": self.coeff.denominator,
-                "radicand": self.radicand, "approx": self.as_float()}
-
-
-def _as_bound(value) -> BoundValue:
-    if isinstance(value, BoundValue):
-        return value
-    return BoundValue(Fraction(value))
+        # "radicand" is always 1: kept so readers of the JSON stay unchanged.
+        return {"num": self.numerator, "den": self.denominator,
+                "radicand": 1, "approx": float(self)}
 
 
 @dataclass(frozen=True)
@@ -114,12 +56,10 @@ class BoundReport:
     upper: BoundValue
     exact: bool
     optimizer: tuple[int, int] | None = None
-    cited_lower: BoundValue | None = None
-    cited_note: str = ""
     comparators: list[Comparator] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "family": self.family,
             "n": self.n,
             "lower": self.lower.to_json(),
@@ -129,10 +69,6 @@ class BoundReport:
                           {"t_i": self.optimizer[0], "t_j": self.optimizer[1]}),
             "pir_comparators": [c.to_json() for c in self.comparators],
         }
-        if self.cited_lower is not None:
-            out["cited_lower"] = self.cited_lower.to_json()
-            out["cited_note"] = self.cited_note
-        return out
 
 
 # --- achievable-rate arithmetic ---------------------------------------------
@@ -268,12 +204,14 @@ def best_scheme(g: Graph) -> tuple[Fraction, tuple[int, int] | None]:
     """
     if not g.K:
         raise EmptyInput("graph has no edges")
-    pairs = {tuple(sorted((g.degree(u), g.degree(v)))) for (u, v) in g.edges}
+    degrees = g.degrees()
+    pairs = {tuple(sorted((degrees[u - 1], degrees[v - 1])))
+             for (u, v) in g.edges}
     if len(pairs) == 1:
         value, t_i, t_j = et_lower_bound(*pairs.pop())
         best = (value, (t_i, t_j))
     else:
-        best = (Fraction(2 * g.K, sum(d * d for d in g.degrees())), (1, 1))
+        best = (Fraction(2 * g.K, sum(d * d for d in degrees)), (1, 1))
     if bipartition(g) is not None:
         cover = bipartite_lower_bound(g)
         if cover > best[0]:
@@ -300,9 +238,8 @@ def _component_schemes(g: Graph) -> tuple[tuple, ...]:
 def family_bounds(name: str, n: int) -> BoundReport:
     """Best known lower/upper capacity bounds for a named family.
 
-    `cited_lower` carries the published square-root simplification where
-    one exists; the `lower` field is always the sharper exact value the
-    package can actually certify with a scheme.
+    `lower` is the exact rate of a scheme the package runs on the family;
+    the comparators are cited values for the fully private problem.
     """
     if name == "cycle":
         if n < 3:
@@ -324,7 +261,7 @@ def family_bounds(name: str, n: int) -> BoundReport:
     if name == "star":
         if n < 2:
             raise InvalidFamilyParams(f"star needs n >= 2, got {n}")
-        one = BoundValue(Fraction(1))
+        one = BoundValue(1)
         return BoundReport(
             "star", n, one, one, True,
             comparators=[Comparator(None, "SGT23",
@@ -332,10 +269,8 @@ def family_bounds(name: str, n: int) -> BoundReport:
     if name == "complete":
         if n < 2:
             raise InvalidFamilyParams(f"complete needs n >= 2, got {n}")
-        return _regular_report(
-            "complete", n, n - 1, BoundValue(Fraction(1, 2), n - 1),
-            "closed form 1/(2*sqrt(n-1)), always at or below the exact "
-            "t-sum optimum", _complete_comparators(n))
+        return _regular_report("complete", n, n - 1,
+                               _complete_comparators(n))
     if name == "complete_bipartite":
         if n < 2 or n % 2:
             raise InvalidFamilyParams(
@@ -343,18 +278,15 @@ def family_bounds(name: str, n: int) -> BoundReport:
         # t = 1 already attains the cover rate 1/d, so the t-sum optimum
         # is never below it and best_scheme always keeps the t-sum plan.
         return _regular_report(
-            "complete_bipartite", n, n // 2, BoundValue(Fraction(2), n),
-            "published closed form 2/sqrt(n); exceeds what the t-sum scheme "
-            "attains, kept for reference only",
+            "complete_bipartite", n, n // 2,
             [Comparator(float(Fraction(4, 3 * n)), "krishnan_graph",
                         f"full privacy lower: 4/(3n) = {Fraction(4, 3 * n)}"),
              Comparator(1.0 / (n * (math.exp(0.5) - 1)), "gePIR",
-                        "full privacy upper: 1/(n(e^0.5 - 1))")])
+                        "full privacy upper (asymptotic): 1/(n(e^0.5 - 1))")])
     raise UnsupportedFamily(f"no bounds on record for family {name!r}")
 
 
-def _regular_report(name: str, n: int, d: int, cited_lower: BoundValue,
-                    cited_note: str, comparators) -> BoundReport:
+def _regular_report(name: str, n: int, d: int, comparators) -> BoundReport:
     """Report for a d-regular family member, the tuned t-sum rate below.
 
     A 2-regular member (complete-3, K(2,2)) is a cycle and takes the cycle
@@ -364,7 +296,6 @@ def _regular_report(name: str, n: int, d: int, cited_lower: BoundValue,
     upper = value if d == 2 else Fraction(1)
     return BoundReport(name, n, BoundValue(value), BoundValue(upper),
                        value == upper, optimizer=(t_i, t_j),
-                       cited_lower=cited_lower, cited_note=cited_note,
                        comparators=comparators)
 
 
@@ -376,7 +307,7 @@ def _complete_comparators(n: int) -> list[Comparator]:
         Comparator(float(Fraction(4, 3 * n)), "gePIR",
                    "full privacy lower: (4/3 - o(1))/n, o(1) dropped"),
         Comparator(1.0 / (n * (math.e - 2)), "gePIR",
-                   "full privacy upper: 1/(n(e - 2))"),
+                   "full privacy upper (asymptotic): 1/(n(e - 2))"),
     ]
 
 
@@ -395,7 +326,7 @@ def graph_bounds(g: Graph) -> BoundReport:
         return report
     value, optimizer = best_scheme(g)
     return BoundReport("custom", g.n_vertices, BoundValue(value),
-                       BoundValue(Fraction(1)), value == 1,
+                       BoundValue(1), value == 1,
                        optimizer=optimizer)
 
 
@@ -419,5 +350,5 @@ def _union_graph_bounds(g: Graph) -> BoundReport:
                                    else report.exact)
     lower = BoundValue(union_capacity((comp.graph.K, comp.graph.K / rate)
                                       for comp, rate, _ in table))
-    upper = lower if all_exact else BoundValue(Fraction(1))
+    upper = lower if all_exact else BoundValue(1)
     return BoundReport("union", g.n_vertices, lower, upper, all_exact)

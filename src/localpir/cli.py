@@ -15,7 +15,7 @@ import functools
 import json
 import sys
 
-from .capacity import BoundReport, BoundValue, family_bounds, graph_bounds
+from .capacity import BoundReport, family_bounds, graph_bounds
 from .errors import InvalidFamilyParams, LocalPIRError
 from .graphs import Graph, components, family, graph_from_json, graph_to_json
 from .scheme import (
@@ -114,12 +114,6 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def bound_str(bv: BoundValue) -> str:
-    if bv.is_rational:
-        return str(bv)
-    return f"{bv} (~{bv.as_float():.6g})"
-
-
 def atom_label(atom, k_total: int) -> str:
     def ref(m: int, p: int) -> str:
         if k_total <= 26:
@@ -141,15 +135,12 @@ def render_table(header: list[str], rows: list[list[str]]) -> str:
 
 def render_bounds(report: BoundReport) -> str:
     lines = [f"family {report.family}  n={report.n}",
-             f"lower bound  {bound_str(report.lower)}",
-             f"upper bound  {bound_str(report.upper)}",
+             f"lower bound  {report.lower}",
+             f"upper bound  {report.upper}",
              f"exact        {'yes' if report.exact else 'no'}"]
     if report.optimizer is not None:
         lines.append(f"best t-sum   t_i={report.optimizer[0]} "
                      f"t_j={report.optimizer[1]}")
-    if report.cited_lower is not None:
-        note = f"  ({report.cited_note})" if report.cited_note else ""
-        lines.append(f"cited lower  {bound_str(report.cited_lower)}{note}")
     for comp in report.comparators:
         val = "n/a" if comp.value is None else f"{comp.value:.6g}"
         note = f"  {comp.note}" if comp.note else ""
@@ -300,8 +291,8 @@ def cmd_simulate(args) -> int:
                  f"total download {report.total_download} over "
                  f"{len(report.per_theta_download)} messages",
                  f"decode {'PASS' if report.decoded_ok else 'FAIL'} (exact)",
-                 f"bounds [{bound_str(report.bounds.lower)}, "
-                 f"{bound_str(report.bounds.upper)}]"
+                 f"bounds [{report.bounds.lower}, "
+                 f"{report.bounds.upper}]"
                  + (" (exact)" if report.bounds.exact else "")
                  + ("" if report.bracketed else "  NOT BRACKETED")]
         print("\n".join(lines))

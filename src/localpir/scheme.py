@@ -207,6 +207,8 @@ def build_et_plan(g: Graph, theta: int, t_i: int,
                     if msg != theta:
                         shared[msg].append(counts[msg])
         for msg, positions in shared.items():
+            if not positions:
+                continue
             u, v = g.endpoints(msg)
             other = v if u == endpoint else u
             singletons += [(other, ((msg, pos),)) for pos in positions]

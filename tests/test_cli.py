@@ -84,6 +84,16 @@ def test_bounds_from_graph_file(capsys, union_file):
                             "approx": 2 / 3}
 
 
+def test_bounds_on_a_huge_complete_graph_return_quickly():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "localpir.cli", "bounds", "--family",
+         "complete", "--n", "99999999999999999999"],
+        env=env, capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    assert "lower bound  " in proc.stdout
+
+
 # --- scheme ------------------------------------------------------------------
 
 def test_scheme_table_matches_reference_rows(capsys):

@@ -28,7 +28,7 @@ GOLDEN = [
      "421b7e8fcb69fb47916e1cbce51f9c02be0768a31c0f5f5f32b8d4712906aad9"),
     (("simulate", "--family", "complete", "--n", "4", "--t", "2",
       "--theta", "5", "--seed", "3", "--q", "5", "--format", "json"),
-     "7ec2d74a76456e2320e759f480bf78015ea223ac0a153b39f5a21cfd517e6841"),
+     "355b79243a77dfdcd276b5e7ca8a92c59c5819b879c91d5b04b551629a086008"),
     (("simulate", "--graph", UNION, "--theta", "6", "--seed", "1",
       "--format", "json"),
      "e991c9d94a8bc68f7bfcd92c01ec77b356c0f8e9ba7780adddc633ff255a63c9"),

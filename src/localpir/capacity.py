@@ -281,7 +281,7 @@ def family_bounds(name: str, n: int) -> BoundReport:
             "complete_bipartite", n, n // 2,
             [Comparator(float(Fraction(4, 3 * n)), "krishnan_graph",
                         f"full privacy lower: 4/(3n) = {Fraction(4, 3 * n)}"),
-             Comparator(1.0 / (n * (math.exp(0.5) - 1)), "gePIR",
+             Comparator(_reciprocal(n, math.exp(0.5) - 1), "gePIR",
                         "full privacy upper (asymptotic): 1/(n(e^0.5 - 1))")])
     raise UnsupportedFamily(f"no bounds on record for family {name!r}")
 
@@ -306,9 +306,17 @@ def _complete_comparators(n: int) -> list[Comparator]:
     return [
         Comparator(float(Fraction(4, 3 * n)), "gePIR",
                    "full privacy lower: (4/3 - o(1))/n, o(1) dropped"),
-        Comparator(1.0 / (n * (math.e - 2)), "gePIR",
+        Comparator(_reciprocal(n, math.e - 2), "gePIR",
                    "full privacy upper (asymptotic): 1/(n(e - 2))"),
     ]
+
+
+def _reciprocal(n: int, c: float) -> float:
+    """1 / (n c) in floats, or 0.0 where n is beyond the float range."""
+    try:
+        return 1.0 / (n * c)
+    except OverflowError:
+        return 0.0
 
 
 def graph_bounds(g: Graph) -> BoundReport:

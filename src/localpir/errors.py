@@ -52,7 +52,8 @@ class NotBipartite(LocalPIRError):
 
 
 class UnresolvableRef(LocalPIRError):
-    """A query atom references a message the server does not store."""
+    """A plan being built cannot be sent: an atom reads outside what its
+    server stores or the plan's lengths, or the desired one has none."""
 
 
 class IncompleteAnswers(LocalPIRError):

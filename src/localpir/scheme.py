@@ -9,6 +9,10 @@ ones before anything is sent (servers only ever see physical indices),
 answers from each server's stored messages, and runs the recipe.
 `sim.execute_plan` and `verify.decode_check(seeds=n)` call it.
 
+A plan that cannot be sent cannot be built: `SchemePlan` checks that each
+reference is at a server of the graph, in a message it stores, within the
+length the plan gives that message.
+
 Three constructions are provided.
 
 t-sum plan (for edge-transitive storage): the two endpoint servers of the
@@ -74,9 +78,14 @@ class DecodeStep(NamedTuple):
     cancel: tuple[tuple[int, int], ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchemePlan:
-    """Logical query layout and decoding recipe for one desired message."""
+    """Logical query layout and decoding recipe for one desired message.
+
+    Checked sendable when built, by `dataclasses.replace` too: a server
+    outside the graph raises IndexOutOfRange, any other fault
+    UnresolvableRef.
+    """
 
     graph: Graph
     kind: str
@@ -85,6 +94,26 @@ class SchemePlan:
     queries: dict[int, tuple[Atom, ...]]    # server -> atoms
     recipe: tuple[DecodeStep, ...]
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        lengths = self.lengths
+        if self.theta not in lengths:
+            raise UnresolvableRef(
+                f"desired message {self.theta} has no length in the plan")
+        for s, atoms in self.queries.items():
+            stored = self.graph.index_set(s)
+            held = {m: lengths[m] for m in stored if m in lengths}
+            for idx, atom in enumerate(atoms):
+                for m, p in atom:
+                    if not 1 <= p <= held.get(m, 0):
+                        raise UnresolvableRef(
+                            f"server {s} atom {idx} reads " + (
+                                f"message {m}, which it does not store"
+                                if m not in stored else
+                                f"message {m}, which has no length in the plan"
+                                if m not in lengths else
+                                f"position {p} outside message {m} of length "
+                                f"{lengths[m]}"))
 
     @property
     def length(self) -> int:
@@ -162,10 +191,10 @@ def default_role_rule(g: Graph, k: int, t_i: int, t_j: int) -> tuple[int, int]:
 def _plan(g: Graph, kind: str, theta: int, length: int, queries: dict,
           meta: dict) -> SchemePlan:
     """Every builder returns here: one length for theta and what it reads."""
-    plan = SchemePlan(g, kind, theta, {}, queries,
+    read = {m for atoms in queries.values() for atom in atoms for m, _ in atom}
+    lengths = dict.fromkeys((theta, *sorted(read)), length)
+    return SchemePlan(g, kind, theta, lengths, queries,
                       derive_recipe(queries, theta, length), meta)
-    plan.lengths = dict.fromkeys((theta, *plan.referenced_messages()), length)
-    return plan
 
 
 def build_et_plan(g: Graph, theta: int, t_i: int,
@@ -179,8 +208,6 @@ def build_et_plan(g: Graph, theta: int, t_i: int,
     """
     if t_j is None:
         t_j = t_i
-    if not 1 <= theta <= g.K:
-        raise IndexOutOfRange(f"message {theta} outside 1..{g.K}")
     i, j = default_role_rule(g, theta, t_i, t_j)
     d_i, d_j = g.degree(i), g.degree(j)
     length = subpacketization(d_i, d_j, t_i, t_j)
@@ -385,42 +412,26 @@ def _execute(plan: SchemePlan, rng: random.Random, q: int):
     """Run one plan against honest servers holding random storage.
 
     Draws the user's permutations (logical -> physical), then storage,
-    for the desired message and each one the plan reads, ascending; no
-    answer reads any other message, so a run costs its plan, not its
-    graph.  Each server answers from the drawn messages it stores.
-    Returns (storage, physical queries, answers keyed by ascending
-    server, decoded in stored symbol order).
+    for each message the plan gives a length, ascending: for a built plan
+    the desired one and those it reads, so a run costs its plan, not its
+    graph.  Returns (storage, physical queries, answers keyed by
+    ascending server, decoded in stored symbol order).
     """
-    perms = {}
-    for msg in sorted({plan.theta, *plan.referenced_messages()}):
-        if msg not in plan.lengths:
-            raise UnresolvableRef(f"message {msg} has no length in the plan")
-        perm = list(range(1, plan.lengths[msg] + 1))
+    perms = {m: list(range(1, n + 1)) for m, n in sorted(plan.lengths.items())}
+    for perm in perms.values():
         rng.shuffle(perm)
-        perms[msg] = perm
     storage = {m: _draw_symbols(rng, len(perm), q)
                for m, perm in perms.items()}
-
-    def place(m: int, p: int) -> Ref:
-        perm = perms[m]
-        if not 1 <= p <= len(perm):
-            raise UnresolvableRef(
-                f"position {p} outside message {m} of length {len(perm)}")
-        return m, perm[p - 1]
-
-    physical = {s: tuple(tuple(place(m, p) for (m, p) in atom)
+    physical = {s: tuple(tuple((m, perms[m][p - 1]) for (m, p) in atom)
                          for atom in atoms)
                 for s, atoms in plan.queries.items()}
     answers = {}
     for s in sorted(physical):
-        held = {k: storage[k] for k in plan.graph.index_set(s) if k in storage}
         out = answers[s] = []
         for atom in physical[s]:
             total = 0
             for (m, p) in atom:
-                if m not in held:
-                    raise UnresolvableRef(f"message {m} not stored here")
-                total += held[m][p - 1]
+                total += storage[m][p - 1]
             out.append(total % q)
 
     def read(server: int, idx: int) -> int:

@@ -37,7 +37,8 @@ class Transcript:
     """One full retrieval: queries sent, answers received, decode outcome.
 
     `storage` holds the symbols drawn for the run: the messages the plan
-    references and the desired one, never the rest of the graph.
+    gives a length, for a built plan the desired one and those it reads,
+    never the rest of the graph.
     """
 
     theta: int
@@ -69,7 +70,7 @@ def execute_plan(plan: SchemePlan, seed: int, q: int = 2) -> Transcript:
 
     Storage contents and the user's private permutations both derive from
     `seed`, so a transcript replays exactly.  Only the messages the plan
-    references and the desired one are drawn.
+    gives a length are drawn.
     """
     check_modulus(q)
     rng = random.Random(f"localpir:{plan.theta}:{seed}")

@@ -17,6 +17,9 @@ message's one permutation, so distinct logical references are independent
 symbols: a plan decodes for every storage content and every permutation
 iff each recipe step, source atom minus cancel atoms, leaves exactly the
 one desired symbol, coefficients counted mod q.
+
+A plan is checked sendable on its own graph when built (`SchemePlan`), so
+the checks here refuse a plan built on a graph other than the one given.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .errors import (
     EnumerationTooLarge,
     InvalidFamilyParams,
     LocalPIRError,
-    UnresolvableRef,
 )
 from .field import check_modulus
 from .graphs import Graph
@@ -76,6 +78,14 @@ def _reads(view: Fingerprint) -> list[int]:
     return [top[m] for m in sorted(top)]
 
 
+def _check_graph(plans: dict[int, SchemePlan], g: Graph, thetas) -> None:
+    """Refuse a plan for one of `thetas` built on a graph other than `g`."""
+    for t in thetas:
+        if t in plans and plans[t].graph is not g and plans[t].graph != g:
+            raise InvalidFamilyParams(
+                f"the plan for message {t} is built on another graph")
+
+
 def view_classes(plans: dict[int, SchemePlan], server: int, thetas,
                  cap: int = DEFAULT_CAP) -> list[ViewClass]:
     """Group the messages `thetas` by the view they give `server`.
@@ -105,16 +115,7 @@ def view_classes(plans: dict[int, SchemePlan], server: int, thetas,
         plan = plans[t]
         atoms = plan.atoms_at(server)
         refs = sorted({ref for atom in atoms for ref in atom})
-        msgs = sorted({m for m, _ in refs})
-        lengths = tuple(plan.lengths.get(m) for m in msgs)
-        if None in lengths:
-            raise UnresolvableRef(
-                f"server {server}: message {msgs[lengths.index(None)]} "
-                f"has no length in the plan for {t}")
-        for m, p in refs:
-            if not 1 <= p <= plan.lengths[m]:
-                raise UnresolvableRef(f"position {p} outside message {m} "
-                                      f"of length {plan.lengths[m]}")
+        lengths = tuple(plan.lengths[m] for m in sorted({m for m, _ in refs}))
         view, aut = _canonical(atoms, refs, spend)
         classes.setdefault((view, lengths), ([], aut))[0].append(t)
     return [ViewClass(tuple(members), view, lengths, aut)
@@ -236,6 +237,7 @@ def privacy_check(plans: dict[int, SchemePlan], g: Graph, server: int,
     thetas = g.index_set(server)
     if not plans:
         raise EmptyInput("no plans given")
+    _check_graph(plans, g, thetas)
     classes = view_classes(plans, server, thetas, cap)
     if len(classes) < 2:
         return PrivacyReport(server, thetas, "PASS",
@@ -280,14 +282,6 @@ def _moved(view: Fingerprint, k: int, n: int) -> Fingerprint:
                                      for ref in atom)) for atom in view))
 
 
-def _sendable(plan: SchemePlan, server: int) -> bool:
-    """Whether every reference the plan sends `server` lies within the
-    plan's lengths.  A layout that does not cannot be sent, so it has no
-    view."""
-    return all(1 <= p <= plan.lengths.get(m, 0)
-               for atom in plan.atoms_at(server) for (m, p) in atom)
-
-
 @dataclass
 class ProbeReport:
     """Outcome of testing the stricter hide-everything condition."""
@@ -315,17 +309,14 @@ def canonical_privacy_probe(plans: dict[int, SchemePlan], g: Graph,
     The local condition only compares messages the server stores; this
     probe lists every message outside the first stored one's view class.
     A non-empty list shows the scheme is local-private but not private in
-    the classical sense.  A layout that cannot be sent has no view, so its
-    message shares no class; if it is the first stored one's, every other
-    message is listed.
+    the classical sense.
     """
     thetas = g.index_set(server)
     if not thetas:
         return ProbeReport(server, 0, ())
     order = [thetas[0], *(t for t in g.messages if t != thetas[0])]
-    sent = [t for t in order if t not in plans or _sendable(plans[t], server)]
-    classes = view_classes(plans, server, sent, cap)
-    same = classes[0].members if sent[:1] == order[:1] else order[:1]
+    _check_graph(plans, g, order)
+    same = view_classes(plans, server, order, cap)[0].members
     return ProbeReport(server, thetas[0],
                        tuple(t for t in g.messages if t not in same))
 
@@ -348,36 +339,15 @@ class DecodeReport:
                 "failures": self.failures}
 
 
-def _certificate_fault(plan: SchemePlan, g: Graph, q: int) -> str | None:
+def _certificate_fault(plan: SchemePlan, q: int) -> str | None:
     """Why the plan fails to decode for some storage and permutation.
 
-    None means it decodes for all of them.  The checks: every atom at
-    server s references only messages s stores and the plan gives a
-    length L_m, at logical positions in 1..L_m; the desired message has a
-    length L, and the recipe recovers positions 1..L in order; every
-    answer a step reads exists; and each step's source atom minus its
-    cancel atoms leaves exactly the desired symbol at the step's
-    position, mod q.  A fault names the atom or step and, for a step, the
-    references left.
+    None means it decodes for all of them.  The recipe must recover
+    positions 1..L in order, read only answers that exist, and each step's
+    source atom minus its cancel atoms must leave exactly the desired
+    symbol at the step's position, mod q.  A fault names the step and, if
+    any, the references it leaves.
     """
-    for s, atoms in plan.queries.items():
-        if not 1 <= s <= g.n_vertices:
-            return f"server {s} outside 1..{g.n_vertices}"
-        stored = g.index_set(s)
-        for idx, atom in enumerate(atoms):
-            for (m, p) in atom:
-                if m not in stored:
-                    return (f"server {s} atom {idx} reads message {m}, "
-                            f"which it does not store")
-                if m not in plan.lengths:
-                    return (f"server {s} atom {idx} reads message {m}, "
-                            f"which has no length in the plan")
-                if not 1 <= p <= plan.lengths[m]:
-                    return (f"server {s} atom {idx} reads position {p} "
-                            f"outside message {m} of length "
-                            f"{plan.lengths[m]}")
-    if plan.theta not in plan.lengths:
-        return f"desired message {plan.theta} has no length in the plan"
     positions = [step.position for step in plan.recipe]
     if positions != list(range(1, plan.length + 1)):
         return f"recipe recovers positions {positions}, not 1..{plan.length}"
@@ -415,10 +385,11 @@ def decode_check(plans: dict[int, SchemePlan], g: Graph, q: int = 2,
     if seeds < 0:
         raise InvalidFamilyParams(f"seeds must not be negative, got {seeds}")
     check_modulus(q)
+    _check_graph(plans, g, plans)
     report = DecodeReport(trials=0)
     for theta in sorted(plans):
         plan = plans[theta]
-        fault = _certificate_fault(plan, g, q)
+        fault = _certificate_fault(plan, q)
         if fault is not None:
             report.failures.append(
                 {"theta": theta, "seed": None, "reason": fault})
@@ -469,29 +440,20 @@ def cost_audit(plans: dict[int, SchemePlan], g: Graph) -> CostReport:
     Rate is `capacity.union_capacity` over one part per plan length:
     K / sum_theta D_theta / L_theta, messages weighted equally (the
     desired index is uniform).  Plans of one length L give K*L / sum D.
-    Mismatches also include a query to a server outside the graph, a plan
-    with no length for its desired message (left out of the rate), and a
-    family that downloads nothing (rate 0).
+    A family that downloads nothing is a mismatch too (rate 0).
     """
     per_theta = {t: plans[t].download_count() for t in sorted(plans)}
     k = len(per_theta)
     if k == 0:
         raise EmptyInput("no plans given")
+    _check_graph(plans, g, plans)
     downloads = dict.fromkeys(g.vertices, 0)
     # plans and their download, by plan length
     count, downloaded = defaultdict(int), defaultdict(int)
     mismatches = []
     for t, plan in plans.items():
         for s, atoms in plan.queries.items():
-            try:
-                downloads[s] += len(atoms)
-            except KeyError:
-                mismatches.append(f"theta {t}: queries server {s} outside "
-                                  f"1..{g.n_vertices}")
-        if plan.theta not in plan.lengths:
-            mismatches.append(f"theta {t}: desired message {plan.theta} has "
-                              f"no length in the plan")
-            continue
+            downloads[s] += len(atoms)
         length = plan.length
         count[length] += 1
         downloaded[length] += per_theta[t]
@@ -547,22 +509,9 @@ def check_scheme(plans: dict[int, SchemePlan], g: Graph, q: int = 2,
 
     Every verdict is exact; no plan is executed unless `seeds` asks for
     end-to-end runs (see `decode_check`).
-
-    A layout that cannot be sent, since it references a symbol outside its
-    plan's lengths, has no view: privacy at its server fails with that
-    layout as the witness and support 0.
     """
-    # Decoding runs first, so a bad modulus or seed count is refused
-    # before any privacy search.
+    # decode_check refuses a bad q, seeds or graph before any privacy search
     dec = decode_check(plans, g, q, seeds)
-    privacy = []
-    for s in g.vertices:
-        try:
-            privacy.append(privacy_check(plans, g, s, cap))
-        except UnresolvableRef:
-            atoms = next(plans[t].atoms_at(s) for t in g.index_set(s)
-                         if not _sendable(plans[t], s))
-            layout = tuple(sorted(tuple(sorted(atom)) for atom in atoms))
-            privacy.append(PrivacyReport(s, g.index_set(s), "FAIL", 0, layout))
+    privacy = [privacy_check(plans, g, s, cap) for s in g.vertices]
     cost = cost_audit(plans, g)
     return SchemeReport(privacy, dec, cost)

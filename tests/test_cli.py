@@ -85,13 +85,23 @@ def test_bounds_from_graph_file(capsys, union_file):
 
 
 def test_bounds_on_a_huge_complete_graph_return_quickly():
+    # beyond the float range the gePIR comparators, 1/(n c), print 0.0
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "localpir.cli", "bounds", "--family",
-         "complete", "--n", "99999999999999999999"],
-        env=env, capture_output=True, text=True, timeout=5)
-    assert proc.returncode == 0, proc.stderr
-    assert "lower bound  " in proc.stdout
+    runs = [("complete", "99999999999999999999")] + [
+        (name, str(10**400)) for name in ("complete", "complete_bipartite")]
+    for name, n in runs:
+        for fmt in ("table", "json"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "localpir.cli", "bounds", "--family",
+                 name, "--n", n, "--format", fmt],
+                env=env, capture_output=True, text=True, timeout=5)
+            assert proc.returncode == 0, proc.stderr
+            if fmt == "table":
+                assert "lower bound  " in proc.stdout
+                continue
+            gepir = json.loads(proc.stdout)["pir_comparators"][-1]
+            assert gepir["source"] == "gePIR"
+            assert (gepir["value"] == 0.0) == (len(n) > 400)
 
 
 # --- scheme ------------------------------------------------------------------

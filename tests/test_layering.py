@@ -4,7 +4,9 @@ function builds every plan.
 The package is layered cli/sim/verify -> scheme -> capacity -> graphs.  A
 function-local import is how a cycle usually sneaks back in, so both are
 checked from the source text.  `scheme._plan` alone decides which messages
-a plan's lengths name, so no other code calls `SchemePlan(...)`.
+a plan's lengths name, so no other code calls `SchemePlan(...)`.  A plan
+checks when built that it can be sent, so only `scheme` raises
+`UnresolvableRef` and no module catches it.
 """
 
 import ast
@@ -88,3 +90,25 @@ def test_only_the_plan_constructor_calls_schemeplan():
              for node in ast.walk(tree)
              if _builds_a_plan(node) and id(node) not in allowed]
     assert found == []
+
+
+def _names(node: ast.AST | None) -> set[str]:
+    """The names an expression uses, a dotted one by its last part."""
+    if node is None:
+        return set()
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_only_scheme_raises_unresolvable_ref_and_nothing_catches_it():
+    raised = sorted({name for name, tree in MODULES.items()
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.Raise)
+                     and "UnresolvableRef" in _names(node.exc)})
+    caught = [f"{name} line {node.lineno}" for name, tree in MODULES.items()
+              for node in ast.walk(tree)
+              if isinstance(node, ast.ExceptHandler)
+              and "UnresolvableRef" in _names(node.type)]
+    assert raised == ["scheme"]
+    assert caught == []

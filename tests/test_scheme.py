@@ -18,16 +18,19 @@ from localpir.capacity import graph_bounds
 from localpir.errors import (
     IndexOutOfRange,
     InvalidFamilyParams,
+    LocalPIRError,
     NotBipartite,
     RoleConflict,
     TOutOfRange,
     UndecodablePlan,
+    UnresolvableRef,
 )
 from localpir.fixtures import C4_TABLE, K4_TABLE
 from localpir.graphs import build_graph, components, family
 from localpir.scheme import (
     DecodeStep,
     PlanConfig,
+    SchemePlan,
     bipartite_config,
     build_bipartite_plan,
     build_et_plan,
@@ -595,25 +598,55 @@ def test_draw_symbols_lie_in_the_field(q):
 
 
 @pytest.mark.parametrize("atoms,certified,executed", [
-    # server 3 stores messages 2 and 3 only
-    ((((4, 1),),),
-     "server 3 atom 0 reads message 4, which it does not store",
-     "UnresolvableRef: message 4 not stored here"),
     # step 2 cancels against server 3's one atom
     ((),
      "step 2 reads atom 0 of server 3, which receives 0",
      "IncompleteAnswers: recipe needs answer 0 from server 3, which sent 0"),
-], ids=["unstored-message", "unsent-answer"])
+], ids=["unsent-answer"])
 def test_executor_refusals_keep_their_texts(atoms, certified, executed):
     # theta=1 on cycle-4 t=2 (L=2) with server 3's atoms replaced; a
     # recipe position outside 1..L is test_verify's
-    # test_a_recipe_position_outside_the_message_fails_to_decode
+    # test_a_recipe_position_outside_the_message_fails_to_decode, and a
+    # layout that cannot be sent is refused when built
     g = family("cycle", 4)
     plan = build_et_plan(g, 1, 2)
     mutated = dataclasses.replace(plan, queries={**plan.queries, 3: atoms})
     rep = decode_check({1: mutated}, g, q=2, seeds=2)
     assert [(f["seed"], f["reason"]) for f in rep.failures] == [
         (None, certified), (0, executed), (1, executed)]
+
+
+@pytest.mark.parametrize("g,queries,lengths,error,text", [
+    (family("cycle", 4), {9: (((1, 1),),)}, None,
+     IndexOutOfRange, "server 9 outside 1..4"),
+    # server 3 stores messages 2 and 3 only
+    (family("cycle", 4), {3: (((4, 1),),)}, None, UnresolvableRef,
+     "server 3 atom 0 reads message 4, which it does not store"),
+    # server 9, the star's centre, stores message 5
+    (mixed_graph(), {9: (((5, 1),),)}, None, UnresolvableRef,
+     "server 9 atom 0 reads message 5, which has no length in the plan"),
+    (family("cycle", 4), {3: (((2, 0),),)}, None, UnresolvableRef,
+     "server 3 atom 0 reads position 0 outside message 2 of length 2"),
+    (family("cycle", 4), {3: (((2, 3),),)}, None, UnresolvableRef,
+     "server 3 atom 0 reads position 3 outside message 2 of length 2"),
+    (family("cycle", 4), {}, {2: 2, 4: 2}, UnresolvableRef,
+     "desired message 1 has no length in the plan"),
+], ids=["server-outside-graph", "unstored-message", "message-without-length",
+        "position-0", "position-L+1", "theta-without-length"])
+def test_a_plan_that_cannot_be_sent_cannot_be_built(g, queries, lengths,
+                                                    error, text):
+    # theta=1's union plan, the t-sum plan of its 4-cycle at t=1 (L=2),
+    # with atoms added or its lengths replaced; direct construction and
+    # dataclasses.replace both refuse it
+    plan = build_union_plan(g, 1)
+    assert plan.lengths == {1: 2, 2: 2, 4: 2}
+    fields = {"queries": {**plan.queries, **queries},
+              "lengths": plan.lengths if lengths is None else lengths}
+    for build in (lambda: dataclasses.replace(plan, **fields),
+                  lambda: SchemePlan(**{**vars(plan), **fields})):
+        with pytest.raises(LocalPIRError) as refused:
+            build()
+        assert (type(refused.value), str(refused.value)) == (error, text)
 
 
 def test_plan_family_covers_every_message():

@@ -30,9 +30,9 @@ from localpir.cli import main
 from localpir.errors import (
     EmptyInput,
     EnumerationTooLarge,
+    InvalidFamilyParams,
     LocalPIRError,
     UndecodablePlan,
-    UnresolvableRef,
 )
 from localpir.graphs import build_graph, family, graph_to_json
 from localpir.scheme import (
@@ -198,9 +198,9 @@ STAR4 = family("star", 4)
 def hub_family(*chosen):
     """A star-4 family whose desired messages 1, 2, 3 get the chosen
     (lengths, atoms) layouts at the hub, server 4, which stores all
-    three."""
+    three.  A desired message the lengths leave out gets length 1."""
     base = build_plan_family(STAR4, bipartite_config())
-    return {t: dataclasses.replace(base[t], lengths=dict(lengths),
+    return {t: dataclasses.replace(base[t], lengths={t: 1, **lengths},
                                    queries={4: atoms})
             for t, (lengths, atoms) in enumerate(chosen, 1)}
 
@@ -288,8 +288,10 @@ def test_equal_orbits_at_unequal_lengths_fail_with_a_moved_witness(c4,
     # and (3, 2) both orbits hold 6 views, and the 4 views inside both
     # have one probability; the witness lies in one orbit only.
     plans = {**c4_plans,
-             1: dataclasses.replace(c4_plans[1], lengths={1: 2, 2: 3}),
-             2: dataclasses.replace(c4_plans[2], lengths={1: 3, 2: 2})}
+             1: dataclasses.replace(
+                 c4_plans[1], lengths={**c4_plans[1].lengths, 1: 2, 2: 3}),
+             2: dataclasses.replace(
+                 c4_plans[2], lengths={**c4_plans[2].lengths, 1: 3, 2: 2})}
     rep = privacy_check(plans, c4, 2)
     assert rep.to_json() == oracle_privacy_check(plans, c4, 2).to_json()
     assert rep.verdict == "FAIL" and rep.support_size == 8
@@ -310,23 +312,6 @@ def test_view_classes_place_only_the_referenced_positions(k4_plans):
     with pytest.raises(EnumerationTooLarge,
                        match="^server 1 searched 3 nodes, budget is 2$"):
         view_classes(plans, 1, g.index_set(1), cap=2)
-
-
-@pytest.mark.parametrize("pos", [5, 0])
-def test_placed_positions_outside_the_message_raise_the_executor_text(
-        k4_plans, pos):
-    g, plans = k4_plans
-    queries = dict(plans[1].queries)
-    assert queries[1][0] == ((1, 1), (2, 1))
-    queries[1] = (((1, 1), (2, pos)),) + queries[1][1:]
-    mutated = mutated_family(plans, 1, queries)
-    with pytest.raises(UnresolvableRef) as executor:
-        execute_plan(mutated[1], seed=0)
-    with pytest.raises(UnresolvableRef) as placed:
-        view_classes(mutated, 1, (1,))
-    assert str(placed.value) == str(executor.value)
-    assert (outcome(privacy_check, mutated, g, 1)
-            == outcome(oracle_privacy_check, mutated, g, 1))
 
 
 # --- privacy -------------------------------------------------------------------
@@ -395,6 +380,7 @@ def test_probe_shows_local_but_not_global_privacy(c4, c4_plans):
     obj = rep.to_json()
     assert obj == {"server": 1, "reference_theta": 1,
                    "distinguishable": [2, 3], "canonical": False}
+    assert canonical_privacy_probe(c4_plans, c4, 2).distinguishable == (3, 4)
 
 
 def test_probe_is_canonical_on_single_edge():
@@ -420,22 +406,6 @@ def test_probe_requires_every_plan(c4, c4_plans):
     partial = {t: p for t, p in c4_plans.items() if t != 3}
     with pytest.raises(EmptyInput):
         canonical_privacy_probe(partial, c4, 1)
-
-
-def test_probe_gives_an_unsendable_layout_no_view_class(c4, c4_plans):
-    # theta=1's server-1 atom reads position 3 of a length-2 message, so
-    # the full audit fails privacy there; the probe, whose reference is
-    # theta=1, lists every other message instead of raising
-    queries = {**c4_plans[1].queries, 1: (((1, 3), (4, 1)),)}
-    mutated = mutated_family(c4_plans, 1, queries)
-    assert check_scheme(mutated, c4).privacy[0].verdict == "FAIL"
-    assert canonical_privacy_probe(mutated, c4, 1).distinguishable == (2, 3, 4)
-    # at server 2, theta=2 shares the reference's class until its own
-    # layout there cannot be sent
-    assert canonical_privacy_probe(c4_plans, c4, 2).distinguishable == (3, 4)
-    queries = {**c4_plans[2].queries, 2: (((1, 1), (2, 3)),)}
-    mutated = mutated_family(c4_plans, 2, queries)
-    assert canonical_privacy_probe(mutated, c4, 2).distinguishable == (2, 3, 4)
 
 
 # --- decoding ------------------------------------------------------------------
@@ -551,66 +521,6 @@ def test_certificate_agrees_with_seeded_runs_on_corpus_and_mutations(seeds):
     assert checks > 1000 and 0 < failing < checks
 
 
-@pytest.mark.parametrize("bad", ["L+1", "0"])
-def test_positions_outside_the_message_fail_without_index_error(c4, c4_plans,
-                                                                bad):
-    # theta=1 on cycle-4 t=2 (L=2): the singleton (2, 1) at server 3 moves
-    # to position 3 or 0, which no permutation of message 2 has
-    pos = 3 if bad == "L+1" else 0
-    queries = dict(c4_plans[1].queries)
-    assert queries[3] == (((2, 1),),)
-    queries[3] = (((2, pos),),)
-    mutated = mutated_family(c4_plans, 1, queries)
-    rep = decode_check(mutated, c4, q=2, seeds=2)
-    assert rep.verdict == "FAIL"
-    assert rep.failures[0] == {
-        "theta": 1, "seed": None,
-        "reason": f"server 3 atom 0 reads position {pos} outside message 2 "
-                  f"of length 2"}
-    assert [f["reason"] for f in rep.failures[1:]] == 2 * [
-        f"UnresolvableRef: position {pos} outside message 2 of length 2"]
-    # server 3 does not store message 1, so privacy never reads this
-    # plan there; the full audit fails on decoding alone
-    full = check_scheme(mutated, c4)
-    assert full.verdict == "FAIL" and not full.decode.ok
-    assert all(r.ok for r in full.privacy)
-    # server 1 stores message 1, so its privacy check reads the plan and
-    # refuses the position with the package's error; the full audit turns
-    # that into a privacy FAIL whose witness is the unsendable layout
-    queries = dict(c4_plans[1].queries)
-    assert queries[1] == (((1, 1), (4, 1)),)
-    queries[1] = (((1, pos), (4, 1)),)
-    mutated = mutated_family(c4_plans, 1, queries)
-    with pytest.raises(UnresolvableRef):
-        privacy_check(mutated, c4, 1)
-    full = check_scheme(mutated, c4)
-    assert full.verdict == "FAIL" and not full.decode.ok
-    assert full.privacy[0].to_json() == {
-        "server": 1, "thetas": [1, 4], "verdict": "FAIL", "support_size": 0,
-        "counterexample": [[[1, pos], [4, 1]]]}
-    assert all(r.ok for r in full.privacy[1:])
-
-
-def test_a_message_outside_the_plan_lengths_is_unresolvable():
-    # theta=1's union plan knows only its 4-cycle; one more atom reads
-    # message 5 at the star's centre, server 9, which stores it
-    g = build_graph(9, [(1, 2), (2, 3), (3, 4), (1, 4),
-                        (5, 9), (6, 9), (7, 9), (8, 9)])
-    plans = build_plan_family(g, union_config())
-    assert set(plans[1].lengths) == {1, 2, 4}
-    mutated = mutated_family(plans, 1, {**plans[1].queries, 9: (((5, 1),),)})
-    rep = decode_check(mutated, g, seeds=1)
-    assert [f["reason"] for f in rep.failures] == [
-        "server 9 atom 0 reads message 5, which has no length in the plan",
-        "UnresolvableRef: message 5 has no length in the plan"]
-    with pytest.raises(UnresolvableRef,
-                       match="^message 5 has no length in the plan$"):
-        execute_plan(mutated[1], seed=0)
-    with pytest.raises(UnresolvableRef, match="^server 9: message 5 has no "
-                                              "length in the plan for 1$"):
-        view_classes(mutated, 9, (1,))
-
-
 def test_a_recipe_position_outside_the_message_fails_to_decode(c4, c4_plans):
     plan = c4_plans[1]
     bad = plan.recipe[:1] + (plan.recipe[1]._replace(position=3),)
@@ -663,33 +573,6 @@ def test_cost_audit_flags_closed_form_mismatch(c4, c4_plans):
     assert any("theta 1" in m for m in rep.mismatches)
 
 
-def test_a_server_outside_the_graph_is_a_cost_mismatch(c4, c4_plans):
-    # theta=1 on cycle-4 t=2, given one more atom at server 9
-    mutated = mutated_family(c4_plans, 1,
-                             {**c4_plans[1].queries, 9: (((1, 1),),)})
-    rep = check_scheme(mutated, c4)
-    assert rep.verdict == "FAIL"
-    assert rep.decode.failures[0]["reason"] == "server 9 outside 1..4"
-    assert rep.cost.mismatches[0] == "theta 1: queries server 9 outside 1..4"
-    assert list(rep.cost.per_server) == list(c4.vertices)
-
-
-def test_a_plan_without_a_length_for_theta_fails_the_audit(c4, c4_plans):
-    # theta=1 on cycle-4 t=2 with message 1 dropped from its lengths and
-    # only servers 3 and 4 queried
-    plan = c4_plans[1]
-    broken = dataclasses.replace(
-        plan, lengths={m: n for m, n in plan.lengths.items() if m != 1},
-        queries={s: plan.queries[s] for s in (3, 4)})
-    rep = check_scheme({**c4_plans, 1: broken}, c4)
-    assert rep.verdict == "FAIL"
-    assert rep.decode.failures[0] == {
-        "theta": 1, "seed": None,
-        "reason": "desired message 1 has no length in the plan"}
-    assert rep.cost.mismatches == [
-        "theta 1: desired message 1 has no length in the plan"]
-
-
 def test_a_family_that_downloads_nothing_fails_at_rate_zero():
     # path-2's cover plan with its one server silenced
     g = family("path", 2)
@@ -708,6 +591,22 @@ def test_cost_audit_rejects_empty(c4):
 
 
 # --- combined report -----------------------------------------------------------
+
+def test_plans_built_on_another_graph_are_refused(c4, c4_plans):
+    # A plan is checked sendable against its own graph only.  An equal
+    # graph built again is the same storage; path-5 has as many messages
+    # and other servers.
+    assert check_scheme(c4_plans, build_graph(4, c4.edges)).ok
+    path5 = family("path", 5)
+    for check in (lambda: decode_check(c4_plans, path5),
+                  lambda: cost_audit(c4_plans, path5),
+                  lambda: privacy_check(c4_plans, path5, 1),
+                  lambda: canonical_privacy_probe(c4_plans, path5, 1),
+                  lambda: check_scheme(c4_plans, path5)):
+        with pytest.raises(InvalidFamilyParams, match="^the plan for "
+                           "message 1 is built on another graph$"):
+            check()
+
 
 def test_check_scheme_aggregates(c4, c4_plans):
     rep = check_scheme(c4_plans, c4, seeds=4)

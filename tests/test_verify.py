@@ -33,6 +33,7 @@ from localpir.errors import (
     InvalidFamilyParams,
     LocalPIRError,
     UndecodablePlan,
+    UnresolvableRef,
 )
 from localpir.graphs import build_graph, family, graph_to_json
 from localpir.scheme import (
@@ -314,6 +315,21 @@ def test_view_classes_place_only_the_referenced_positions(k4_plans):
         view_classes(plans, 1, g.index_set(1), cap=2)
 
 
+@pytest.mark.parametrize("pos", [5, 0])
+def test_placed_positions_outside_the_message_raise_the_executor_text(
+        k4_plans, pos):
+    # complete-4 t=2 (L=4): a placed position outside 1..4 never reaches
+    # view_classes or the executor, since the plan is refused when built
+    g, plans = k4_plans
+    queries = dict(plans[1].queries)
+    assert queries[1][0] == ((1, 1), (2, 1))
+    queries[1] = (((1, 1), (2, pos)),) + queries[1][1:]
+    with pytest.raises(UnresolvableRef) as refused:
+        mutated_family(plans, 1, queries)
+    assert str(refused.value) == (
+        f"server 1 atom 0 reads position {pos} outside message 2 of length 4")
+
+
 # --- privacy -------------------------------------------------------------------
 
 def test_privacy_passes_on_cycle(c4, c4_plans):
@@ -380,7 +396,6 @@ def test_probe_shows_local_but_not_global_privacy(c4, c4_plans):
     obj = rep.to_json()
     assert obj == {"server": 1, "reference_theta": 1,
                    "distinguishable": [2, 3], "canonical": False}
-    assert canonical_privacy_probe(c4_plans, c4, 2).distinguishable == (3, 4)
 
 
 def test_probe_is_canonical_on_single_edge():
@@ -406,6 +421,22 @@ def test_probe_requires_every_plan(c4, c4_plans):
     partial = {t: p for t, p in c4_plans.items() if t != 3}
     with pytest.raises(EmptyInput):
         canonical_privacy_probe(partial, c4, 1)
+
+
+def test_probe_gives_an_unsendable_layout_no_view_class(c4, c4_plans):
+    # a layout that cannot be sent is refused when built, so the probe
+    # never meets one: theta=1's server-1 atom reading position 3 of a
+    # length-2 message, or theta=2's at server 2
+    for theta, server, atom, text in [
+            (1, 1, ((1, 3), (4, 1)), "position 3 outside message 1"),
+            (2, 2, ((1, 1), (2, 3)), "position 3 outside message 2")]:
+        queries = {**c4_plans[theta].queries, server: (atom,)}
+        with pytest.raises(UnresolvableRef) as refused:
+            mutated_family(c4_plans, theta, queries)
+        assert str(refused.value) == (
+            f"server {server} atom 0 reads {text} of length 2")
+    # at server 2, theta=2 shares the reference's class
+    assert canonical_privacy_probe(c4_plans, c4, 2).distinguishable == (3, 4)
 
 
 # --- decoding ------------------------------------------------------------------
@@ -519,6 +550,28 @@ def test_certificate_agrees_with_seeded_runs_on_corpus_and_mutations(seeds):
                     checks += 1
                     failing += not certified
     assert checks > 1000 and 0 < failing < checks
+
+
+@pytest.mark.parametrize("bad", ["L+1", "0"])
+def test_positions_outside_the_message_fail_without_index_error(c4, c4_plans,
+                                                                bad):
+    # theta=1 on cycle-4 t=2 (L=2): the singleton (2, 1) at server 3, or
+    # the atom's (1, 1) at server 1, moves to position 3 or 0, which no
+    # permutation of the message has; building the plan raises the
+    # package's error, not an IndexError
+    pos = 3 if bad == "L+1" else 0
+    for server, atom, message in [(3, ((2, 1),), 2),
+                                  (1, ((1, 1), (4, 1)), 1)]:
+        queries = dict(c4_plans[1].queries)
+        assert queries[server] == (atom,)
+        queries[server] = (((message, pos),) + atom[1:],)
+        with pytest.raises(LocalPIRError) as refused:
+            mutated_family(c4_plans, 1, queries)
+        assert type(refused.value) is UnresolvableRef
+        assert str(refused.value) == (
+            f"server {server} atom 0 reads position {pos} outside message "
+            f"{message} of length 2")
+    assert check_scheme(c4_plans, c4).ok
 
 
 def test_a_recipe_position_outside_the_message_fails_to_decode(c4, c4_plans):

@@ -7,6 +7,8 @@ permutation of message k.  One executor, `_execute`, runs a plan: it draws
 the permutations and storage, translates logical positions to physical
 ones before anything is sent (servers only ever see physical indices),
 answers from each server's stored messages, and runs the recipe.
+Permutations are drawn from the run's rng exactly as `random.shuffle`
+would draw them, so seeded transcripts replay unchanged.
 `sim.execute_plan` and `verify.decode_check(seeds=n)` call it.
 
 A plan that cannot be sent cannot be built: `SchemePlan` checks that each
@@ -217,7 +219,10 @@ def build_et_plan(g: Graph, theta: int, t_i: int,
     singletons: list[tuple[int, Atom]] = []
     for endpoint, t, shift in ((i, t_i, 0), (j, t_j, offset)):
         stored = g.index_set(endpoint)
+        # theta's count starts at the shift: its positions here follow
+        # the block the first endpoint already covers.
         counts = dict.fromkeys(stored, 0)
+        counts[theta] = shift
         # Message msg is entangled with theta in every subset containing
         # both; the decoder cancels it with a singleton fetched at exactly
         # those running occurrence counts from msg's other replica.
@@ -227,7 +232,7 @@ def build_et_plan(g: Graph, theta: int, t_i: int,
             refs = []
             for msg in subset:
                 counts[msg] += 1
-                refs.append((msg, counts[msg] + (shift if msg == theta else 0)))
+                refs.append((msg, counts[msg]))
             atoms.append(tuple(refs))
             if theta in subset:
                 for msg in subset:
@@ -254,16 +259,15 @@ def build_bipartite_plan(g: Graph, theta: int) -> SchemePlan:
     The part with the smaller sum of squared degrees (ties: part 1) is the
     covering part; the desired edge's endpoint there sends all its symbols.
     """
-    if not 1 <= theta <= g.K:
-        raise IndexOutOfRange(f"message {theta} outside 1..{g.K}")
-    return _cover_plan(g, theta, *cover_part(g)[:2])
+    ends = g.endpoints(theta)
+    return _cover_plan(g, theta, ends, *cover_part(g)[:2])
 
 
-def _cover_plan(g: Graph, theta: int, m_star: int,
+def _cover_plan(g: Graph, theta: int, ends: tuple[int, int], m_star: int,
                 covering: frozenset[int]) -> SchemePlan:
     """The desired edge's endpoint in `covering` sends its entire storage."""
     # A proper two-coloring puts exactly one endpoint in the covering part.
-    u, v = g.endpoints(theta)
+    u, v = ends
     server = u if u in covering else v
 
     queries = {server: tuple(((msg, 1),) for msg in g.index_set(server))}
@@ -277,10 +281,9 @@ def build_union_plan(g: Graph, theta: int) -> SchemePlan:
     Every component runs the scheme `capacity.component_schemes` lists for
     it; only theta's component builds a plan.
     """
-    if not 1 <= theta <= g.K:
-        raise IndexOutOfRange(f"message {theta} outside 1..{g.K}")
+    ends = g.endpoints(theta)
     ts, cover = g.cached("component_rows", _component_rows)[theta]
-    return (_cover_plan(g, theta, *cover) if ts is None
+    return (_cover_plan(g, theta, ends, *cover) if ts is None
             else build_et_plan(g, theta, *ts))
 
 
@@ -357,9 +360,13 @@ def derive_recipe(queries: dict[int, tuple[Atom, ...]], theta: int,
     steps: dict[int, DecodeStep] = {}
     for server in sorted(queries):
         for idx, atom in enumerate(queries[server]):
-            desired = [(m, p) for (m, p) in atom if m == theta]
-            if not desired:
+            # most atoms do not read theta: skip them before building a list
+            for m, _ in atom:
+                if m == theta:
+                    break
+            else:
                 continue
+            desired = [(m, p) for (m, p) in atom if m == theta]
             if len(desired) > 1:
                 raise UndecodablePlan(
                     f"atom {atom} references the desired message twice")
@@ -408,31 +415,55 @@ def _draw_symbols(rng: random.Random, n: int, q: int) -> list[int]:
     return list(out)
 
 
+def _draw_permutation(rng: random.Random, n: int) -> list[int]:
+    """A uniform permutation of 1..n, drawn from `rng` exactly as
+    `random.shuffle` would draw it.
+
+    The same `getrandbits` calls in the same order: i runs from n-1 down
+    to 1, takes k = (i+1).bit_length() bits and draws again while the
+    result exceeds i, so seeded runs replay what `shuffle` gave.
+    """
+    getrandbits = rng.getrandbits
+    perm = list(range(1, n + 1))
+    for i in range(n - 1, 0, -1):
+        k = (i + 1).bit_length()
+        r = getrandbits(k)
+        while r > i:
+            r = getrandbits(k)
+        perm[i], perm[r] = perm[r], perm[i]
+    return perm
+
+
 def _execute(plan: SchemePlan, rng: random.Random, q: int):
     """Run one plan against honest servers holding random storage.
 
     Draws the user's permutations (logical -> physical), then storage,
     for each message the plan gives a length, ascending: for a built plan
     the desired one and those it reads, so a run costs its plan, not its
-    graph.  Returns (storage, physical queries, answers keyed by
+    graph.  One pass per server translates each atom and sums its
+    answer.  Returns (storage, physical queries, answers keyed by
     ascending server, decoded in stored symbol order).
     """
-    perms = {m: list(range(1, n + 1)) for m, n in sorted(plan.lengths.items())}
-    for perm in perms.values():
-        rng.shuffle(perm)
+    perms = {m: _draw_permutation(rng, n)
+             for m, n in sorted(plan.lengths.items())}
     storage = {m: _draw_symbols(rng, len(perm), q)
                for m, perm in perms.items()}
-    physical = {s: tuple(tuple((m, perms[m][p - 1]) for (m, p) in atom)
-                         for atom in atoms)
-                for s, atoms in plan.queries.items()}
-    answers = {}
-    for s in sorted(physical):
-        out = answers[s] = []
-        for atom in physical[s]:
+    physical = {}
+    sums = {}
+    for s, atoms in plan.queries.items():
+        sent = []
+        out = sums[s] = []
+        for atom in atoms:
+            refs = []
             total = 0
-            for (m, p) in atom:
-                total += storage[m][p - 1]
+            for m, p in atom:
+                x = perms[m][p - 1]
+                refs.append((m, x))
+                total += storage[m][x - 1]
+            sent.append(tuple(refs))
             out.append(total % q)
+        physical[s] = tuple(sent)
+    answers = {s: sums[s] for s in sorted(sums)}
 
     def read(server: int, idx: int) -> int:
         got = answers.get(server, [])

@@ -124,6 +124,21 @@ def test_et_plan_rejects_bad_theta():
         build_et_plan(family("cycle", 4), 5, 2)
 
 
+@pytest.mark.parametrize("build,g", [
+    (lambda g, theta: build_et_plan(g, theta, 2), family("cycle", 4)),
+    (build_bipartite_plan, family("path", 5)),
+    (build_bipartite_plan, family("complete", 4)),   # not bipartite
+    (build_union_plan, family("disjoint_copies", base=family("cycle", 4),
+                              copies=3)),
+    (lambda g, theta: build_fixture_plan("k4", theta), family("complete", 4)),
+], ids=["et", "bipartite", "bipartite-on-complete-4", "union", "fixture"])
+def test_every_builder_refuses_a_message_outside_the_graph(build, g):
+    for theta in (0, g.K + 1):
+        with pytest.raises(IndexOutOfRange,
+                           match=rf"^message {theta} outside 1\.\.{g.K}$"):
+            build(g, theta)
+
+
 # --- fixture equality --------------------------------------------------------
 
 def as_multisets(queries):
@@ -584,6 +599,44 @@ def test_draw_symbols_above_a_byte_falls_back_to_randrange():
     got = localpir.scheme._draw_symbols(NoBytes(4), 300, 257)
     ref = random.Random(4)
     assert got == [ref.randrange(257) for _ in range(300)]
+
+
+def test_draw_permutation_is_stream_identical_to_shuffle():
+    for seed in (0, 1, 7, "localpir:100:0"):
+        drawn, shuffled = random.Random(seed), random.Random(seed)
+        for n in range(1, 301):
+            perm = list(range(1, n + 1))
+            shuffled.shuffle(perm)
+            assert localpir.scheme._draw_permutation(drawn, n) == perm
+            assert drawn.getstate() == shuffled.getstate()
+
+
+@pytest.mark.parametrize("q", [2, 3, 257])
+@pytest.mark.parametrize("plan", [
+    build_et_plan(family("complete", 30), 100, 2),
+    build_union_plan(family("disjoint_copies", base=family("cycle", 4),
+                            copies=100), 222),
+    build_bipartite_plan(family("path", 9), 5),
+], ids=["complete-30-t2", "100xC4-union", "path-9-cover"])
+def test_execute_translates_and_answers_like_an_oracle(plan, q):
+    storage, physical, answers, decoded = localpir.scheme._execute(
+        plan, random.Random(f"oracle:{q}"), q)
+    # the same stream, drawn with random.shuffle: permutations, then storage
+    ref = random.Random(f"oracle:{q}")
+    perms = {}
+    for m, n in sorted(plan.lengths.items()):
+        perms[m] = list(range(1, n + 1))
+        ref.shuffle(perms[m])
+    assert storage == {m: localpir.scheme._draw_symbols(ref, n, q)
+                       for m, n in sorted(plan.lengths.items())}
+    assert list(answers) == sorted(plan.queries)
+    assert list(physical) == list(plan.queries)
+    assert decoded == storage[plan.theta]
+    for s, atoms in plan.queries.items():
+        assert physical[s] == tuple(
+            tuple((m, perms[m][p - 1]) for m, p in atom) for atom in atoms)
+        assert answers[s] == [sum(storage[m][x - 1] for m, x in atom) % q
+                              for atom in physical[s]]
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 251, 257, 65537])

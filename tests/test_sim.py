@@ -68,7 +68,7 @@ def test_run_retrieval_complete_answer_shape():
     assert tr.download == 10
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("q", [2, 3, 5, 257])
 def test_retrieval_decodes_at_every_field_size(q):
     for theta in range(1, 5):
         tr = run_retrieval(family("cycle", 4), et_config(2, 2), theta, 3, q)

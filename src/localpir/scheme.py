@@ -4,12 +4,15 @@ A plan fixes, for one desired message, the logical query layout per server
 (atoms = sums of symbol references), plus a decoding recipe.  Logical
 position m of message k means the m-th symbol under the user's private
 permutation of message k.  One executor, `_execute`, runs a plan: it draws
-the permutations and storage, translates logical positions to physical
-ones before anything is sent (servers only ever see physical indices),
-answers from each server's stored messages, and runs the recipe.
-Permutations are drawn from the run's rng exactly as `random.shuffle`
-would draw them, so seeded transcripts replay unchanged.
-`sim.execute_plan` and `verify.decode_check(seeds=n)` call it.
+the permutations and storage, then runs the recipe, answering only the
+atoms the recipe reads.  `_transcribe` rebuilds what every server saw from
+those draws: each atom translated to physical positions (servers only ever
+see physical indices) and answered from the server's stored messages.
+Both answer an atom through `_serve`.  Permutations are drawn from the
+run's rng exactly as `random.shuffle` would draw them, so seeded
+transcripts replay unchanged.  `sim.execute_plan` and
+`verify.decode_check(seeds=n)` call `_execute`; only a `sim.Transcript`
+whose `per_server` is read calls `_transcribe`.
 
 A plan that cannot be sent cannot be built: `SchemePlan` checks that each
 reference is at a server of the graph, in a message it stores, within the
@@ -434,44 +437,41 @@ def _draw_permutation(rng: random.Random, n: int) -> list[int]:
     return perm
 
 
+def _serve(atom: Atom, perms: dict[int, list[int]],
+           storage: dict[int, list[int]], q: int) -> tuple[Atom, int]:
+    """The physical atom a server receives for a logical one, and the
+    server's answer: the sum of the stored symbols it names, mod q."""
+    sent = []
+    total = 0
+    for m, p in atom:
+        x = perms[m][p - 1]
+        sent.append((m, x))
+        total += storage[m][x - 1]
+    return tuple(sent), total % q
+
+
 def _execute(plan: SchemePlan, rng: random.Random, q: int):
     """Run one plan against honest servers holding random storage.
 
     Draws the user's permutations (logical -> physical), then storage,
     for each message the plan gives a length, ascending: for a built plan
     the desired one and those it reads, so a run costs its plan, not its
-    graph.  One pass per server translates each atom and sums its
-    answer.  Returns (storage, physical queries, answers keyed by
-    ascending server, decoded in stored symbol order).
+    graph.  The recipe then reads only the answers it names, each through
+    `_serve`; what every server saw is left to `_transcribe`.  Returns
+    (permutations, storage, decoded in stored symbol order).
     """
     perms = {m: _draw_permutation(rng, n)
              for m, n in sorted(plan.lengths.items())}
     storage = {m: _draw_symbols(rng, len(perm), q)
                for m, perm in perms.items()}
-    physical = {}
-    sums = {}
-    for s, atoms in plan.queries.items():
-        sent = []
-        out = sums[s] = []
-        for atom in atoms:
-            refs = []
-            total = 0
-            for m, p in atom:
-                x = perms[m][p - 1]
-                refs.append((m, x))
-                total += storage[m][x - 1]
-            sent.append(tuple(refs))
-            out.append(total % q)
-        physical[s] = tuple(sent)
-    answers = {s: sums[s] for s in sorted(sums)}
 
     def read(server: int, idx: int) -> int:
-        got = answers.get(server, [])
-        if not 0 <= idx < len(got):
+        atoms = plan.atoms_at(server)
+        if not 0 <= idx < len(atoms):
             raise IncompleteAnswers(
                 f"recipe needs answer {idx} from server {server}, "
-                f"which sent {len(got)}")
-        return got[idx]
+                f"which sent {len(atoms)}")
+        return _serve(atoms[idx], perms, storage, q)[1]
 
     perm = perms[plan.theta]
     decoded = [0] * len(perm)
@@ -483,4 +483,16 @@ def _execute(plan: SchemePlan, rng: random.Random, q: int):
         for ref in step.cancel:
             value = (value - read(*ref)) % q
         decoded[perm[step.position - 1] - 1] = value
-    return storage, physical, answers, decoded
+    return perms, storage, decoded
+
+
+def _transcribe(plan: SchemePlan, perms: dict[int, list[int]],
+                storage: dict[int, list[int]], q: int
+                ) -> dict[int, tuple[tuple[Atom, ...], tuple[int, ...]]]:
+    """What each server saw in a run of `_execute`: server -> (physical
+    atoms in query order, answers), servers ascending."""
+    views = {}
+    for s in sorted(plan.queries):
+        served = [_serve(atom, perms, storage, q) for atom in plan.queries[s]]
+        views[s] = (tuple(a for a, _ in served), tuple(v for _, v in served))
+    return views

@@ -8,6 +8,7 @@ over desired messages rather than a sampled estimate.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,6 +21,7 @@ from .scheme import (
     PlanConfig,
     SchemePlan,
     _execute,
+    _transcribe,
     build_plan,
     build_plan_family,
 )
@@ -38,17 +40,28 @@ class Transcript:
 
     `storage` holds the symbols drawn for the run: the messages the plan
     gives a length, for a built plan the desired one and those it reads,
-    never the rest of the graph.
+    never the rest of the graph.  The run keeps its plan and the user's
+    permutations (`perms`, message -> logical-to-physical list), from which
+    `per_server` is built on first read: a caller that only reads the
+    decode outcome never translates or answers the atoms the recipe skips.
     """
 
     theta: int
     seed: int
     q: int
-    per_server: tuple[ServerLog, ...]
+    plan: SchemePlan
+    perms: dict[int, list[int]]
     decoded_ok: bool
     download: int
     decoded: list[int]
     storage: dict[int, list[int]]
+
+    @functools.cached_property
+    def per_server(self) -> tuple[ServerLog, ...]:
+        """Each server's physical atoms and answers, servers ascending."""
+        views = _transcribe(self.plan, self.perms, self.storage, self.q)
+        return tuple(ServerLog(s, atoms, answers)
+                     for s, (atoms, answers) in views.items())
 
     def to_json(self) -> dict:
         return {
@@ -70,14 +83,14 @@ def execute_plan(plan: SchemePlan, seed: int, q: int = 2) -> Transcript:
 
     Storage contents and the user's private permutations both derive from
     `seed`, so a transcript replays exactly.  Only the messages the plan
-    gives a length are drawn.
+    gives a length are drawn, and only the answers the recipe reads are
+    computed; the transcript builds every server's view when its
+    `per_server` is first read.
     """
     check_modulus(q)
     rng = random.Random(f"localpir:{plan.theta}:{seed}")
-    storage, physical, answers, decoded = _execute(plan, rng, q)
-    logs = tuple(ServerLog(s, physical[s], tuple(vals))
-                 for s, vals in answers.items())
-    return Transcript(plan.theta, seed, q, logs,
+    perms, storage, decoded = _execute(plan, rng, q)
+    return Transcript(plan.theta, seed, q, plan, perms,
                       decoded == storage[plan.theta],
                       plan.download_count(), decoded, storage)
 

@@ -397,7 +397,7 @@ def decode_check(plans: dict[int, SchemePlan], g: Graph, q: int = 2,
             report.trials += 1
             rng = random.Random(f"decode:{theta}:{seed}")
             try:
-                storage, _, _, got = _execute(plan, rng, q)
+                _, storage, got = _execute(plan, rng, q)
             except LocalPIRError as exc:
                 report.failures.append(
                     {"theta": theta, "seed": seed,

@@ -98,6 +98,16 @@ def seeded_decode_ok(plan: SchemePlan, q: int, seeds: int = 32) -> bool:
     return True
 
 
+def shuffled_permutations(rng, lengths: dict) -> dict:
+    """The executor's permutations drawn with `random.shuffle`: one per
+    message of `lengths`, ascending, from `rng`."""
+    perms = {}
+    for m, n in sorted(lengths.items()):
+        perms[m] = list(range(1, n + 1))
+        rng.shuffle(perms[m])
+    return perms
+
+
 def mutated_family(plans: dict, theta: int, queries) -> dict:
     out = dict(plans)
     out[theta] = plan_with_queries(plans[theta], queries)

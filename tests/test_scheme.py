@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import localpir.capacity
 import localpir.scheme
-from helpers import corpus_plans, repeated
+from helpers import corpus_plans, repeated, shuffled_permutations
 from localpir.capacity import graph_bounds
 
 from localpir.errors import (
@@ -619,24 +619,23 @@ def test_draw_permutation_is_stream_identical_to_shuffle():
     build_bipartite_plan(family("path", 9), 5),
 ], ids=["complete-30-t2", "100xC4-union", "path-9-cover"])
 def test_execute_translates_and_answers_like_an_oracle(plan, q):
-    storage, physical, answers, decoded = localpir.scheme._execute(
+    perms, storage, decoded = localpir.scheme._execute(
         plan, random.Random(f"oracle:{q}"), q)
+    views = localpir.scheme._transcribe(plan, perms, storage, q)
     # the same stream, drawn with random.shuffle: permutations, then storage
     ref = random.Random(f"oracle:{q}")
-    perms = {}
-    for m, n in sorted(plan.lengths.items()):
-        perms[m] = list(range(1, n + 1))
-        ref.shuffle(perms[m])
+    shuffled = shuffled_permutations(ref, plan.lengths)
+    assert perms == shuffled
     assert storage == {m: localpir.scheme._draw_symbols(ref, n, q)
                        for m, n in sorted(plan.lengths.items())}
-    assert list(answers) == sorted(plan.queries)
-    assert list(physical) == list(plan.queries)
+    assert list(views) == sorted(plan.queries)
     assert decoded == storage[plan.theta]
     for s, atoms in plan.queries.items():
-        assert physical[s] == tuple(
-            tuple((m, perms[m][p - 1]) for m, p in atom) for atom in atoms)
-        assert answers[s] == [sum(storage[m][x - 1] for m, x in atom) % q
-                              for atom in physical[s]]
+        physical, answers = views[s]
+        assert physical == tuple(
+            tuple((m, shuffled[m][p - 1]) for m, p in atom) for atom in atoms)
+        assert answers == tuple(sum(storage[m][x - 1] for m, x in atom) % q
+                                for atom in physical)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 251, 257, 65537])

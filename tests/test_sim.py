@@ -1,10 +1,14 @@
 """End-to-end execution: transcripts, replay, measured rates."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+import localpir.scheme
+import localpir.sim
+from helpers import shuffled_permutations
 from localpir.errors import LocalPIRError
 from localpir.graphs import build_graph, family
 from localpir.scheme import (
@@ -19,6 +23,7 @@ from localpir.sim import (
     measure_rate,
     run_retrieval,
 )
+from localpir.verify import decode_check
 
 
 # --- single retrievals -------------------------------------------------------
@@ -29,6 +34,9 @@ def test_execute_plan_replays_exactly():
     again = execute_plan(plan, seed=7, q=3)
     assert first.to_json() == again.to_json()
     assert first.storage == again.storage
+    # equality compares the stored plan and permutations, not a view
+    assert first == again
+    assert first != execute_plan(plan, seed=8, q=3)
 
 
 def test_execute_plan_draws_only_the_messages_its_plan_references():
@@ -86,6 +94,51 @@ def test_transcript_json_schema():
     assert all(set(entry) == {"server", "atoms", "answers"}
                for entry in obj["per_server"])
     json.dumps(obj)
+
+
+@pytest.fixture
+def transcribe_calls(monkeypatch):
+    """Count the calls of `_transcribe`, patched where sim looks it up."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return localpir.scheme._transcribe(*args)
+
+    monkeypatch.setattr(localpir.sim, "_transcribe", counted)
+    return calls
+
+
+def test_a_decode_outcome_builds_no_server_view(transcribe_calls):
+    tr = run_retrieval(family("complete", 30), et_config(2), 100, 0)
+    assert tr.decoded_ok
+    assert transcribe_calls == []
+
+
+def test_server_views_are_built_once_on_first_read(transcribe_calls):
+    tr = run_retrieval(family("complete", 30), et_config(2), 100, 0)
+    first, again = tr.per_server, tr.per_server
+    assert len(transcribe_calls) == 1 and again is first
+    # the same stream, drawn with random.shuffle
+    shuffled = shuffled_permutations(random.Random("localpir:100:0"),
+                                     tr.plan.lengths)
+    assert tr.perms == shuffled
+    assert [log.server for log in first] == sorted(tr.plan.queries)
+    for log in first:
+        assert log.atoms == tuple(
+            tuple((m, shuffled[m][p - 1]) for m, p in atom)
+            for atom in tr.plan.queries[log.server])
+        assert log.answers == tuple(
+            sum(tr.storage[m][x - 1] for m, x in atom) % 2
+            for atom in log.atoms)
+
+
+def test_seeded_decode_checks_build_no_server_view(transcribe_calls):
+    g = family("complete", 5)
+    plans = {t: build_plan(g, et_config(1), t) for t in g.messages}
+    assert decode_check(plans, g, q=3, seeds=2).ok
+    assert measure_rate(g, et_config(1), q=3, seeds=1).decoded_ok
+    assert transcribe_calls == []
 
 
 # --- measured rates ----------------------------------------------------------

@@ -161,7 +161,7 @@ def render_plans(g: Graph, plans, thetas) -> str:
     audit = cost_audit(plans, g)
     lengths = {plans[t].length for t in plans}
     l_part = (f"L={lengths.pop()}" if len(lengths) == 1
-              else "L per component: "
+              else "L per message: "
                    + ", ".join(f"{t}:{plans[t].length}" for t in sorted(plans)))
     downloads = {plans[t].download_count() for t in plans}
     d_part = (f"D_k={downloads.pop()} for every theta" if len(downloads) == 1

@@ -14,9 +14,10 @@ transcripts replay unchanged.  `sim.execute_plan` and
 `verify.decode_check(seeds=n)` call `_execute`; only a `sim.Transcript`
 whose `per_server` is read calls `_transcribe`.
 
-A plan that cannot be sent cannot be built: `SchemePlan` checks that each
-reference is at a server of the graph, in a message it stores, within the
-length the plan gives that message.
+A plan that cannot be sent cannot be built: `SchemePlan` checks that the
+plan gives every message it names the desired message's length, and that
+each reference is at a server of the graph, in a message it stores and
+the plan names, within that length.
 
 Three constructions are provided.
 
@@ -87,15 +88,16 @@ class DecodeStep(NamedTuple):
 class SchemePlan:
     """Logical query layout and decoding recipe for one desired message.
 
-    Checked sendable when built, by `dataclasses.replace` too: a server
-    outside the graph raises IndexOutOfRange, any other fault
-    UnresolvableRef.
+    Checked when built, by `dataclasses.replace` too, that `lengths`
+    gives every message the desired one's length and that the plan can
+    be sent: a server outside the graph raises IndexOutOfRange, any other
+    fault UnresolvableRef.
     """
 
     graph: Graph
     kind: str
     theta: int
-    lengths: dict[int, int]     # theta and each message read -> length
+    lengths: dict[int, int]     # theta and each message read -> one length
     queries: dict[int, tuple[Atom, ...]]    # server -> atoms
     recipe: tuple[DecodeStep, ...]
     meta: dict = field(default_factory=dict)
@@ -105,12 +107,19 @@ class SchemePlan:
         if self.theta not in lengths:
             raise UnresolvableRef(
                 f"desired message {self.theta} has no length in the plan")
+        length = lengths[self.theta]
+        other = min((m for m, n in lengths.items() if n != length),
+                    default=None)
+        if other is not None:
+            raise UnresolvableRef(
+                f"message {other} has length {lengths[other]}, desired "
+                f"message {self.theta} has {length}")
         for s, atoms in self.queries.items():
             stored = self.graph.index_set(s)
-            held = {m: lengths[m] for m in stored if m in lengths}
+            held = {m for m in stored if m in lengths}
             for idx, atom in enumerate(atoms):
                 for m, p in atom:
-                    if not 1 <= p <= held.get(m, 0):
+                    if m not in held or not 1 <= p <= length:
                         raise UnresolvableRef(
                             f"server {s} atom {idx} reads " + (
                                 f"message {m}, which it does not store"
@@ -118,7 +127,7 @@ class SchemePlan:
                                 f"message {m}, which has no length in the plan"
                                 if m not in lengths else
                                 f"position {p} outside message {m} of length "
-                                f"{lengths[m]}"))
+                                f"{length}"))
 
     @property
     def length(self) -> int:
@@ -454,14 +463,15 @@ def _execute(plan: SchemePlan, rng: random.Random, q: int):
     """Run one plan against honest servers holding random storage.
 
     Draws the user's permutations (logical -> physical), then storage,
-    for each message the plan gives a length, ascending: for a built plan
-    the desired one and those it reads, so a run costs its plan, not its
-    graph.  The recipe then reads only the answers it names, each through
-    `_serve`; what every server saw is left to `_transcribe`.  Returns
-    (permutations, storage, decoded in stored symbol order).
+    each of the plan's one length, for each message the plan names,
+    ascending: for a built plan the desired one and those it reads, so a
+    run costs its plan, not its graph.  The recipe then reads only the
+    answers it names, each through `_serve`; what every server saw is
+    left to `_transcribe`.  Returns (permutations, storage, decoded in
+    stored symbol order).
     """
-    perms = {m: _draw_permutation(rng, n)
-             for m, n in sorted(plan.lengths.items())}
+    perms = {m: _draw_permutation(rng, plan.length)
+             for m in sorted(plan.lengths)}
     storage = {m: _draw_symbols(rng, len(perm), q)
                for m, perm in perms.items()}
 

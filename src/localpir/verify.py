@@ -7,9 +7,10 @@ is uniform on the orbit of the plan's layout there.  Two layouts share an
 orbit iff per-message position permutations map one onto the other, an
 isomorphism of coloured hypergraphs, so each layout is put in a canonical
 form by colour refinement and individualisation (McKay and Piperno,
-"Practical graph isomorphism, II", 2014).  Messages whose layouts share a
-canonical form and lengths form one view class; verdicts are exact, never
-sampled.
+"Practical graph isomorphism, II", 2014).  A plan gives every message it
+reads one length (`SchemePlan` checks it), so messages whose layouts share
+a canonical form and their plans' length form one view class; verdicts are
+exact, never sampled.
 
 Decodability is decided by a linear identity, not by sampling.  Answers
 are linear in storage and every reference to a message goes through that
@@ -24,7 +25,6 @@ the checks here refuse a plan built on a graph other than the one given.
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -52,21 +52,22 @@ class ViewClass(NamedTuple):
     """Messages whose layouts at one server give one view distribution.
 
     `view` is the layouts' canonical form: each message's referenced
-    positions renamed 1..r_m.  `lengths` are the lengths of the messages
-    it references, ascending by message, and `aut` counts the position
+    positions renamed 1..r_m.  `length` is the plans' one length L, 0 for
+    a layout that reads nothing, and `aut` counts the position
     permutations that fix a layout.
     """
 
     members: tuple[int, ...]
     view: Fingerprint
-    lengths: tuple[int, ...]
+    length: int
     aut: int
 
     @property
     def orbit(self) -> int:
-        """The number of views: prod_m (L_m)_{r_m} placements of the read
+        """The number of views: prod_m (L)_{r_m} placements of the read
         positions, |Aut| of them per view."""
-        return prod(map(perm, self.lengths, _reads(self.view))) // self.aut
+        return prod(perm(self.length, r)
+                    for r in _reads(self.view)) // self.aut
 
 
 def _reads(view: Fingerprint) -> list[int]:
@@ -93,7 +94,8 @@ def view_classes(plans: dict[int, SchemePlan], server: int, thetas,
     A message's layout is its atoms here under identity permutations, and
     its view is uniform on the layout's orbit under the permutations of
     the messages it references.  Layouts share an orbit iff they have one
-    canonical form (`_canonical`) and the same referenced lengths.
+    canonical form (`_canonical`) and their plans share one length, or
+    both read nothing.
     Classes come in order of their first message, members in the given
     order.  The canonical searches of all messages together may visit at
     most `cap` nodes.
@@ -115,11 +117,12 @@ def view_classes(plans: dict[int, SchemePlan], server: int, thetas,
         plan = plans[t]
         atoms = plan.atoms_at(server)
         refs = sorted({ref for atom in atoms for ref in atom})
-        lengths = tuple(plan.lengths[m] for m in sorted({m for m, _ in refs}))
+        # a layout that reads nothing has its one view at every length
+        length = plan.length if refs else 0
         view, aut = _canonical(atoms, refs, spend)
-        classes.setdefault((view, lengths), ([], aut))[0].append(t)
-    return [ViewClass(tuple(members), view, lengths, aut)
-            for (view, lengths), (members, aut) in classes.items()]
+        classes.setdefault((view, length), ([], aut))[0].append(t)
+    return [ViewClass(tuple(members), view, length, aut)
+            for (view, length), (members, aut) in classes.items()]
 
 
 def _canonical(atoms: tuple[Atom, ...], refs: list[tuple[int, int]],
@@ -229,57 +232,30 @@ def privacy_check(plans: dict[int, SchemePlan], g: Graph, server: int,
     PASS means the stored messages form one view class.  The support is
     the union of the classes' orbits (`_support`).  FAIL carries the least
     canonical view among the classes, which has probability 1/|orbit| in
-    its class and a different one, 1/|orbit'| or 0, in another.  Where
-    every class has one view and one orbit size, the classes differ only
-    in lengths, and the witness moves a read position beyond another
-    class's length instead.
+    its class, 0 in a class of another view, and 1/|orbit'| in a class of
+    the same view at another length, whose orbit is another size.
     """
     thetas = g.index_set(server)
     if not plans:
         raise EmptyInput("no plans given")
     _check_graph(plans, g, thetas)
     classes = view_classes(plans, server, thetas, cap)
-    if len(classes) < 2:
-        return PrivacyReport(server, thetas, "PASS",
-                             sum(c.orbit for c in classes))
     support = _support(classes)
-    if len({(c.view, c.orbit) for c in classes}) > 1:
-        return PrivacyReport(server, thetas, "FAIL", support,
-                             min(c.view for c in classes))
-    view = classes[0].view
-    low = list(map(min, zip(*(c.lengths for c in classes))))
-    witness = min(_moved(view, k, c.lengths[k])
-                  for c in classes for k, n in enumerate(low)
-                  if c.lengths[k] > n)
-    return PrivacyReport(server, thetas, "FAIL", support, witness)
+    if len(classes) < 2:
+        return PrivacyReport(server, thetas, "PASS", support)
+    return PrivacyReport(server, thetas, "FAIL", support,
+                         min(c.view for c in classes))
 
 
 def _support(classes: list[ViewClass]) -> int:
     """|union of the classes' orbits|.  Orbits of distinct views are
-    disjoint.  One view's orbit at lengths L is its placements within the
-    box L, over |Aut|, so the orbits of one view at several lengths are
-    counted by inclusion and exclusion over the boxes' intersections."""
-    by_view = defaultdict(list)
+    disjoint.  One view's orbit at length L is its placements within
+    positions 1..L, over |Aut|, so its orbits at several lengths are
+    nested and the largest holds the others."""
+    largest: dict[Fingerprint, int] = {}
     for c in classes:
-        by_view[c.view].append(c)
-    total = 0
-    for view, same in by_view.items():
-        reads = _reads(view)
-        for k in range(1, len(same) + 1):
-            for part in itertools.combinations(same, k):
-                low = map(min, zip(*(c.lengths for c in part)))
-                total += ((-1) ** (k + 1) * prod(map(perm, low, reads))
-                          // same[0].aut)
-    return total
-
-
-def _moved(view: Fingerprint, k: int, n: int) -> Fingerprint:
-    """The view with the last read position of its k-th message moved to
-    position n, beyond the others."""
-    m = sorted({m for atom in view for m, _ in atom})[k]
-    last = (m, _reads(view)[k])
-    return tuple(sorted(tuple(sorted((m, n) if ref == last else ref
-                                     for ref in atom)) for atom in view))
+        largest[c.view] = max(largest.get(c.view, 0), c.orbit)
+    return sum(largest.values())
 
 
 @dataclass

@@ -122,6 +122,26 @@ def test_scheme_table_matches_reference_rows(capsys):
     assert "L=2; D_k=4 for every theta; rate 1/2" in lines[-1]
 
 
+@pytest.mark.parametrize("edges,argv,line", [
+    # K4 minus the edge (3, 4), connected: t=2 plans of lengths 4 and 3
+    ([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)], ("--t", "2"),
+     "L per message: 1:4, 2:3, 3:3, 4:3, 5:3; expected D=38/5; rate 30/71"),
+    # C4, K4 and a 5-star: union plans of lengths 2, 4 and 1
+    ([(1, 2), (2, 3), (3, 4), (1, 4), (5, 6), (5, 7), (5, 8), (6, 7), (6, 8),
+      (7, 8), (9, 13), (10, 13), (11, 13), (12, 13)], (),
+     "L per message: 1:2, 2:2, 3:2, 4:2, 5:4, 6:4, 7:4, 8:4, 9:4, 10:4, "
+     "11:1, 12:1, 13:1, 14:1; expected D=40/7; rate 14/27"),
+], ids=["k4-minus-edge-t2", "union-c4+k4+s5"])
+def test_scheme_table_gives_each_message_its_length(capsys, tmp_path, edges,
+                                                    argv, line):
+    path = tmp_path / "graph.json"
+    n = max(max(e) for e in edges)
+    path.write_text(json.dumps({"n": n, "edges": [list(e) for e in edges]}))
+    code, out, _ = run(capsys, "scheme", "--graph", str(path), *argv)
+    assert code == 0
+    assert out.splitlines()[-1] == line
+
+
 def test_scheme_theta_restricts_rows(capsys):
     code, out, _ = run(capsys, "scheme", "--family", "cycle", "--n", "4",
                        "--t", "2", "--theta", "2")

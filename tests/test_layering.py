@@ -5,6 +5,8 @@ The package is layered cli/sim/verify -> scheme -> capacity -> graphs.  A
 function-local import is how a cycle usually sneaks back in, so both are
 checked from the source text.  `scheme._plan` alone decides which messages
 a plan's lengths name, so no other code calls `SchemePlan(...)`.  A plan
+gives every message it names one length, so other modules read
+`plan.length` and only `scheme` reads the `lengths` mapping.  A plan
 checks when built that it can be sent, so only `scheme` raises
 `UnresolvableRef` and no module catches it.
 """
@@ -89,6 +91,16 @@ def test_only_the_plan_constructor_calls_schemeplan():
     found = [f"{name} line {node.lineno}" for name, tree in MODULES.items()
              for node in ast.walk(tree)
              if _builds_a_plan(node) and id(node) not in allowed]
+    assert found == []
+
+
+def test_only_scheme_reads_a_plans_lengths():
+    # A class reading its own field through `self` is not reading a plan.
+    found = [f"{name} line {node.lineno}" for name, tree in MODULES.items()
+             if name != "scheme" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "lengths"
+             and not (isinstance(node.value, ast.Name)
+                      and node.value.id == "self")]
     assert found == []
 
 

@@ -683,8 +683,11 @@ def test_executor_refusals_keep_their_texts(atoms, certified, executed):
      "server 3 atom 0 reads position 3 outside message 2 of length 2"),
     (family("cycle", 4), {}, {2: 2, 4: 2}, UnresolvableRef,
      "desired message 1 has no length in the plan"),
+    (family("cycle", 4), {}, {1: 2, 2: 3, 4: 2}, UnresolvableRef,
+     "message 2 has length 3, desired message 1 has 2"),
 ], ids=["server-outside-graph", "unstored-message", "message-without-length",
-        "position-0", "position-L+1", "theta-without-length"])
+        "position-0", "position-L+1", "theta-without-length",
+        "unequal-lengths"])
 def test_a_plan_that_cannot_be_sent_cannot_be_built(g, queries, lengths,
                                                     error, text):
     # theta=1's union plan, the t-sum plan of its 4-cycle at t=1 (L=2),

@@ -37,6 +37,7 @@ from localpir.errors import (
 )
 from localpir.graphs import build_graph, family, graph_to_json
 from localpir.scheme import (
+    SchemePlan,
     bipartite_config,
     build_plan_family,
     derive_recipe,
@@ -168,11 +169,11 @@ def test_reports_agree_with_oracle_on_small_unions(g):
 
 @st.composite
 def layouts(draw, lengths=None):
-    """Lengths for 2-3 messages and a layout of atoms, each of 1-3 refs,
-    with some atoms repeated."""
+    """One length for 2-3 messages and a layout of atoms, each of 1-3
+    refs, with some atoms repeated."""
     if lengths is None:
         count = draw(st.integers(2, 3))
-        lengths = {m: draw(st.integers(1, 4)) for m in range(1, count + 1)}
+        lengths = dict.fromkeys(range(1, count + 1), draw(st.integers(1, 4)))
     ref = st.sampled_from([(m, p) for m, n in lengths.items()
                            for p in range(1, n + 1)])
     atoms = draw(st.lists(st.lists(ref, min_size=1, max_size=3)
@@ -199,11 +200,15 @@ STAR4 = family("star", 4)
 def hub_family(*chosen):
     """A star-4 family whose desired messages 1, 2, 3 get the chosen
     (lengths, atoms) layouts at the hub, server 4, which stores all
-    three.  A desired message the lengths leave out gets length 1."""
+    three.  A layout gives its messages one length, and its desired
+    message that length too."""
     base = build_plan_family(STAR4, bipartite_config())
-    return {t: dataclasses.replace(base[t], lengths={t: 1, **lengths},
-                                   queries={4: atoms})
-            for t, (lengths, atoms) in enumerate(chosen, 1)}
+    plans = {}
+    for t, (lengths, atoms) in enumerate(chosen, 1):
+        [length] = set(lengths.values())
+        plans[t] = dataclasses.replace(base[t], lengths={**lengths, t: length},
+                                       queries={4: atoms})
+    return plans
 
 
 @settings(max_examples=150, deadline=None,
@@ -286,17 +291,57 @@ def test_equal_layouts_at_unequal_lengths_are_told_apart(c4, c4_plans):
 def test_equal_orbits_at_unequal_lengths_fail_with_a_moved_witness(c4,
                                                                    c4_plans):
     # Server 2 reads one position of messages 1 and 2.  At lengths (2, 3)
-    # and (3, 2) both orbits hold 6 views, and the 4 views inside both
-    # have one probability; the witness lies in one orbit only.
-    plans = {**c4_plans,
-             1: dataclasses.replace(
-                 c4_plans[1], lengths={**c4_plans[1].lengths, 1: 2, 2: 3}),
-             2: dataclasses.replace(
-                 c4_plans[2], lengths={**c4_plans[2].lengths, 1: 3, 2: 2})}
-    rep = privacy_check(plans, c4, 2)
-    assert rep.to_json() == oracle_privacy_check(plans, c4, 2).to_json()
-    assert rep.verdict == "FAIL" and rep.support_size == 8
-    assert rep.counterexample == (((1, 1), (2, 3)),)
+    # and (3, 2) both orbits would hold 6 views, told apart only by a
+    # view in one orbit; a plan gives every message it names one length,
+    # so neither plan is built, directly or by dataclasses.replace
+    for theta, lengths, text in [
+            (1, {1: 2, 2: 3}, "message 2 has length 3, desired message 1 "
+                              "has 2"),
+            (2, {1: 3, 2: 2}, "message 1 has length 3, desired message 2 "
+                              "has 2")]:
+        plan = c4_plans[theta]
+        unequal = {**plan.lengths, **lengths}
+        for build in (lambda: dataclasses.replace(plan, lengths=unequal),
+                      lambda: SchemePlan(**{**vars(plan),
+                                            "lengths": unequal})):
+            with pytest.raises(UnresolvableRef) as refused:
+                build()
+            assert str(refused.value) == text
+
+
+@pytest.mark.parametrize("atoms,aut", [
+    ((((1, 1), (2, 1)),), 1),
+    ((((1, 1), (1, 2)), ((2, 1), (2, 2))), 4),
+], ids=["one-position-each", "swappable-pairs"])
+def test_one_layout_at_nested_lengths_agrees_with_oracle(atoms, aut):
+    # The same layout at lengths 2, 3 and 4: its orbits are nested, so the
+    # support is the largest of them, and every pair of classes differs
+    # in orbit size, so the least canonical view is a witness
+    plans = hub_family(*((dict.fromkeys((1, 2), n), atoms)
+                         for n in (2, 3, 4)))
+    classes = view_classes(plans, 4, (1, 2, 3))
+    assert [(c.members, c.length, c.aut) for c in classes] == [
+        ((1,), 2, aut), ((2,), 3, aut), ((3,), 4, aut)]
+    got = privacy_check(plans, STAR4, 4)
+    want = oracle_privacy_check(plans, STAR4, 4)
+    assert got.verdict == want.verdict == "FAIL"
+    assert got.support_size == want.support_size == classes[-1].orbit
+    assert got.counterexample == want.counterexample == atoms
+
+
+def test_layouts_that_read_nothing_form_one_class_at_any_length():
+    # union-c4+k4+s5: a C4 server reads nothing for the K4 messages (L=4)
+    # and the star messages (L=1), so all of them share one empty view
+    c4 = family("cycle", 4)
+    edges = list(c4.edges)
+    edges += [(u + 4, v + 4) for u, v in family("complete", 4).edges]
+    edges += [(u + 8, v + 8) for u, v in family("star", 5).edges]
+    g = build_graph(13, edges)
+    plans = build_plan_family(g, union_config())
+    thetas = tuple(range(5, 15))
+    assert {plans[t].length for t in thetas} == {1, 4}
+    [cls] = view_classes(plans, 1, thetas)
+    assert cls.members == thetas and cls.view == () and cls.orbit == 1
 
 
 def test_view_classes_place_only_the_referenced_positions(k4_plans):

@@ -77,8 +77,8 @@ def union_capacity(parts) -> Fraction:
     """The one rate formula: K / sum over messages of D_theta / L_theta.
 
     parts: iterable of (message_count, sum of D/L over those messages),
-    such as (K_c, K_c / R_c) per component of a union, or one part per
-    plan length of a family.  It is the rate once every message is
+    such as (K_c, K_c / R_c) per component of a union, or (1, D/L) per
+    plan of a family.  It is the rate once every message is
     repeated to one common length L (Sun & Jafar, "The capacity of private
     information retrieval", 2017), so K*L / sum D when all lengths are L.
     The parts must download something.

@@ -11,6 +11,7 @@ it builds its parser on the first call and reuses it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -48,7 +49,9 @@ def load_graph(args) -> Graph:
             obj = json.load(fh)
     except OSError as exc:
         raise InvalidFamilyParams(f"cannot read {args.graph}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, nesting too deep to parse, and integers
+        # over Python's digit limit, as well as JSON syntax errors
         raise InvalidFamilyParams(
             f"{args.graph} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
@@ -103,15 +106,29 @@ def describe_config(cfg: PlanConfig) -> str:
         return f"t-sum (t_i={cfg.t_i}, t_j={cfg.t_j})"
     if cfg.kind == "bipartite":
         return "bipartite cover (L=1)"
-    if cfg.kind == "union":
-        return "component dispatch (per-component defaults)"
-    return f"fixture {cfg.fixture}"
+    return "component dispatch (per-component defaults)"
 
 
 # --- rendering ---------------------------------------------------------------
 
 def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+@contextlib.contextmanager
+def long_ints():
+    """Lift Python's limit on the digits of an int turned into a string
+    (3.10.7 and later) while a verdict is rendered, since an exact support
+    may be longer; input parsing keeps the limit.  The old value is
+    restored on the way out."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if old is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
 
 
 def atom_label(atom, k_total: int) -> str:
@@ -255,13 +272,14 @@ def cmd_verify(args) -> int:
     if args.probe:
         probes = [canonical_privacy_probe(plans, g, s, args.cap)
                   for s in g.vertices]
-    if args.format == "json":
-        obj = report.to_json()
-        if probes is not None:
-            obj["probes"] = [p.to_json() for p in probes]
-        print(dump_json(obj))
-    else:
-        print(render_verify(report, probes))
+    with long_ints():
+        if args.format == "json":
+            obj = report.to_json()
+            if probes is not None:
+                obj["probes"] = [p.to_json() for p in probes]
+            print(dump_json(obj))
+        else:
+            print(render_verify(report, probes))
     return verdict_exit_code(report)
 
 

@@ -66,23 +66,15 @@ K4_TABLE: dict[int, dict[int, tuple]] = {
         4: (((3, 1), (5, 1)), ((3, 2), (6, 3)), ((5, 2), (6, 4)))},
 }
 
-FIXTURE_NAMES = ("c4", "k4")
+# name -> (storage family, its size, table, message length)
+_FIXTURES = {"c4": ("cycle", 4, C4_TABLE, 2),
+             "k4": ("complete", 4, K4_TABLE, 4)}
 
 
-def fixture_graph(name: str) -> Graph:
-    if name == "c4":
-        return family("cycle", 4)
-    if name == "k4":
-        return family("complete", 4)
-    raise InvalidFamilyParams(f"unknown fixture {name!r}; "
-                              f"known: {FIXTURE_NAMES}")
-
-
-def fixture_table(name: str) -> tuple[dict[int, dict[int, tuple]], int]:
-    """Return (table, message length) for a fixture."""
-    if name == "c4":
-        return C4_TABLE, 2
-    if name == "k4":
-        return K4_TABLE, 4
-    raise InvalidFamilyParams(f"unknown fixture {name!r}; "
-                              f"known: {FIXTURE_NAMES}")
+def fixture(name: str) -> tuple[Graph, dict[int, dict[int, tuple]], int]:
+    """Return (graph, table, message length) for a fixture."""
+    if name not in _FIXTURES:
+        raise InvalidFamilyParams(f"unknown fixture {name!r}; "
+                                  f"known: {tuple(_FIXTURES)}")
+    kind, n, table, length = _FIXTURES[name]
+    return family(kind, n), table, length

@@ -65,7 +65,7 @@ from .errors import (
     UndecodablePlan,
     UnresolvableRef,
 )
-from .fixtures import fixture_graph, fixture_table
+from .fixtures import fixture
 from .graphs import Graph
 
 Ref = tuple[int, int]          # (message, position), both 1-based
@@ -324,11 +324,10 @@ def default_component_config(cg: Graph) -> PlanConfig:
 def build_fixture_plan(name: str, theta: int,
                        g: Graph | None = None) -> SchemePlan:
     """Rebuild a frozen reference plan as a first-class SchemePlan."""
-    graph = fixture_graph(name)
+    graph, table, length = fixture(name)
     if g is not None and g != graph:
         raise InvalidFamilyParams(
             f"fixture {name!r} is defined on {graph}, not {g}")
-    table, length = fixture_table(name)
     if theta not in table:
         raise IndexOutOfRange(f"message {theta} outside 1..{graph.K}")
     return _plan(graph, "fixture", theta, length, dict(table[theta]),

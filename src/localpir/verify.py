@@ -7,10 +7,9 @@ is uniform on the orbit of the plan's layout there.  Two layouts share an
 orbit iff per-message position permutations map one onto the other, an
 isomorphism of coloured hypergraphs, so each layout is put in a canonical
 form by colour refinement and individualisation (McKay and Piperno,
-"Practical graph isomorphism, II", 2014).  A plan gives every message it
-reads one length (`SchemePlan` checks it), so messages whose layouts share
-a canonical form and their plans' length form one view class; verdicts are
-exact, never sampled.
+"Practical graph isomorphism, II", 2014).  The canonical form and the
+orbit's size fix the view distribution, so messages whose layouts share
+both form one view class; verdicts are exact, never sampled.
 
 Decodability is decided by a linear identity, not by sampling.  Answers
 are linear in storage and every reference to a message goes through that
@@ -26,10 +25,9 @@ the checks here refuse a plan built on a graph other than the one given.
 from __future__ import annotations
 
 import random
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import perm, prod
 from typing import Callable, NamedTuple
 
 from .capacity import union_capacity
@@ -52,31 +50,15 @@ class ViewClass(NamedTuple):
     """Messages whose layouts at one server give one view distribution.
 
     `view` is the layouts' canonical form: each message's referenced
-    positions renamed 1..r_m.  `length` is the plans' one length L, 0 for
-    a layout that reads nothing, and `aut` counts the position
-    permutations that fix a layout.
+    positions renamed 1..r_m.  `aut` counts the position permutations
+    that fix a layout, and `orbit` the views it is uniform on, so each
+    has probability 1/orbit.
     """
 
     members: tuple[int, ...]
     view: Fingerprint
-    length: int
     aut: int
-
-    @property
-    def orbit(self) -> int:
-        """The number of views: prod_m (L)_{r_m} placements of the read
-        positions, |Aut| of them per view."""
-        return prod(perm(self.length, r)
-                    for r in _reads(self.view)) // self.aut
-
-
-def _reads(view: Fingerprint) -> list[int]:
-    """r_m, the positions a canonical view reads, ascending by message."""
-    top: dict[int, int] = {}
-    for atom in view:
-        for m, p in atom:
-            top[m] = max(top.get(m, 0), p)
-    return [top[m] for m in sorted(top)]
+    orbit: int
 
 
 def _check_graph(plans: dict[int, SchemePlan], g: Graph, thetas) -> None:
@@ -93,9 +75,10 @@ def view_classes(plans: dict[int, SchemePlan], server: int, thetas,
 
     A message's layout is its atoms here under identity permutations, and
     its view is uniform on the layout's orbit under the permutations of
-    the messages it references.  Layouts share an orbit iff they have one
-    canonical form (`_canonical`) and their plans share one length, or
-    both read nothing.
+    the messages it references: prod_m (L)_{r_m} placements of the r_m
+    positions it reads of each message m, |Aut| of them per view, so 1
+    for a layout that reads nothing.  Layouts share an orbit iff they
+    have one canonical form (`_canonical`) and one orbit size.
     Classes come in order of their first message, members in the given
     order.  The canonical searches of all messages together may visit at
     most `cap` nodes.
@@ -117,12 +100,17 @@ def view_classes(plans: dict[int, SchemePlan], server: int, thetas,
         plan = plans[t]
         atoms = plan.atoms_at(server)
         refs = sorted({ref for atom in atoms for ref in atom})
-        # a layout that reads nothing has its one view at every length
-        length = plan.length if refs else 0
         view, aut = _canonical(atoms, refs, spend)
-        classes.setdefault((view, length), ([], aut))[0].append(t)
-    return [ViewClass(tuple(members), view, length, aut)
-            for (view, length), (members, aut) in classes.items()]
+        # prod_m (L)_{r_m} placements: in `refs`, sorted, the k-th position
+        # read of a message, k from 0, has L - k places left
+        orbit, prev, k = 1, None, 0
+        for m, _ in refs:
+            k = k + 1 if m == prev else 0
+            orbit, prev = orbit * (plan.length - k), m
+        orbit //= aut
+        classes.setdefault((view, orbit), ([], aut))[0].append(t)
+    return [ViewClass(tuple(members), view, aut, orbit)
+            for (view, orbit), (members, aut) in classes.items()]
 
 
 def _canonical(atoms: tuple[Atom, ...], refs: list[tuple[int, int]],
@@ -233,7 +221,7 @@ def privacy_check(plans: dict[int, SchemePlan], g: Graph, server: int,
     the union of the classes' orbits (`_support`).  FAIL carries the least
     canonical view among the classes, which has probability 1/|orbit| in
     its class, 0 in a class of another view, and 1/|orbit'| in a class of
-    the same view at another length, whose orbit is another size.
+    the same view and another orbit size.
     """
     thetas = g.index_set(server)
     if not plans:
@@ -250,7 +238,7 @@ def privacy_check(plans: dict[int, SchemePlan], g: Graph, server: int,
 def _support(classes: list[ViewClass]) -> int:
     """|union of the classes' orbits|.  Orbits of distinct views are
     disjoint.  One view's orbit at length L is its placements within
-    positions 1..L, over |Aut|, so its orbits at several lengths are
+    positions 1..L, over |Aut|, so its orbits of several sizes are
     nested and the largest holds the others."""
     largest: dict[Fingerprint, int] = {}
     for c in classes:
@@ -413,7 +401,7 @@ class CostReport:
 def cost_audit(plans: dict[int, SchemePlan], g: Graph) -> CostReport:
     """Count downloads and cross-check them against closed forms.
 
-    Rate is `capacity.union_capacity` over one part per plan length:
+    Rate is `capacity.union_capacity` over one part per plan:
     K / sum_theta D_theta / L_theta, messages weighted equally (the
     desired index is uniform).  Plans of one length L give K*L / sum D.
     A family that downloads nothing is a mismatch too (rate 0).
@@ -424,15 +412,10 @@ def cost_audit(plans: dict[int, SchemePlan], g: Graph) -> CostReport:
         raise EmptyInput("no plans given")
     _check_graph(plans, g, plans)
     downloads = dict.fromkeys(g.vertices, 0)
-    # plans and their download, by plan length
-    count, downloaded = defaultdict(int), defaultdict(int)
     mismatches = []
     for t, plan in plans.items():
         for s, atoms in plan.queries.items():
             downloads[s] += len(atoms)
-        length = plan.length
-        count[length] += 1
-        downloaded[length] += per_theta[t]
         if plan.kind == "et":
             expect = et_download_cost(plan.meta["deg_i"], plan.meta["deg_j"],
                                       plan.meta["t_i"], plan.meta["t_j"])
@@ -441,7 +424,7 @@ def cost_audit(plans: dict[int, SchemePlan], g: Graph) -> CostReport:
                     f"theta {t}: downloaded {per_theta[t]}, "
                     f"closed form says {expect}")
         elif plan.kind == "bipartite":
-            expect = g.degree(plan.meta["cover_vertex"]) * length
+            expect = g.degree(plan.meta["cover_vertex"]) * plan.length
             if per_theta[t] != expect:
                 mismatches.append(
                     f"theta {t}: downloaded {per_theta[t]}, "
@@ -449,9 +432,9 @@ def cost_audit(plans: dict[int, SchemePlan], g: Graph) -> CostReport:
     total = sum(per_theta.values())
     if not total:
         mismatches.append("no plan downloads anything")
-    rate = (union_capacity((count[n], Fraction(downloaded[n], n))
-                           for n in count)
-            if any(downloaded.values()) else Fraction(0))
+    rate = (union_capacity((1, Fraction(per_theta[t], plans[t].length))
+                           for t in per_theta)
+            if total else Fraction(0))
     per_server = {s: Fraction(c, k) for s, c in downloads.items()}
     return CostReport(per_theta, per_server, Fraction(total, k), rate,
                       mismatches)

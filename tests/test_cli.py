@@ -2,6 +2,7 @@
 fuzzed inputs, all through `main` in one process."""
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -142,6 +143,15 @@ def test_scheme_table_gives_each_message_its_length(capsys, tmp_path, edges,
     assert out.splitlines()[-1] == line
 
 
+def test_scheme_table_numbers_messages_past_the_alphabet(capsys):
+    # complete-8 stores K = 28 messages, more than there are letters
+    code, out, _ = run(capsys, "scheme", "--family", "complete", "--n", "8")
+    assert code == 0
+    row = out.splitlines()[2].split(" | ")
+    assert row[0].strip() == "1"
+    assert row[1].startswith("W1(1)+W2(1)+W3(1), W1(2)+W2(2)+W4(1), ")
+
+
 def test_scheme_theta_restricts_rows(capsys):
     code, out, _ = run(capsys, "scheme", "--family", "cycle", "--n", "4",
                        "--t", "2", "--theta", "2")
@@ -200,6 +210,56 @@ def test_verify_json_report(capsys):
     assert any(p["canonical"] for p in obj["probes"])
 
 
+def test_verify_table_lists_decode_faults_and_cost_mismatches():
+    g = family("cycle", 4)
+    plans = build_plan_family(g, et_config(2))
+    silenced = mutated_family(plans, 2, silence_server(plans[2], 3))
+    lines = cli.render_verify(check_scheme(silenced, g), None).splitlines()
+    assert lines[4:] == [
+        "decode: FAIL (exact)",
+        "  theta 2 certificate: step 2 reads atom 0 of server 3, which "
+        "receives 0",
+        "cost: expected download 15/4, rate 8/15 [closed-form MISMATCH]",
+        "  theta 2: downloaded 3, closed form says 4",
+        "verdict: FAIL"]
+    # a plan whose recorded degree is wrong: it decodes, but its download
+    # disagrees with the closed form for that degree
+    wrong = {**plans, 1: dataclasses.replace(
+        plans[1], meta={**plans[1].meta, "deg_i": 3})}
+    lines = cli.render_verify(check_scheme(wrong, g), None).splitlines()
+    assert lines[4:] == [
+        "decode: PASS (exact)",
+        "cost: expected download 4, rate 1/2 [closed-form MISMATCH]",
+        "  theta 1: downloaded 4, closed form says 7",
+        "verdict: FAIL"]
+
+
+def _digit_limit():
+    """Python's int-to-string digit limit, None before 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_verify_prints_a_support_past_the_digit_limit(capsys, monkeypatch,
+                                                      fmt):
+    # complete-13 at t=4 has a 4725-digit support at server 1; a report
+    # with a longer one stands in for its seconds-long search
+    real = cli.check_scheme
+
+    def huge_support(*args, **kwargs):
+        report = real(*args, **kwargs)
+        report.privacy[0].support_size = 10**5000
+        return report
+
+    monkeypatch.setattr(cli, "check_scheme", huge_support)
+    limit = _digit_limit()
+    code, out, err = run(capsys, "verify", "--family", "cycle", "--n", "4",
+                         "--t", "2", "--format", fmt)
+    assert code == 0 and err == ""
+    assert "1" + "0" * 5000 in out
+    assert _digit_limit() == limit
+
+
 def test_verify_rejects_infeasible_enumeration(capsys):
     # complete-5 t=2 searches one node per stored message, 4 per server
     code, out, err = run(capsys, "verify", "--family", "complete", "--n", "5",
@@ -253,6 +313,19 @@ def test_simulate_reports_rate(capsys):
     assert "bounds [3/5, 3/5] (exact)" in out
 
 
+def test_simulate_transcript_table(capsys):
+    code, out, _ = run(capsys, "simulate", "--family", "cycle", "--n", "4",
+                       "--t", "2", "--theta", "1")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[lines.index("decode PASS (exact)") + 2:] == [
+        "transcript theta=1 seed=0 q=2 D_k=4 decoded_ok=True",
+        "  server 1: a1+d1=1",
+        "  server 2: a2+b2=1",
+        "  server 3: b2=1",
+        "  server 4: d1=1"]
+
+
 def test_simulate_transcript_json(capsys):
     code, out, _ = run(capsys, "simulate", "--family", "cycle", "--n", "4",
                        "--t", "2", "--theta", "3", "--seed", "1",
@@ -282,6 +355,10 @@ def test_simulate_union_from_file(capsys, union_file):
     ("scheme", "--family", "cycle", "--n", "4", "--theta", "9"),
     ("simulate", "--family", "cycle", "--n", "4", "--t", "2", "--theta", "0"),
     ("bounds", "--family", "complete_bipartite", "--n", "5"),
+    ("verify", "--family", "complete_bipartite", "--n", "5"),
+    ("bounds", "--family", "path", "--n", "1"),
+    ("bounds", "--family", "star", "--n", "1"),
+    ("bounds", "--family", "complete", "--n", "1"),
     ("verify", "--family", "cycle", "--n", "4", "--t", "2", "--seeds", "-1"),
     ("simulate", "--family", "cycle", "--n", "4", "--t", "2", "--seeds", "-1"),
     ("verify", "--family", "cycle", "--n", "4", "--scheme", "bipartite",
@@ -344,9 +421,10 @@ def test_both_graph_sources_exit_two(capsys, c4_file):
     '{"n": 2, "edges": [[true, 2]]}',
     '{"n": 2.9, "edges": [[1, 2]]}',
     '{"n": "2", "edges": [[1, 2]]}',
+    '[[1, 2]]',
 ], ids=["no-edges-key", "not-json", "short-edge-no-n", "short-edge",
         "long-edge", "edges-int", "float-endpoint", "str-endpoints",
-        "bool-endpoint", "float-n", "str-n"])
+        "bool-endpoint", "float-n", "str-n", "top-level-list"])
 def test_malformed_graph_file_exits_two(capsys, tmp_path, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -356,6 +434,27 @@ def test_malformed_graph_file_exits_two(capsys, tmp_path, text):
 
 
 SUBCOMMANDS = ("bounds", "scheme", "verify", "simulate")
+
+
+@pytest.mark.parametrize("data", [
+    b'{"n": 2, "edges": [[1, 2]], "note": "\xff"}',
+    b"[" * 10**5 + b"]" * 10**5,
+    b'{"n": ' + b"9" * 5000 + b', "edges": [[1, 2]]}',
+], ids=["not-utf8", "deep-nesting", "integer-past-the-digit-limit"])
+def test_unparsable_graph_bytes_exit_two(capsys, tmp_path, data):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    for command in SUBCOMMANDS:
+        code, out, err = run(capsys, command, "--graph", str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {bad} is not valid JSON: ")
+
+
+def test_unreadable_graph_path_exits_two(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "bounds", "--graph", str(missing))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {missing}: ")
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)

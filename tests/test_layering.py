@@ -8,7 +8,9 @@ a plan's lengths name, so no other code calls `SchemePlan(...)`.  A plan
 gives every message it names one length, so other modules read
 `plan.length` and only `scheme` reads the `lengths` mapping.  A plan
 checks when built that it can be sent, so only `scheme` raises
-`UnresolvableRef` and no module catches it.
+`UnresolvableRef` and no module catches it.  Only `cli` writes output, so
+only it calls `print` or touches Python's int-to-string digit limit, which
+it lifts while a verdict is printed and nowhere else.
 """
 
 import ast
@@ -124,3 +126,19 @@ def test_only_scheme_raises_unresolvable_ref_and_nothing_catches_it():
               and "UnresolvableRef" in _names(node.type)]
     assert raised == ["scheme"]
     assert caught == []
+
+
+def _prints_or_touches_the_digit_limit(node: ast.AST) -> bool:
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id == "print"
+    text = (node.attr if isinstance(node, ast.Attribute)
+            else node.name if isinstance(node, ast.alias)
+            else node.value if isinstance(node, ast.Constant) else "")
+    return "_int_max_str_digits" in str(text)
+
+
+def test_only_the_cli_prints_or_touches_the_digit_limit():
+    found = [f"{name}: {ast.unparse(node)}" for name, tree in MODULES.items()
+             if name != "cli" for node in ast.walk(tree)
+             if _prints_or_touches_the_digit_limit(node)]
+    assert found == []

@@ -12,8 +12,7 @@ import argparse
 
 from localpir.capacity import family_bounds
 from localpir.errors import InvalidFamilyParams
-
-FAMILIES = ("cycle", "path", "star", "complete", "complete_bipartite")
+from localpir.graphs import FAMILIES
 
 
 def row(rep):

@@ -19,7 +19,14 @@ from .errors import (
     TOutOfRange,
     UnsupportedFamily,
 )
-from .graphs import Graph, bipartition, components, detect_family
+from .graphs import (
+    FAMILIES,
+    Graph,
+    bipartition,
+    check_size,
+    components,
+    detect_family,
+)
 
 
 class BoundValue(Fraction):
@@ -241,17 +248,16 @@ def family_bounds(name: str, n: int) -> BoundReport:
     `lower` is the exact rate of a scheme the package runs on the family;
     the comparators are cited values for the fully private problem.
     """
+    if name not in FAMILIES:
+        raise UnsupportedFamily(f"no bounds on record for family {name!r}")
+    check_size(name, n)
     if name == "cycle":
-        if n < 3:
-            raise InvalidFamilyParams(f"cycle needs n >= 3, got {n}")
         half = BoundValue(Fraction(1, 2))
         return BoundReport(
             "cycle", n, half, half, True,
             comparators=[Comparator(float(Fraction(2, n + 1)), "BU19",
                                     f"full privacy: 2/(n+1) = {Fraction(2, n + 1)}")])
     if name == "path":
-        if n < 2:
-            raise InvalidFamilyParams(f"path needs n >= 2, got {n}")
         lower = Fraction(n - 1, 2 * n - 4) if n % 2 else Fraction(n - 1, 2 * n - 3)
         upper = Fraction(n - 1, 2 * n - 4) if n >= 3 else Fraction(1)
         return BoundReport(
@@ -259,31 +265,22 @@ def family_bounds(name: str, n: int) -> BoundReport:
             comparators=[Comparator(float(Fraction(2, n)), "journal2025",
                                     f"full privacy: 2/n = {Fraction(2, n)}")])
     if name == "star":
-        if n < 2:
-            raise InvalidFamilyParams(f"star needs n >= 2, got {n}")
         one = BoundValue(1)
         return BoundReport(
             "star", n, one, one, True,
             comparators=[Comparator(None, "SGT23",
                                     "full privacy: Theta(1/sqrt(n))")])
     if name == "complete":
-        if n < 2:
-            raise InvalidFamilyParams(f"complete needs n >= 2, got {n}")
         return _regular_report("complete", n, n - 1,
                                _complete_comparators(n))
-    if name == "complete_bipartite":
-        if n < 2 or n % 2:
-            raise InvalidFamilyParams(
-                f"balanced complete bipartite needs even n >= 2, got {n}")
-        # t = 1 already attains the cover rate 1/d, so the t-sum optimum
-        # is never below it and best_scheme always keeps the t-sum plan.
-        return _regular_report(
-            "complete_bipartite", n, n // 2,
-            [Comparator(float(Fraction(4, 3 * n)), "krishnan_graph",
-                        f"full privacy lower: 4/(3n) = {Fraction(4, 3 * n)}"),
-             Comparator(_reciprocal(n, math.exp(0.5) - 1), "gePIR",
-                        "full privacy upper (asymptotic): 1/(n(e^0.5 - 1))")])
-    raise UnsupportedFamily(f"no bounds on record for family {name!r}")
+    # complete_bipartite: t = 1 already attains the cover rate 1/d, so the
+    # t-sum optimum is never below it and best_scheme keeps the t-sum plan.
+    return _regular_report(
+        "complete_bipartite", n, n // 2,
+        [Comparator(float(Fraction(4, 3 * n)), "krishnan_graph",
+                    f"full privacy lower: 4/(3n) = {Fraction(4, 3 * n)}"),
+         Comparator(_reciprocal(n, math.exp(0.5) - 1), "gePIR",
+                    "full privacy upper (asymptotic): 1/(n(e^0.5 - 1))")])
 
 
 def _regular_report(name: str, n: int, d: int, comparators) -> BoundReport:

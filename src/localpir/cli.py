@@ -4,8 +4,9 @@ Storage comes from a named family (--family with --n) or a JSON file
 (--graph) shaped {"n": N, "edges": [[u, v], ...]} with 1-based vertices.
 Exit codes: 0 success, 1 a verifier verdict is FAIL, 2 invalid input or
 a privacy search over its node budget, 3 an internal error (one line on
-stderr, no traceback).  `main` may be called repeatedly in one process;
-it builds its parser on the first call and reuses it.
+stderr, no traceback); a closed output pipe keeps the command's code.
+`main` alone writes, and may be called repeatedly in one process; it
+builds its parser on the first call and reuses it.
 """
 
 from __future__ import annotations
@@ -14,11 +15,19 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 
 from .capacity import BoundReport, family_bounds, graph_bounds
 from .errors import InvalidFamilyParams, LocalPIRError
-from .graphs import Graph, components, family, graph_from_json, graph_to_json
+from .graphs import (
+    FAMILIES,
+    Graph,
+    components,
+    family,
+    graph_from_json,
+    graph_to_json,
+)
 from .scheme import (
     PlanConfig,
     bipartite_config,
@@ -36,14 +45,12 @@ from .verify import (
     cost_audit,
 )
 
-FAMILIES = ("cycle", "path", "star", "complete", "complete_bipartite")
-
 
 # --- input resolution --------------------------------------------------------
 
 def load_graph(args) -> Graph:
     if family_source(args):
-        return family_graph(args.family, args.n)
+        return family(args.family, args.n)
     try:
         with open(args.graph, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -66,16 +73,6 @@ def family_source(args) -> bool:
     if args.family is not None and args.n is None:
         raise InvalidFamilyParams("--family requires --n")
     return args.family is not None
-
-
-def family_graph(name: str, n: int) -> Graph:
-    if name == "complete_bipartite":
-        if n < 2 or n % 2:
-            raise InvalidFamilyParams(
-                "--family complete_bipartite builds the balanced member and "
-                f"needs even n >= 2, got {n}; use --graph for unbalanced")
-        return family(name, a=n // 2, b=n // 2)
-    return family(name, n)
 
 
 def resolve_config(args, g: Graph) -> PlanConfig:
@@ -230,17 +227,14 @@ def render_transcript(t: Transcript, k_total: int) -> str:
 
 # --- subcommands -------------------------------------------------------------
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> tuple[int, str]:
     report = (family_bounds(args.family, args.n) if family_source(args)
               else graph_bounds(load_graph(args)))
-    if args.format == "json":
-        print(dump_json(report.to_json()))
-    else:
-        print(render_bounds(report))
-    return 0
+    return 0, (dump_json(report.to_json()) if args.format == "json"
+               else render_bounds(report))
 
 
-def cmd_scheme(args) -> int:
+def cmd_scheme(args) -> tuple[int, str]:
     g = load_graph(args)
     config = resolve_config(args, g)
     check_theta(args, g)
@@ -257,66 +251,52 @@ def cmd_scheme(args) -> int:
                                for s in g.vertices if plans[t].atoms_at(s)}
                       for t in thetas},
         }
-        print(dump_json(obj))
-    else:
-        print(render_plans(g, plans, thetas))
-    return 0
+        return 0, dump_json(obj)
+    return 0, render_plans(g, plans, thetas)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
     g = load_graph(args)
     config = resolve_config(args, g)
     plans = build_plan_family(g, config)
     report = check_scheme(plans, g, q=args.q, seeds=args.seeds, cap=args.cap)
-    probes = None
-    if args.probe:
-        probes = [canonical_privacy_probe(plans, g, s, args.cap)
-                  for s in g.vertices]
+    probes = ([canonical_privacy_probe(plans, g, s, args.cap)
+               for s in g.vertices] if args.probe else None)
+    code = 0 if report.ok else 1
     with long_ints():
         if args.format == "json":
             obj = report.to_json()
             if probes is not None:
                 obj["probes"] = [p.to_json() for p in probes]
-            print(dump_json(obj))
-        else:
-            print(render_verify(report, probes))
-    return verdict_exit_code(report)
+            return code, dump_json(obj)
+        return code, render_verify(report, probes)
 
 
-def verdict_exit_code(report: SchemeReport) -> int:
-    """0 when every check passed, 1 when any verdict is FAIL."""
-    return 0 if report.ok else 1
-
-
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[int, str]:
     g = load_graph(args)
     config = resolve_config(args, g)
     check_theta(args, g)
     report = measure_rate(g, config, q=args.q, seeds=args.seeds)
-    transcript = None
-    if args.theta is not None:
-        transcript = run_retrieval(g, config, args.theta, args.seed, args.q)
+    transcript = (None if args.theta is None
+                  else run_retrieval(g, config, args.theta, args.seed, args.q))
+    code = 0 if report.decoded_ok else 1
     if args.format == "json":
         obj = report.to_json()
         if transcript is not None:
             obj["transcript"] = transcript.to_json()
-        print(dump_json(obj))
-    else:
-        lines = [f"graph {report.graph}",
-                 f"scheme {describe_config(config)}",
-                 f"measured rate {report.rate} "
-                 f"(~{float(report.rate):.6g})",
-                 f"total download {report.total_download} over "
-                 f"{len(report.per_theta_download)} messages",
-                 f"decode {'PASS' if report.decoded_ok else 'FAIL'} (exact)",
-                 f"bounds [{report.bounds.lower}, "
-                 f"{report.bounds.upper}]"
-                 + (" (exact)" if report.bounds.exact else "")
-                 + ("" if report.bracketed else "  NOT BRACKETED")]
-        print("\n".join(lines))
-        if transcript is not None:
-            print(render_transcript(transcript, g.K))
-    return 0 if report.decoded_ok else 1
+        return code, dump_json(obj)
+    lines = [f"graph {report.graph}",
+             f"scheme {describe_config(config)}",
+             f"measured rate {report.rate} (~{float(report.rate):.6g})",
+             f"total download {report.total_download} over "
+             f"{len(report.per_theta_download)} messages",
+             f"decode {'PASS' if report.decoded_ok else 'FAIL'} (exact)",
+             f"bounds [{report.bounds.lower}, {report.bounds.upper}]"
+             + (" (exact)" if report.bounds.exact else "")
+             + ("" if report.bracketed else "  NOT BRACKETED")]
+    if transcript is not None:
+        lines.append(render_transcript(transcript, g.K))
+    return code, "\n".join(lines)
 
 
 # --- parser ------------------------------------------------------------------
@@ -329,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def graph_opts(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--family", choices=FAMILIES,
+        p.add_argument("--family", choices=tuple(FAMILIES),
                        help="named storage family (requires --n)")
         p.add_argument("--n", type=int, help="number of servers")
         p.add_argument("--graph", metavar="PATH",
@@ -405,7 +385,16 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, text = args.func(args)
+        try:
+            print(text, flush=True)
+        except OSError as exc:
+            # Drop what stdout still buffers, so exiting raises no second
+            # error.  A closed pipe fails nothing; other errors are internal.
+            sys.stdout = open(os.devnull, "w", encoding="utf-8")
+            if not isinstance(exc, BrokenPipeError):
+                raise
+        return code
     except LocalPIRError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

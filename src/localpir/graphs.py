@@ -120,6 +120,21 @@ def build_graph(n: int, edges) -> Graph:
     return Graph(n, tuple(normalized))
 
 
+# Each family a server count n names, with its least n; complete_bipartite
+# names the balanced K(n/2, n/2), so its n is also even.
+FAMILIES = {"cycle": 3, "path": 2, "star": 2, "complete": 2,
+            "complete_bipartite": 2}
+
+
+def check_size(name: str, n: int | None) -> None:
+    """Refuse an n that names no member of `name`, a key of `FAMILIES`."""
+    even = name == "complete_bipartite"
+    if n is None or n < FAMILIES[name] or (even and n % 2):
+        raise InvalidFamilyParams(
+            f"{name} needs {'even ' if even else ''}n >= {FAMILIES[name]}, "
+            f"got {n}")
+
+
 def family(name: str, n: int | None = None, *, a: int | None = None,
            b: int | None = None, base: Graph | None = None,
            copies: int | None = None) -> Graph:
@@ -132,42 +147,40 @@ def family(name: str, n: int | None = None, *, a: int | None = None,
     star(n>=2)    server n is the center and stores everything; leaf v
                   stores only message v.
     complete(n>=2)         all pairs in lexicographic order.
-    complete_bipartite(a,b) parts {1..a} and {a+1..a+b}, edges lexicographic.
+    complete_bipartite(a,b) parts {1..a} and {a+1..a+b}, edges lexicographic;
+                  an even n >= 2 given alone builds a = b = n/2.
     disjoint_copies(base, copies) vertex- and message-disjoint copies of a
                   base graph, relabeled block by block.
     """
+    if name in FAMILIES and (n is not None or name != "complete_bipartite"):
+        check_size(name, n)
     if name == "cycle":
-        _need(n is not None and n >= 3, f"cycle needs n >= 3, got {n}")
         edges = [(v, v + 1) for v in range(1, n)] + [(n, 1)]
         return build_graph(n, edges)
     if name == "path":
-        _need(n is not None and n >= 2, f"path needs n >= 2, got {n}")
         return build_graph(n, [(v, v + 1) for v in range(1, n)])
     if name == "star":
-        _need(n is not None and n >= 2, f"star needs n >= 2, got {n}")
         return build_graph(n, [(v, n) for v in range(1, n)])
     if name == "complete":
-        _need(n is not None and n >= 2, f"complete needs n >= 2, got {n}")
         return build_graph(n, list(itertools.combinations(range(1, n + 1), 2)))
     if name == "complete_bipartite":
-        _need(a is not None and b is not None and a >= 1 and b >= 1,
-              f"complete_bipartite needs a,b >= 1, got a={a}, b={b}")
+        if n is not None:
+            a = b = n // 2
+        if a is None or b is None or min(a, b) < 1:
+            raise InvalidFamilyParams(
+                f"complete_bipartite needs a,b >= 1, got a={a}, b={b}")
         edges = [(u, a + w) for u in range(1, a + 1) for w in range(1, b + 1)]
         return build_graph(a + b, edges)
     if name == "disjoint_copies":
-        _need(base is not None and copies is not None and copies >= 1,
-              f"disjoint_copies needs a base graph and copies >= 1")
+        if base is None or copies is None or copies < 1:
+            raise InvalidFamilyParams(
+                "disjoint_copies needs a base graph and copies >= 1")
         edges = []
         for c in range(copies):
             off = c * base.n_vertices
             edges.extend((u + off, v + off) for (u, v) in base.edges)
         return build_graph(base.n_vertices * copies, edges)
     raise InvalidFamilyParams(f"unknown family {name!r}")
-
-
-def _need(cond: bool, msg: str) -> None:
-    if not cond:
-        raise InvalidFamilyParams(msg)
 
 
 # --- decomposition --------------------------------------------------------

@@ -19,7 +19,6 @@ from localpir.capacity import (
     graph_bounds,
     union_capacity,
 )
-from localpir.cli import family_graph
 from localpir.errors import (
     EmptyInput,
     InvalidFamilyParams,
@@ -28,7 +27,7 @@ from localpir.errors import (
     UnsupportedFamily,
 )
 from localpir import graphs
-from localpir.graphs import build_graph, family
+from localpir.graphs import FAMILIES, build_graph, family
 
 
 # --- BoundValue arithmetic ---------------------------------------------------
@@ -242,16 +241,20 @@ def test_complete3_report_agrees_with_the_triangle_graph():
     assert rep.exact
 
 
-@pytest.mark.parametrize("name", ["cycle", "path", "star", "complete",
-                                  "complete_bipartite"])
+@pytest.mark.parametrize("name", FAMILIES)
 def test_family_report_agrees_with_its_graph(name):
+    # `family` and `family_bounds` refuse exactly the same sizes, with
+    # the same text, and agree on the rest
     checked = 0
-    for n in range(2, 13):
+    for n in range(-1, 13):
         try:
             rep = family_bounds(name, n)
-        except InvalidFamilyParams:
+        except InvalidFamilyParams as exc:
+            with pytest.raises(InvalidFamilyParams) as refused:
+                family(name, n)
+            assert str(refused.value) == str(exc), n
             continue
-        got = graph_bounds(family_graph(name, n))
+        got = graph_bounds(family(name, n))
         assert (rep.lower, rep.upper, rep.exact) == (
             got.lower, got.upper, got.exact), n
         checked += 1

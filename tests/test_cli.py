@@ -1,8 +1,10 @@
 """Command line interface: output shapes, exit codes, parser reuse and
 fuzzed inputs, all through `main` in one process."""
 
+import argparse
 import contextlib
 import dataclasses
+import errno
 import io
 import itertools
 import json
@@ -18,8 +20,8 @@ from hypothesis import strategies as st
 
 from helpers import silence_server, mutated_family
 from localpir import cli
-from localpir.cli import build_parser, main, verdict_exit_code
-from localpir.graphs import family, graph_to_json
+from localpir.cli import build_parser, main
+from localpir.graphs import FAMILIES, family, graph_to_json
 from localpir.scheme import build_plan_family, et_config
 from localpir.verify import check_scheme
 
@@ -103,6 +105,15 @@ def test_bounds_on_a_huge_complete_graph_return_quickly():
             gepir = json.loads(proc.stdout)["pir_comparators"][-1]
             assert gepir["source"] == "gePIR"
             assert (gepir["value"] == 0.0) == (len(n) > 400)
+
+
+def test_bounds_past_the_float_range_print_zero_comparators(capsys):
+    code, out, err = run(capsys, "bounds", "--family", "complete",
+                         "--n", "1" + "0" * 400)
+    assert (code, err) == (0, "")
+    gepir = [line for line in out.splitlines() if "[gePIR]" in line]
+    assert len(gepir) == 2
+    assert all(line.startswith("comparator   0  [gePIR]") for line in gepir)
 
 
 # --- scheme ------------------------------------------------------------------
@@ -292,14 +303,20 @@ def test_scheme_takes_only_auto_or_bipartite(capsys, name):
     assert f"invalid choice: '{name}'" in capsys.readouterr().err
 
 
-def test_verdict_exit_code_flags_failures():
-    g = family("cycle", 4)
-    plans = build_plan_family(g, et_config(2, 2))
-    good = check_scheme(plans, g, seeds=2)
-    assert verdict_exit_code(good) == 0
-    broken = mutated_family(plans, 2, silence_server(plans[2], 3))
-    bad = check_scheme(broken, g, seeds=2)
-    assert verdict_exit_code(bad) == 1
+def test_verdict_exit_code_flags_failures(capsys, tmp_path):
+    # the 5-cycle with chord (1,3) fails privacy at server 1 under t=2
+    chorded = tmp_path / "chorded.json"
+    chorded.write_text(json.dumps(
+        {"n": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 1], [1, 3]]}))
+    code, out, err = run(capsys, "verify", "--graph", str(chorded),
+                         "--t", "2")
+    assert (code, err) == (1, "")
+    assert "server 1: privacy FAIL (thetas [1, 5, 6], support 1728)" in out
+    assert out.endswith("verdict: FAIL\n")
+    code, out, err = run(capsys, "verify", "--family", "cycle", "--n", "4",
+                         "--t", "2")
+    assert (code, err) == (0, "")
+    assert out.endswith("verdict: PASS\n")
 
 
 # --- simulate ----------------------------------------------------------------
@@ -343,6 +360,19 @@ def test_simulate_union_from_file(capsys, union_file):
                        "--seeds", "1", "--format", "json")
     assert code == 0
     assert json.loads(out)["rate"] == [2, 3]
+
+
+def test_simulate_table_names_the_component_dispatch(capsys, tmp_path):
+    # a 4-cycle beside a disjoint 5-cycle: both run at rate 1/2
+    edges = [list(e) for e in family("cycle", 4).edges]
+    edges += [[u + 4, v + 4] for (u, v) in family("cycle", 5).edges]
+    path = tmp_path / "c4+c5.json"
+    path.write_text(json.dumps({"n": 9, "edges": edges}))
+    code, out, err = run(capsys, "simulate", "--graph", str(path))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert "scheme component dispatch (per-component defaults)" in lines
+    assert "measured rate 1/2 (~0.5)" in lines
 
 
 # --- input validation and exit contract ----------------------------------------
@@ -502,6 +532,55 @@ def test_an_unexpected_exception_exits_three_without_traceback(capsys,
     assert err == "internal error: RuntimeError: boom\n"
 
 
+def test_a_closed_output_pipe_keeps_the_exit_code():
+    # the table is about 173 KB, past a pipe's buffer, so the write fails
+    # after the reader has gone; stdout is buffered, as it is by default
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "localpir.cli", "scheme", "--family",
+         "complete", "--n", "8"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"theta | server 1")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device that refuses every write")
+def test_a_full_device_is_one_internal_error_line():
+    # buffered stdout still holds the text after the failed write; were it
+    # kept, the flush at exit would fail again and exit 120
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "localpir.cli", "bounds", "--family",
+             "cycle", "--n", "5"],
+            env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+            timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr == ("internal error: OSError: [Errno 28] No space "
+                           "left on device\n")
+
+
+def test_any_other_write_error_is_internal(capsys, monkeypatch):
+    class FullDisk(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", FullDisk())
+    code = main(["bounds", "--family", "cycle", "--n", "5"])
+    # what is left goes to os.devnull, so the flush at exit fails nothing
+    assert sys.stdout.name == os.devnull
+    sys.stdout.close()
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == ("internal error: OSError: [Errno 28] No space left on "
+                   "device\n")
+
+
 @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
 def test_interrupts_and_exits_pass_through(monkeypatch, exc):
     def stop(*args, **kwargs):
@@ -543,6 +622,15 @@ def test_importing_the_cli_builds_no_parser():
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.stdout == "0\n", proc.stderr
+
+
+def test_family_choices_are_the_graph_families():
+    subcommands = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    for name in SUBCOMMANDS:
+        family_opt = next(a for a in subcommands.choices[name]._actions
+                          if a.dest == "family")
+        assert family_opt.choices == tuple(FAMILIES), name
 
 
 def help_text(capsys, parse, command):

@@ -93,6 +93,8 @@ def test_complete_bipartite_labeling():
     g = family("complete_bipartite", a=2, b=3)
     assert g.n_vertices == 5
     assert g.edges == ((1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5))
+    assert family("complete_bipartite", 6) == family("complete_bipartite",
+                                                      a=3, b=3)
 
 
 def test_disjoint_copies_relabels_blocks():

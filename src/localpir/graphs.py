@@ -9,6 +9,7 @@ servers.  The index set I_v lists the messages server v stores, so
 from __future__ import annotations
 
 import itertools
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -28,8 +29,9 @@ class Graph:
     # incidence[v-1] = I_v, the messages server v stores, ascending.
     incidence: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False)
-    # Whole-graph structure (components, two-colouring, ...), filled in by
-    # `cached` on first use; every stored value is immutable.
+    # Whole-graph structure (components, two-colouring, t-sum subset
+    # templates, ...), filled in by `cached` on first use; every stored
+    # value is immutable.
     _memo: dict = field(init=False, repr=False, compare=False,
                         default_factory=dict)
 
@@ -70,7 +72,7 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         return tuple(map(len, self.incidence))
 
-    def cached(self, key: str, compute):
+    def cached(self, key: Hashable, compute):
         """compute(self), computed on the first request for key only."""
         try:
             return self._memo[key]

@@ -24,12 +24,14 @@ Three constructions are provided.
 t-sum plan (for edge-transitive storage): the two endpoint servers of the
 desired edge answer one sum per t-subset of their stored messages.  Fresh
 symbol positions come from a running occurrence count over the subsets in
-lexicographic order; at the second endpoint the desired message's positions
-are shifted past the block already covered by the first, so the two
-endpoints jointly deliver all L = C(d_i-1, t_i-1) + C(d_j-1, t_j-1)
-symbols.  Every other symbol entangled with the desired one is fetched as a
-plain singleton from the opposite server that replicates it, which lets the
-decoder cancel it.
+lexicographic order.  The counts depend only on the degree d and t, so they
+run once per (d, t) on a graph, into a template over message ranks that
+every plan of that graph reuses.  At the second endpoint the desired
+message's positions are shifted past the block already covered by the
+first, so the two endpoints jointly deliver all
+L = C(d_i-1, t_i-1) + C(d_j-1, t_j-1) symbols.  Every other symbol
+entangled with the desired one is fetched as a plain singleton from the
+opposite server that replicates it, which lets the decoder cancel it.
 
 Bipartite cover plan: pick the part with the smaller sum of squared
 degrees; the desired edge's endpoint in that part sends its entire storage,
@@ -48,6 +50,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from math import comb
+from operator import itemgetter
 from typing import NamedTuple
 
 from .capacity import (
@@ -203,12 +206,57 @@ def default_role_rule(g: Graph, k: int, t_i: int, t_j: int) -> tuple[int, int]:
 # --- plan constructions ----------------------------------------------------
 
 def _plan(g: Graph, kind: str, theta: int, length: int, queries: dict,
-          meta: dict) -> SchemePlan:
-    """Every builder returns here: one length for theta and what it reads."""
-    read = {m for atoms in queries.values() for atom in atoms for m, _ in atom}
+          meta: dict, read=None) -> SchemePlan:
+    """Every builder returns here: one length for theta and what it reads.
+
+    A builder that knows which messages its queries read passes them as
+    `read`; otherwise every atom is scanned for them.
+    """
+    if read is None:
+        read = {m for atoms in queries.values() for atom in atoms
+                for m, _ in atom}
     lengths = dict.fromkeys((theta, *sorted(read)), length)
     return SchemePlan(g, kind, theta, lengths, queries,
                       derive_recipe(queries, theta, length), meta)
+
+
+class _SubsetTemplate(NamedTuple):
+    """The t-subsets of ranks 0..d-1, laid out once per (d, t).
+
+    Rank r's running occurrence count k, from 1 to c = C(d-1, t-1), is
+    flat reference index r*c + k - 1.  `getters[s]` picks subset s's
+    references out of that flat list, in lexicographic subset order (None
+    for t = 1, where subset s is rank s alone).  `entangled[r]` lists,
+    by ascending rank, each other rank sharing a subset with r and the
+    counts it has in those subsets, in subset order.
+    """
+
+    c: int
+    counts: tuple[int, ...]     # 1..c once per rank: the flat list's counts
+    getters: tuple[itemgetter, ...] | None
+    entangled: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+
+
+def _subset_template(d: int, t: int) -> _SubsetTemplate:
+    """Run the occurrence counts over the t-subsets of d ranks once."""
+    c = comb(d - 1, t - 1)
+    counts = tuple(range(1, c + 1)) * d
+    if t == 1:
+        return _SubsetTemplate(c, counts, None, ((),) * d)
+    seen = [0] * d
+    shared = [{} for _ in range(d)]
+    getters = []
+    for subset in itertools.combinations(range(d), t):
+        for r in subset:
+            seen[r] += 1
+        getters.append(itemgetter(*(r * c + seen[r] - 1 for r in subset)))
+        for r in subset:
+            for other in subset:
+                if other != r:
+                    shared[r].setdefault(other, []).append(seen[other])
+    entangled = tuple(tuple((other, tuple(row[other])) for other in sorted(row))
+                      for row in shared)
+    return _SubsetTemplate(c, counts, tuple(getters), entangled)
 
 
 def build_et_plan(g: Graph, theta: int, t_i: int,
@@ -218,7 +266,8 @@ def build_et_plan(g: Graph, theta: int, t_i: int,
     Both endpoint servers answer one sum per t-subset of their storage; the
     second endpoint shifts the desired message's positions past the first
     endpoint's block.  Interference singletons go to the opposite replica
-    of each entangled message.
+    of each entangled message.  The subsets come from one
+    `_subset_template` per (degree, t), kept on the graph.
     """
     if t_j is None:
         t_j = t_i
@@ -227,42 +276,38 @@ def build_et_plan(g: Graph, theta: int, t_i: int,
     length = subpacketization(d_i, d_j, t_i, t_j)
     offset = comb(d_i - 1, t_i - 1)
 
-    queries: dict[int, list[Atom]] = {}
-    singletons: list[tuple[int, Atom]] = []
+    queries: dict[int, tuple[Atom, ...]] = {}
+    singletons: dict[int, list[Atom]] = {}
     for endpoint, t, shift in ((i, t_i, 0), (j, t_j, offset)):
         stored = g.index_set(endpoint)
-        # theta's count starts at the shift: its positions here follow
-        # the block the first endpoint already covers.
-        counts = dict.fromkeys(stored, 0)
-        counts[theta] = shift
+        d = len(stored)
+        tpl = g.cached(("subset_template", d, t),
+                       lambda _: _subset_template(d, t))
+        c, rank = tpl.c, stored.index(theta)
+        # (message, count) for every rank and count; theta's counts start
+        # at the shift: its positions here follow the block the first
+        # endpoint already covers.
+        refs = list(zip(itertools.chain.from_iterable(
+            map(itertools.repeat, stored, itertools.repeat(c))), tpl.counts))
+        refs[rank * c:(rank + 1) * c] = zip(
+            itertools.repeat(theta), range(shift + 1, shift + c + 1))
+        queries[endpoint] = (tuple(zip(refs)) if tpl.getters is None
+                             else tuple([get(refs) for get in tpl.getters]))
         # Message msg is entangled with theta in every subset containing
         # both; the decoder cancels it with a singleton fetched at exactly
         # those running occurrence counts from msg's other replica.
-        shared: dict[int, list[int]] = {m: [] for m in stored if m != theta}
-        atoms = queries.setdefault(endpoint, [])
-        for subset in itertools.combinations(stored, t):
-            refs = []
-            for msg in subset:
-                counts[msg] += 1
-                refs.append((msg, counts[msg]))
-            atoms.append(tuple(refs))
-            if theta in subset:
-                for msg in subset:
-                    if msg != theta:
-                        shared[msg].append(counts[msg])
-        for msg, positions in shared.items():
-            if not positions:
-                continue
+        for other_rank, positions in tpl.entangled[rank]:
+            msg = stored[other_rank]
             u, v = g.endpoints(msg)
-            other = v if u == endpoint else u
-            singletons += [(other, ((msg, pos),)) for pos in positions]
-    for server, atom in singletons:
-        queries.setdefault(server, []).append(atom)
+            singletons.setdefault(v if u == endpoint else u, []).extend(
+                ((msg, pos),) for pos in positions)
+    for server, atoms in singletons.items():
+        queries[server] = tuple(atoms)
 
-    frozen = {server: tuple(atoms) for server, atoms in queries.items()}
     meta = {"t_i": t_i, "t_j": t_j, "role_i": i, "role_j": j,
             "deg_i": d_i, "deg_j": d_j}
-    return _plan(g, "et", theta, length, frozen, meta)
+    read = set(g.index_set(i)).union(g.index_set(j))
+    return _plan(g, "et", theta, length, queries, meta, read)
 
 
 def build_bipartite_plan(g: Graph, theta: int) -> SchemePlan:
@@ -282,9 +327,10 @@ def _cover_plan(g: Graph, theta: int, ends: tuple[int, int], m_star: int,
     u, v = ends
     server = u if u in covering else v
 
-    queries = {server: tuple(((msg, 1),) for msg in g.index_set(server))}
+    stored = g.index_set(server)
+    queries = {server: tuple(((msg, 1),) for msg in stored)}
     meta = {"m_star": m_star, "cover_vertex": server}
-    return _plan(g, "bipartite", theta, 1, queries, meta)
+    return _plan(g, "bipartite", theta, 1, queries, meta, stored)
 
 
 def build_union_plan(g: Graph, theta: int) -> SchemePlan:
@@ -426,18 +472,24 @@ def _draw_symbols(rng: random.Random, n: int, q: int) -> list[int]:
     return list(out)
 
 
+@functools.lru_cache(maxsize=16)
+def _shuffle_steps(n: int) -> tuple[tuple[int, int], ...]:
+    """The (i, k) pairs `random.shuffle` walks for n items: i from n-1
+    down to 1, each with k = (i+1).bit_length() bits to draw."""
+    return tuple((i, (i + 1).bit_length()) for i in range(n - 1, 0, -1))
+
+
 def _draw_permutation(rng: random.Random, n: int) -> list[int]:
     """A uniform permutation of 1..n, drawn from `rng` exactly as
     `random.shuffle` would draw it.
 
-    The same `getrandbits` calls in the same order: i runs from n-1 down
-    to 1, takes k = (i+1).bit_length() bits and draws again while the
-    result exceeds i, so seeded runs replay what `shuffle` gave.
+    The same `getrandbits` calls in the same order: for each of
+    `_shuffle_steps(n)` take k bits and draw again while the result
+    exceeds i, so seeded runs replay what `shuffle` gave.
     """
     getrandbits = rng.getrandbits
     perm = list(range(1, n + 1))
-    for i in range(n - 1, 0, -1):
-        k = (i + 1).bit_length()
+    for i, k in _shuffle_steps(n):
         r = getrandbits(k)
         while r > i:
             r = getrandbits(k)

@@ -69,6 +69,12 @@ def _check_graph(plans: dict[int, SchemePlan], g: Graph, thetas) -> None:
                 f"the plan for message {t} is built on another graph")
 
 
+def _check_cap(cap: int) -> None:
+    """Refuse a negative search budget before any work."""
+    if cap < 0:
+        raise InvalidFamilyParams(f"cap must not be negative, got {cap}")
+
+
 def view_classes(plans: dict[int, SchemePlan], server: int, thetas,
                  cap: int = DEFAULT_CAP) -> list[ViewClass]:
     """Group the messages `thetas` by the view they give `server`.
@@ -221,8 +227,9 @@ def privacy_check(plans: dict[int, SchemePlan], g: Graph, server: int,
     the union of the classes' orbits (`_support`).  FAIL carries the least
     canonical view among the classes, which has probability 1/|orbit| in
     its class, 0 in a class of another view, and 1/|orbit'| in a class of
-    the same view and another orbit size.
+    the same view and another orbit size.  A negative `cap` is refused.
     """
+    _check_cap(cap)
     thetas = g.index_set(server)
     if not plans:
         raise EmptyInput("no plans given")
@@ -273,8 +280,9 @@ def canonical_privacy_probe(plans: dict[int, SchemePlan], g: Graph,
     The local condition only compares messages the server stores; this
     probe lists every message outside the first stored one's view class.
     A non-empty list shows the scheme is local-private but not private in
-    the classical sense.
+    the classical sense.  A negative `cap` is refused.
     """
+    _check_cap(cap)
     thetas = g.index_set(server)
     if not thetas:
         return ProbeReport(server, 0, ())
@@ -467,8 +475,9 @@ def check_scheme(plans: dict[int, SchemePlan], g: Graph, q: int = 2,
     """Full audit: privacy at every server, decoding, and cost accounting.
 
     Every verdict is exact; no plan is executed unless `seeds` asks for
-    end-to-end runs (see `decode_check`).
+    end-to-end runs (see `decode_check`).  A negative `cap` is refused.
     """
+    _check_cap(cap)
     # decode_check refuses a bad q, seeds or graph before any privacy search
     dec = decode_check(plans, g, q, seeds)
     privacy = [privacy_check(plans, g, s, cap) for s in g.vertices]

@@ -23,6 +23,7 @@ from localpir.scheme import (
     SchemePlan,
     bipartite_config,
     build_plan_family,
+    default_role_rule,
     derive_recipe,
     et_config,
     fixture_config,
@@ -127,6 +128,47 @@ def repeated(plan: SchemePlan, r: int) -> SchemePlan:
     return SchemePlan(plan.graph, "repeated", plan.theta,
                       {m: r * n for m, n in plan.lengths.items()}, queries,
                       derive_recipe(queries, plan.theta, r * plan.length))
+
+
+def reference_et_queries(g: Graph, theta: int, t_i: int,
+                         t_j: int | None = None) -> dict:
+    """The t-sum layout from a running occurrence count per subset.
+
+    Each endpoint walks its t-subsets in lexicographic order and counts
+    every message's occurrences; theta's count starts at the first
+    endpoint's block size at the second endpoint.  Every message sharing
+    a subset with theta gets one singleton per such subset, at that
+    count, from its other replica: endpoint by endpoint, message by
+    message, subset by subset.  Servers come in order of first query.
+    """
+    if t_j is None:
+        t_j = t_i
+    i, j = default_role_rule(g, theta, t_i, t_j)
+    offset = comb(g.degree(i) - 1, t_i - 1)
+    queries: dict[int, list] = {}
+    singletons = []
+    for endpoint, t, shift in ((i, t_i, 0), (j, t_j, offset)):
+        stored = g.index_set(endpoint)
+        counts = dict.fromkeys(stored, 0)
+        counts[theta] = shift
+        shared: dict[int, list[int]] = {m: [] for m in stored if m != theta}
+        atoms = queries.setdefault(endpoint, [])
+        for subset in itertools.combinations(stored, t):
+            refs = []
+            for msg in subset:
+                counts[msg] += 1
+                refs.append((msg, counts[msg]))
+            atoms.append(tuple(refs))
+            if theta in subset:
+                for msg in subset:
+                    if msg != theta:
+                        shared[msg].append(counts[msg])
+        for msg, positions in shared.items():
+            other = sum(g.endpoints(msg)) - endpoint
+            singletons += [(other, ((msg, pos),)) for pos in positions]
+    for server, atom in singletons:
+        queries.setdefault(server, []).append(atom)
+    return {server: tuple(atoms) for server, atoms in queries.items()}
 
 
 def shipped_corpus() -> list[tuple[str, Graph, PlanConfig]]:

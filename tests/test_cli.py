@@ -405,6 +405,14 @@ def test_invalid_inputs_exit_two(capsys, argv):
     assert err.strip()
 
 
+@pytest.mark.parametrize("extra", [(), ("--probe",)])
+def test_a_negative_cap_exits_two_before_any_check(capsys, extra):
+    code, out, err = run(capsys, "verify", "--family", "cycle", "--n", "4",
+                         "--cap", "-1", *extra)
+    assert (code, out, err) == (
+        2, "", "error: cap must not be negative, got -1\n")
+
+
 @pytest.mark.parametrize("q,code", [(2**61 - 1, 0), (10**25, 2)])
 def test_a_large_modulus_is_decided_at_once(capsys, q, code):
     # primality is exact below 3317044064679887385961981; above, refused

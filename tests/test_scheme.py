@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 
 import localpir.capacity
 import localpir.scheme
-from helpers import corpus_plans, repeated, shuffled_permutations
+from helpers import (
+    corpus_plans,
+    reference_et_queries,
+    repeated,
+    shuffled_permutations,
+)
 from localpir.capacity import graph_bounds
 
 from localpir.errors import (
@@ -220,6 +225,53 @@ def test_et_atoms_are_distinct_and_refs_injective(g, t):
                 msgs = [m for (m, _) in atom]
                 assert len(set(msgs)) == len(msgs)
                 assert all(1 <= p <= plan.lengths[m] for (m, p) in atom)
+
+
+LAYOUT_CASES = [pytest.param(family("complete", n), (t,), id=f"complete{n}-t{t}")
+                for n in range(3, 10) for t in range(1, n)]
+LAYOUT_CASES += [pytest.param(family("cycle", n), (t,), id=f"cycle{n}-t{t}")
+                 for n in (5, 6, 7) for t in (1, 2)]
+LAYOUT_CASES += [pytest.param(family("complete_bipartite", a=3, b=5), ts,
+                              id=f"K35-t{ts[0]}{ts[1]}")
+                 for ts in ((2, 1), (3, 1), (1, 5))]
+
+
+@pytest.mark.parametrize("g,ts", LAYOUT_CASES)
+def test_et_layout_matches_the_running_count_reference(g, ts):
+    """Servers and atoms come in the reference's order, for every theta;
+    at t = d an endpoint answers one atom, its whole storage."""
+    for theta in g.messages:
+        plan = build_et_plan(g, theta, *ts)
+        assert list(plan.queries.items()) == list(
+            reference_et_queries(g, theta, *ts).items())
+        for role, t in (("role_i", "t_i"), ("role_j", "t_j")):
+            server = plan.meta[role]
+            if plan.meta[t] == g.degree(server):
+                [atom] = plan.atoms_at(server)
+                assert [m for m, _ in atom] == list(g.index_set(server))
+
+
+def test_one_subset_template_per_degree_and_t(monkeypatch):
+    """The counts run once per (degree, t) on a graph: once on a regular
+    graph, once per side on K(3,5) at (2, 1).  The graph's memo keeps
+    those templates and nothing per endpoint."""
+    made = []
+    template = localpir.scheme._subset_template
+
+    def counting(d, t):
+        made.append((d, t))
+        return template(d, t)
+
+    monkeypatch.setattr(localpir.scheme, "_subset_template", counting)
+    for g, cfg, want in [
+            (family("complete", 30), et_config(2), [(29, 2)]),
+            (family("complete_bipartite", a=3, b=5), et_config(2, 1),
+             [(3, 2), (5, 1)])]:
+        made.clear()
+        build_plan_family(g, cfg)
+        assert sorted(made) == want
+        assert sorted(g._memo) == [("subset_template", d, t)
+                                   for d, t in want]
 
 
 def test_t1_plans_are_all_singletons_even_off_family():

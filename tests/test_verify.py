@@ -271,6 +271,26 @@ def test_cap_refusals_match_oracle(name, n, cap):
         assert_agrees_with_oracle(plans, g, cap)
 
 
+def test_a_negative_cap_is_refused_before_any_work(monkeypatch, c4,
+                                                    c4_plans):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the cap was checked")
+
+    monkeypatch.setattr(verify, "decode_check", no_work)
+    monkeypatch.setattr(verify, "view_classes", no_work)
+    text = "^cap must not be negative, got -1$"
+    with pytest.raises(InvalidFamilyParams, match=text):
+        check_scheme(c4_plans, c4, cap=-1)
+    for check in (privacy_check, canonical_privacy_probe):
+        with pytest.raises(InvalidFamilyParams, match=text):
+            check(c4_plans, c4, 1, -1)
+    # an isolated server stores nothing, yet its probe refuses the cap too
+    lone = build_graph(5, list(c4.edges))
+    with pytest.raises(InvalidFamilyParams, match=text):
+        canonical_privacy_probe(build_plan_family(lone, et_config(2)), lone,
+                                5, -1)
+
+
 def test_equal_layouts_at_unequal_lengths_are_told_apart(c4, c4_plans):
     # theta=2's plan, at length 3 for every message, lays out server 2's
     # queries inside the length-2 orbit of theta=1; its own orbit under

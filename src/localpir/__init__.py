@@ -12,16 +12,16 @@ from .capacity import (
     BoundReport,
     BoundValue,
     Comparator,
-    bipartite_lower_bound,
     equal_degree_bound,
+    et_download_cost,
     et_lower_bound,
     et_rate,
     family_bounds,
     graph_bounds,
+    subpacketization,
     union_capacity,
 )
 from .errors import LocalPIRError
-from .field import is_prime
 from .graphs import (
     Graph,
     bipartition,
@@ -43,9 +43,7 @@ from .scheme import (
     build_union_plan,
     derive_recipe,
     et_config,
-    et_download_cost,
     fixture_config,
-    subpacketization,
     union_config,
 )
 from .sim import RateReport, Transcript, execute_plan, measure_rate, run_retrieval
@@ -66,14 +64,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundReport", "BoundValue", "Comparator", "DEFAULT_CAP", "Graph",
     "LocalPIRError", "PlanConfig", "PrivacyReport", "RateReport", "SchemePlan",
-    "SchemeReport", "Transcript", "bipartite_config", "bipartite_lower_bound",
-    "bipartition", "build_bipartite_plan", "build_et_plan", "build_graph",
-    "build_plan", "build_plan_family", "build_union_plan",
-    "canonical_privacy_probe", "check_scheme", "components", "cost_audit",
-    "decode_check", "derive_recipe", "detect_family", "equal_degree_bound",
-    "et_config", "et_download_cost", "et_lower_bound", "et_rate",
-    "execute_plan", "family", "family_bounds", "fixture_config",
-    "graph_bounds", "graph_from_json", "graph_to_json", "is_prime",
-    "measure_rate", "privacy_check", "run_retrieval", "subpacketization",
-    "union_capacity", "union_config", "view_classes",
+    "SchemeReport", "Transcript", "bipartite_config", "bipartition",
+    "build_bipartite_plan", "build_et_plan", "build_graph", "build_plan",
+    "build_plan_family", "build_union_plan", "canonical_privacy_probe",
+    "check_scheme", "components", "cost_audit", "decode_check",
+    "derive_recipe", "detect_family", "equal_degree_bound", "et_config",
+    "et_download_cost", "et_lower_bound", "et_rate", "execute_plan", "family",
+    "family_bounds", "fixture_config", "graph_bounds", "graph_from_json",
+    "graph_to_json", "measure_rate", "privacy_check", "run_retrieval",
+    "subpacketization", "union_capacity", "union_config", "view_classes",
 ]

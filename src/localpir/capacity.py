@@ -61,9 +61,13 @@ class BoundReport:
     n: int
     lower: BoundValue
     upper: BoundValue
-    exact: bool
     optimizer: tuple[int, int] | None = None
     comparators: list[Comparator] = field(default_factory=list)
+
+    @property
+    def exact(self) -> bool:
+        """Whether the bounds meet, so the capacity is known exactly."""
+        return self.lower == self.upper
 
     def to_json(self) -> dict:
         return {
@@ -194,11 +198,6 @@ def _cover_part(g: Graph) -> tuple[int, frozenset[int], int]:
     return m_star, frozenset(partition[m_star - 1]), sums[m_star - 1]
 
 
-def bipartite_lower_bound(g: Graph) -> Fraction:
-    """Rate of the cover plan: K over the smaller sum of squared degrees."""
-    return Fraction(g.K, cover_part(g)[2])
-
-
 def best_scheme(g: Graph) -> tuple[Fraction, tuple[int, int] | None]:
     """The scheme this package runs on one connected graph, with its rate.
 
@@ -220,7 +219,8 @@ def best_scheme(g: Graph) -> tuple[Fraction, tuple[int, int] | None]:
     else:
         best = (Fraction(2 * g.K, sum(d * d for d in degrees)), (1, 1))
     if bipartition(g) is not None:
-        cover = bipartite_lower_bound(g)
+        # the cover plan's rate: K over the smaller sum of squared degrees
+        cover = Fraction(g.K, cover_part(g)[2])
         if cover > best[0]:
             best = (cover, None)
     return best
@@ -254,20 +254,20 @@ def family_bounds(name: str, n: int) -> BoundReport:
     if name == "cycle":
         half = BoundValue(Fraction(1, 2))
         return BoundReport(
-            "cycle", n, half, half, True,
+            "cycle", n, half, half,
             comparators=[Comparator(float(Fraction(2, n + 1)), "BU19",
                                     f"full privacy: 2/(n+1) = {Fraction(2, n + 1)}")])
     if name == "path":
         lower = Fraction(n - 1, 2 * n - 4) if n % 2 else Fraction(n - 1, 2 * n - 3)
         upper = Fraction(n - 1, 2 * n - 4) if n >= 3 else Fraction(1)
         return BoundReport(
-            "path", n, BoundValue(lower), BoundValue(upper), lower == upper,
+            "path", n, BoundValue(lower), BoundValue(upper),
             comparators=[Comparator(float(Fraction(2, n)), "journal2025",
                                     f"full privacy: 2/n = {Fraction(2, n)}")])
     if name == "star":
         one = BoundValue(1)
         return BoundReport(
-            "star", n, one, one, True,
+            "star", n, one, one,
             comparators=[Comparator(None, "SGT23",
                                     "full privacy: Theta(1/sqrt(n))")])
     if name == "complete":
@@ -292,8 +292,7 @@ def _regular_report(name: str, n: int, d: int, comparators) -> BoundReport:
     value, t_i, t_j = et_lower_bound(d, d)
     upper = value if d == 2 else Fraction(1)
     return BoundReport(name, n, BoundValue(value), BoundValue(upper),
-                       value == upper, optimizer=(t_i, t_j),
-                       comparators=comparators)
+                       optimizer=(t_i, t_j), comparators=comparators)
 
 
 def _complete_comparators(n: int) -> list[Comparator]:
@@ -331,8 +330,7 @@ def graph_bounds(g: Graph) -> BoundReport:
         return report
     value, optimizer = best_scheme(g)
     return BoundReport("custom", g.n_vertices, BoundValue(value),
-                       BoundValue(1), value == 1,
-                       optimizer=optimizer)
+                       BoundValue(1), optimizer=optimizer)
 
 
 def _family_report(g: Graph) -> BoundReport | None:
@@ -356,4 +354,4 @@ def _union_graph_bounds(g: Graph) -> BoundReport:
     lower = BoundValue(union_capacity((comp.graph.K, comp.graph.K / rate)
                                       for comp, rate, _ in table))
     upper = lower if all_exact else BoundValue(1)
-    return BoundReport("union", g.n_vertices, lower, upper, all_exact)
+    return BoundReport("union", g.n_vertices, lower, upper)

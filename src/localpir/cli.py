@@ -72,6 +72,9 @@ def family_source(args) -> bool:
         raise InvalidFamilyParams("give exactly one of --family or --graph")
     if args.family is not None and args.n is None:
         raise InvalidFamilyParams("--family requires --n")
+    if args.graph is not None and args.n is not None:
+        raise InvalidFamilyParams(
+            "--n goes with --family; a --graph file gives its own n")
     return args.family is not None
 
 

@@ -19,7 +19,7 @@ PRIMALITY_BOUND = 3317044064679887385961981
 
 
 @lru_cache(maxsize=256)
-def is_prime(n: int) -> bool:
+def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin over `PRIME_BASES`, in polylog time.
 
     Exact for every n below `PRIMALITY_BOUND`; a larger n is refused.
@@ -50,6 +50,6 @@ def is_prime(n: int) -> bool:
 
 
 def check_modulus(q: int) -> None:
-    """Refuse a modulus q that is not a prime `is_prime` can decide."""
-    if not is_prime(q):
+    """Refuse a modulus q that is not a prime `_is_prime` can decide."""
+    if not _is_prime(q):
         raise CompositeModulus(f"modulus {q} is not prime")

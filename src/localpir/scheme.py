@@ -57,7 +57,6 @@ from .capacity import (
     best_scheme,
     component_schemes,
     cover_part,
-    et_download_cost,
     subpacketization,
 )
 from .errors import (
@@ -76,13 +75,13 @@ Atom = tuple[Ref, ...]         # one downloaded symbol: a sum of refs
 
 
 class DecodeStep(NamedTuple):
-    """Recover logical symbol `position` of the desired message.
+    """Recover one logical symbol of the desired message: step k of a
+    recipe recovers position k.
 
     Take the answer at `source` and subtract the answers at `cancel`
     (each is a (server, atom_index) pair into the plan's query lists).
     """
 
-    position: int
     source: tuple[int, int]
     cancel: tuple[tuple[int, int], ...]
 
@@ -206,15 +205,9 @@ def default_role_rule(g: Graph, k: int, t_i: int, t_j: int) -> tuple[int, int]:
 # --- plan constructions ----------------------------------------------------
 
 def _plan(g: Graph, kind: str, theta: int, length: int, queries: dict,
-          meta: dict, read=None) -> SchemePlan:
-    """Every builder returns here: one length for theta and what it reads.
-
-    A builder that knows which messages its queries read passes them as
-    `read`; otherwise every atom is scanned for them.
-    """
-    if read is None:
-        read = {m for atoms in queries.values() for atom in atoms
-                for m, _ in atom}
+          meta: dict, read) -> SchemePlan:
+    """Every builder returns here: one length for theta and for each of
+    the messages `read` its queries read."""
     lengths = dict.fromkeys((theta, *sorted(read)), length)
     return SchemePlan(g, kind, theta, lengths, queries,
                       derive_recipe(queries, theta, length), meta)
@@ -367,20 +360,9 @@ def default_component_config(cg: Graph) -> PlanConfig:
     return bipartite_config() if ts is None else et_config(*ts)
 
 
-def build_fixture_plan(name: str, theta: int,
-                       g: Graph | None = None) -> SchemePlan:
-    """Rebuild a frozen reference plan as a first-class SchemePlan."""
-    graph, table, length = fixture(name)
-    if g is not None and g != graph:
-        raise InvalidFamilyParams(
-            f"fixture {name!r} is defined on {graph}, not {g}")
-    if theta not in table:
-        raise IndexOutOfRange(f"message {theta} outside 1..{graph.K}")
-    return _plan(graph, "fixture", theta, length, dict(table[theta]),
-                 {"fixture": name})
-
-
 def build_plan(g: Graph, config: PlanConfig, theta: int) -> SchemePlan:
+    """The plan for theta under config; a fixture plan rebuilds its frozen
+    reference table, which must be defined on g."""
     if config.kind == "et":
         return build_et_plan(g, theta, config.t_i, config.t_j)
     if config.kind == "bipartite":
@@ -388,7 +370,18 @@ def build_plan(g: Graph, config: PlanConfig, theta: int) -> SchemePlan:
     if config.kind == "union":
         return build_union_plan(g, theta)
     if config.kind == "fixture":
-        return build_fixture_plan(config.fixture, theta, g)
+        name = config.fixture
+        graph, table, length = fixture(name)
+        if g != graph:
+            raise InvalidFamilyParams(
+                f"fixture {name!r} is defined on {graph}, not {g}")
+        if theta not in table:
+            raise IndexOutOfRange(f"message {theta} outside 1..{graph.K}")
+        queries = dict(table[theta])
+        read = {m for atoms in queries.values() for atom in atoms
+                for m, _ in atom}
+        return _plan(graph, "fixture", theta, length, queries,
+                     {"fixture": name}, read)
     raise InvalidFamilyParams(f"unknown plan kind {config.kind!r}")
 
 
@@ -438,7 +431,7 @@ def derive_recipe(queries: dict[int, tuple[Atom, ...]], theta: int,
                 cancel.append(singleton_at[ref])
             if pos in steps:
                 raise UndecodablePlan(f"position {pos} recovered twice")
-            steps[pos] = DecodeStep(pos, (server, idx), tuple(cancel))
+            steps[pos] = DecodeStep((server, idx), tuple(cancel))
 
     if set(steps) != set(range(1, length + 1)):
         missing = sorted(set(range(1, length + 1)) - set(steps))
@@ -535,15 +528,16 @@ def _execute(plan: SchemePlan, rng: random.Random, q: int):
         return _serve(atoms[idx], perms, storage, q)[1]
 
     perm = perms[plan.theta]
+    if len(plan.recipe) != len(perm):
+        raise UndecodablePlan(
+            f"recipe has {len(plan.recipe)} steps, not {len(perm)}")
     decoded = [0] * len(perm)
-    for step in plan.recipe:
-        if not 1 <= step.position <= len(perm):
-            raise UndecodablePlan(
-                f"recipe position {step.position} outside 1..{len(perm)}")
-        value = read(*step.source)
-        for ref in step.cancel:
+    # step k recovers logical position k, stored at physical perm[k - 1]
+    for x, (source, cancel) in zip(perm, plan.recipe):
+        value = read(*source)
+        for ref in cancel:
             value = (value - read(*ref)) % q
-        decoded[perm[step.position - 1] - 1] = value
+        decoded[x - 1] = value
     return perms, storage, decoded
 
 

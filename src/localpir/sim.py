@@ -150,12 +150,12 @@ def measure_rate(g: Graph, config: PlanConfig, q: int = 2,
     decoded_ok = decode_check(plans, g, q, seeds).ok
     cost = cost_audit(plans, g)
     lengths = {t: plans[t].length for t in g.messages}
-    return RateReport(describe_graph(g), config, lengths, cost.per_theta,
+    return RateReport(_describe_graph(g), config, lengths, cost.per_theta,
                       sum(cost.per_theta.values()), cost.rate, decoded_ok,
                       graph_bounds(g))
 
 
-def describe_graph(g: Graph) -> str:
+def _describe_graph(g: Graph) -> str:
     det = detect_family(g)
     if det is not None:
         name, params = det

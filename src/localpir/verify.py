@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .capacity import union_capacity
+from .capacity import et_download_cost, union_capacity
 from .errors import (
     EmptyInput,
     EnumerationTooLarge,
@@ -39,7 +39,7 @@ from .errors import (
 )
 from .field import check_modulus
 from .graphs import Graph
-from .scheme import Atom, SchemePlan, _execute, et_download_cost
+from .scheme import Atom, SchemePlan, _execute
 
 DEFAULT_CAP = 10**6
 
@@ -61,12 +61,17 @@ class ViewClass(NamedTuple):
     orbit: int
 
 
-def _check_graph(plans: dict[int, SchemePlan], g: Graph, thetas) -> None:
-    """Refuse a plan for one of `thetas` built on a graph other than `g`."""
+def _check_filing(plans: dict[int, SchemePlan], g: Graph, thetas) -> None:
+    """Refuse a plan for one of `thetas` built on a graph other than `g`,
+    or filed under a message other than the one it retrieves."""
     for t in thetas:
-        if t in plans and plans[t].graph is not g and plans[t].graph != g:
+        plan = plans.get(t)
+        if plan is not None and plan.graph is not g and plan.graph != g:
             raise InvalidFamilyParams(
                 f"the plan for message {t} is built on another graph")
+        if plan is not None and plan.theta != t:
+            raise InvalidFamilyParams(f"the plan filed under message {t} "
+                                      f"retrieves message {plan.theta}")
 
 
 def _check_cap(cap: int) -> None:
@@ -233,7 +238,7 @@ def privacy_check(plans: dict[int, SchemePlan], g: Graph, server: int,
     thetas = g.index_set(server)
     if not plans:
         raise EmptyInput("no plans given")
-    _check_graph(plans, g, thetas)
+    _check_filing(plans, g, thetas)
     classes = view_classes(plans, server, thetas, cap)
     support = _support(classes)
     if len(classes) < 2:
@@ -287,7 +292,7 @@ def canonical_privacy_probe(plans: dict[int, SchemePlan], g: Graph,
     if not thetas:
         return ProbeReport(server, 0, ())
     order = [thetas[0], *(t for t in g.messages if t != thetas[0])]
-    _check_graph(plans, g, order)
+    _check_filing(plans, g, order)
     same = view_classes(plans, server, order, cap)[0].members
     return ProbeReport(server, thetas[0],
                        tuple(t for t in g.messages if t not in same))
@@ -314,29 +319,28 @@ class DecodeReport:
 def _certificate_fault(plan: SchemePlan, q: int) -> str | None:
     """Why the plan fails to decode for some storage and permutation.
 
-    None means it decodes for all of them.  The recipe must recover
-    positions 1..L in order, read only answers that exist, and each step's
-    source atom minus its cancel atoms must leave exactly the desired
-    symbol at the step's position, mod q.  A fault names the step and, if
-    any, the references it leaves.
+    None means it decodes for all of them.  The recipe must have one step
+    per position, read only answers that exist, and step k's source atom
+    minus its cancel atoms must leave exactly the desired symbol at
+    position k, mod q.  A fault names the step and, if any, the
+    references it leaves.
     """
-    positions = [step.position for step in plan.recipe]
-    if positions != list(range(1, plan.length + 1)):
-        return f"recipe recovers positions {positions}, not 1..{plan.length}"
-    for step in plan.recipe:
+    if len(plan.recipe) != plan.length:
+        return f"recipe has {len(plan.recipe)} steps, not {plan.length}"
+    for pos, step in enumerate(plan.recipe, 1):
         coeffs: Counter = Counter()
         for sign, (s, idx) in ((1, step.source),
                                *((-1, ref) for ref in step.cancel)):
             atoms = plan.atoms_at(s)
             if not 0 <= idx < len(atoms):
-                return (f"step {step.position} reads atom {idx} of server "
+                return (f"step {pos} reads atom {idx} of server "
                         f"{s}, which receives {len(atoms)}")
             for ref in atoms[idx]:
                 coeffs[ref] += sign
         left = {ref: c % q for ref, c in sorted(coeffs.items()) if c % q}
-        want = {(plan.theta, step.position): 1}
+        want = {(plan.theta, pos): 1}
         if left != want:
-            return (f"step {step.position} (source {step.source}, cancel "
+            return (f"step {pos} (source {step.source}, cancel "
                     f"{list(step.cancel)}) leaves {left}, not {want}")
     return None
 
@@ -357,7 +361,7 @@ def decode_check(plans: dict[int, SchemePlan], g: Graph, q: int = 2,
     if seeds < 0:
         raise InvalidFamilyParams(f"seeds must not be negative, got {seeds}")
     check_modulus(q)
-    _check_graph(plans, g, plans)
+    _check_filing(plans, g, plans)
     report = DecodeReport(trials=0)
     for theta in sorted(plans):
         plan = plans[theta]
@@ -418,7 +422,7 @@ def cost_audit(plans: dict[int, SchemePlan], g: Graph) -> CostReport:
     k = len(per_theta)
     if k == 0:
         raise EmptyInput("no plans given")
-    _check_graph(plans, g, plans)
+    _check_filing(plans, g, plans)
     downloads = dict.fromkeys(g.vertices, 0)
     mismatches = []
     for t, plan in plans.items():

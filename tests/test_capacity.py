@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from localpir.capacity import (
     BoundValue,
-    bipartite_lower_bound,
+    best_scheme,
+    cover_part,
     equal_degree_bound,
     et_lower_bound,
     et_rate,
@@ -27,7 +28,7 @@ from localpir.errors import (
     UnsupportedFamily,
 )
 from localpir import graphs
-from localpir.graphs import FAMILIES, build_graph, family
+from localpir.graphs import FAMILIES, Graph, build_graph, family
 
 
 # --- BoundValue arithmetic ---------------------------------------------------
@@ -175,17 +176,27 @@ def test_large_complete_bounds_skip_the_quadratic_search():
 
 # --- cover bound -------------------------------------------------------------
 
+def cover_rate(g):
+    """The cover plan's rate: K over the covering part's cost."""
+    return Fraction(g.K, cover_part(g)[2])
+
+
 def test_bipartite_lower_bound_values():
-    assert bipartite_lower_bound(family("path", 5)) == Fraction(2, 3)
-    assert bipartite_lower_bound(family("star", 7)) == Fraction(1)
-    assert bipartite_lower_bound(family("cycle", 4)) == Fraction(1, 2)
-    assert bipartite_lower_bound(
+    assert cover_rate(family("path", 5)) == Fraction(2, 3)
+    assert cover_rate(family("star", 7)) == Fraction(1)
+    assert cover_rate(family("cycle", 4)) == Fraction(1, 2)
+    assert cover_rate(
         family("complete_bipartite", a=3, b=3)) == Fraction(1, 3)
 
 
 def test_bipartite_lower_bound_rejects_odd_cycles():
     with pytest.raises(NotBipartite):
-        bipartite_lower_bound(family("cycle", 5))
+        cover_part(family("cycle", 5))
+
+
+def test_best_scheme_refuses_a_graph_without_edges():
+    with pytest.raises(EmptyInput, match="^graph has no edges$"):
+        best_scheme(Graph(3, ()))
 
 
 # --- family reports ----------------------------------------------------------

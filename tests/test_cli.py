@@ -405,6 +405,16 @@ def test_invalid_inputs_exit_two(capsys, argv):
     assert err.strip()
 
 
+@pytest.mark.parametrize("command", ["bounds", "scheme", "verify",
+                                     "simulate"])
+def test_n_with_a_graph_file_exits_two(capsys, c4_file, command):
+    # a --graph file gives its own n, which a --n would silently contradict
+    code, out, err = run(capsys, command, "--graph", c4_file, "--n", "99")
+    assert (code, out, err) == (
+        2, "", "error: --n goes with --family; a --graph file gives its "
+               "own n\n")
+
+
 @pytest.mark.parametrize("extra", [(), ("--probe",)])
 def test_a_negative_cap_exits_two_before_any_check(capsys, extra):
     code, out, err = run(capsys, "verify", "--family", "cycle", "--n", "4",

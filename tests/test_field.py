@@ -3,7 +3,7 @@
 import pytest
 
 from localpir.errors import CompositeModulus, ModulusTooLarge
-from localpir.field import PRIMALITY_BOUND, check_modulus, is_prime
+from localpir.field import PRIMALITY_BOUND, _is_prime, check_modulus
 
 
 def sieve(limit):
@@ -19,17 +19,17 @@ def sieve(limit):
 def test_is_prime_matches_sieve():
     flags = sieve(2000)
     for n in range(2000):
-        assert is_prime(n) == flags[n], n
+        assert _is_prime(n) == flags[n], n
 
 
 def test_is_prime_decides_large_moduli():
-    assert is_prime(2**61 - 1)
-    assert is_prime(PRIMALITY_BOUND - 168)     # the largest prime below it
+    assert _is_prime(2**61 - 1)
+    assert _is_prime(PRIMALITY_BOUND - 168)     # the largest prime below it
     # strong pseudoprimes to the prime bases 2..7, 2..23 and 2..37
-    assert not is_prime(3215031751)
-    assert not is_prime(3825123056546413051)
-    assert not is_prime(318665857834031151167461)
-    assert not is_prime(PRIMALITY_BOUND - 2)
+    assert not _is_prime(3215031751)
+    assert not _is_prime(3825123056546413051)
+    assert not _is_prime(318665857834031151167461)
+    assert not _is_prime(PRIMALITY_BOUND - 2)
 
 
 @pytest.mark.parametrize("q", [PRIMALITY_BOUND, 10**30])

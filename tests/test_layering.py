@@ -3,12 +3,14 @@ function builds every plan.
 
 The package is layered cli/sim/verify -> scheme -> capacity -> graphs.  A
 function-local import is how a cycle usually sneaks back in, so both are
-checked from the source text.  `scheme._plan` alone decides which messages
-a plan's lengths name, so no other code calls `SchemePlan(...)`.  A plan
-gives every message it names one length, so other modules read
-`plan.length` and only `scheme` reads the `lengths` mapping.  A plan
-checks when built that it can be sent, so only `scheme` raises
-`UnresolvableRef` and no module catches it.  Only `cli.main` writes
+checked from the source text.  Each name is imported from the module that
+defines it, never passed through a sibling that only imports it, and the
+package exports no helper that only tests call.  `scheme._plan` alone
+decides which messages a plan's lengths name, so no other code calls
+`SchemePlan(...)`.  A plan gives every message it names one length, so
+other modules read `plan.length` and only `scheme` reads the `lengths`
+mapping.  A plan checks when built that it can be sent, so only `scheme`
+raises `UnresolvableRef` and no module catches it.  Only `cli.main` writes
 output, so every `print` call is in it, and only `cli` touches Python's
 int-to-string digit limit, which it lifts while a verdict is rendered and
 nowhere else.  `graphs.FAMILIES` alone says which families a server count
@@ -78,6 +80,38 @@ def test_internal_imports_form_no_cycle():
 
     for mod in sorted(graph):
         visit(mod)
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """Names a module binds at top level other than by importing them."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            names |= {t.id for t in ast.walk(node) if isinstance(t, ast.Name)
+                      and isinstance(t.ctx, ast.Store)}
+    return names
+
+
+def test_every_name_is_imported_from_the_module_defining_it():
+    defined = {name: _defined(tree) for name, tree in MODULES.items()}
+    found = []
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            base = (node.module or "").removeprefix("localpir").lstrip(".")
+            if base in defined and _internal_targets(node):
+                found += [f"{name} takes {alias.name} from {base}"
+                          for alias in node.names
+                          if alias.name not in defined[base]]
+    assert found == []
+
+
+def test_the_package_exports_no_test_only_helper():
+    assert not {"is_prime", "bipartite_lower_bound"} & set(localpir.__all__)
 
 
 def _builds_a_plan(node: ast.AST) -> bool:

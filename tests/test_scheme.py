@@ -18,7 +18,7 @@ from helpers import (
     repeated,
     shuffled_permutations,
 )
-from localpir.capacity import graph_bounds
+from localpir.capacity import et_download_cost, graph_bounds, subpacketization
 
 from localpir.errors import (
     IndexOutOfRange,
@@ -39,7 +39,6 @@ from localpir.scheme import (
     bipartite_config,
     build_bipartite_plan,
     build_et_plan,
-    build_fixture_plan,
     build_plan,
     build_plan_family,
     build_union_plan,
@@ -47,9 +46,7 @@ from localpir.scheme import (
     default_role_rule,
     derive_recipe,
     et_config,
-    et_download_cost,
     fixture_config,
-    subpacketization,
     union_config,
 )
 from localpir.sim import execute_plan
@@ -135,7 +132,8 @@ def test_et_plan_rejects_bad_theta():
     (build_bipartite_plan, family("complete", 4)),   # not bipartite
     (build_union_plan, family("disjoint_copies", base=family("cycle", 4),
                               copies=3)),
-    (lambda g, theta: build_fixture_plan("k4", theta), family("complete", 4)),
+    (lambda g, theta: build_plan(g, fixture_config("k4"), theta),
+     family("complete", 4)),
 ], ids=["et", "bipartite", "bipartite-on-complete-4", "union", "fixture"])
 def test_every_builder_refuses_a_message_outside_the_graph(build, g):
     for theta in (0, g.K + 1):
@@ -169,19 +167,20 @@ def test_k4_plan_reproduces_reference_table():
 
 
 def test_fixture_plans_wrap_tables_verbatim():
+    c4, k4 = family("cycle", 4), family("complete", 4)
     for theta in range(1, 5):
-        plan = build_fixture_plan("c4", theta)
+        plan = build_plan(c4, fixture_config("c4"), theta)
         assert plan.queries == C4_TABLE[theta]
     for theta in range(1, 7):
-        plan = build_fixture_plan("k4", theta)
+        plan = build_plan(k4, fixture_config("k4"), theta)
         assert plan.queries == K4_TABLE[theta]
 
 
 def test_fixture_plan_validates_graph():
     with pytest.raises(InvalidFamilyParams):
-        build_fixture_plan("c4", 1, family("cycle", 5))
+        build_plan(family("cycle", 5), fixture_config("c4"), 1)
     with pytest.raises(InvalidFamilyParams):
-        build_fixture_plan("nope", 1)
+        build_plan(family("cycle", 4), fixture_config("nope"), 1)
 
 
 # --- structural invariants of generated t-sum plans --------------------------
@@ -520,7 +519,7 @@ def in_global_ids(comp, plan):
     queries = [(vertex(s), tuple(tuple((comp.edge_indices[m - 1], p)
                                        for (m, p) in atom) for atom in atoms))
                for s, atoms in plan.queries.items()]
-    recipe = tuple(DecodeStep(step.position, answer_at(step.source),
+    recipe = tuple(DecodeStep(answer_at(step.source),
                               tuple(map(answer_at, step.cancel)))
                    for step in plan.recipe)
     meta = {key: vertex(v) if key in ("role_i", "role_j", "cover_vertex")

@@ -18,7 +18,7 @@ from localpir.scheme import (
     union_config,
 )
 from localpir.sim import (
-    describe_graph,
+    _describe_graph,
     execute_plan,
     measure_rate,
     run_retrieval,
@@ -201,8 +201,8 @@ def test_measure_rate_refuses_fewer_than_one_seed(seeds):
 
 
 def test_describe_graph_names():
-    assert describe_graph(family("cycle", 4)) == "cycle(n=4)"
-    assert describe_graph(family("complete_bipartite", a=3, b=3)) \
+    assert _describe_graph(family("cycle", 4)) == "cycle(n=4)"
+    assert _describe_graph(family("complete_bipartite", a=3, b=3)) \
         == "complete_bipartite(a=3, b=3)"
     paw = build_graph(4, [(1, 2), (1, 3), (2, 3), (1, 4)])
-    assert describe_graph(paw) == "graph(N=4, K=4)"
+    assert _describe_graph(paw) == "graph(N=4, K=4)"

@@ -642,15 +642,46 @@ def test_positions_outside_the_message_fail_without_index_error(c4, c4_plans,
 
 
 def test_a_recipe_position_outside_the_message_fails_to_decode(c4, c4_plans):
+    # step k recovers position k, so a third step on a length-2 message
+    # would recover position 3: the certificate and every run refuse it
     plan = c4_plans[1]
-    bad = plan.recipe[:1] + (plan.recipe[1]._replace(position=3),)
     mutated = dict(c4_plans)
-    mutated[1] = dataclasses.replace(plan, recipe=bad)
+    mutated[1] = dataclasses.replace(plan,
+                                     recipe=plan.recipe + plan.recipe[1:])
     rep = decode_check(mutated, c4, q=2, seeds=2)
     assert [(f["seed"], f["reason"]) for f in rep.failures] == [
-        (None, "recipe recovers positions [1, 3], not 1..2"),
-        (0, "UndecodablePlan: recipe position 3 outside 1..2"),
-        (1, "UndecodablePlan: recipe position 3 outside 1..2")]
+        (None, "recipe has 3 steps, not 2"),
+        (0, "UndecodablePlan: recipe has 3 steps, not 2"),
+        (1, "UndecodablePlan: recipe has 3 steps, not 2")]
+
+
+def test_a_reversed_recipe_fails_the_certificate_and_the_runs(c4, c4_plans):
+    # cycle-4 t=2, theta=1: reversed, step 1 reads the atom holding
+    # position 2, so the certificate names step 1, and a run decodes
+    # wrongly unless the two symbols it swaps happen to be equal
+    plan = c4_plans[1]
+    mutated = dict(c4_plans)
+    mutated[1] = dataclasses.replace(plan, recipe=plan.recipe[::-1])
+    rep = decode_check(mutated, c4, q=3, seeds=50)
+    certificate, *runs = rep.failures
+    assert certificate == {
+        "theta": 1, "seed": None,
+        "reason": "step 1 (source (2, 0), cancel [(3, 0)]) leaves "
+                  "{(1, 2): 1}, not {(1, 1): 1}"}
+    assert all(f["reason"].startswith("decoded ") for f in runs)
+    assert 0 < len(runs) < 50
+
+
+def test_a_family_filed_under_the_wrong_messages_is_refused():
+    # star-4's cover plans for messages 1 and 2, each filed under the other
+    g = family("star", 4)
+    plans = build_plan_family(g, bipartite_config())
+    swapped = {**plans, 1: plans[2], 2: plans[1]}
+    for check in (lambda: check_scheme(swapped, g),
+                  lambda: decode_check(swapped, g, seeds=2)):
+        with pytest.raises(InvalidFamilyParams, match="^the plan filed under "
+                           "message 1 retrieves message 2$"):
+            check()
 
 
 @pytest.mark.parametrize("seeds", [-1])

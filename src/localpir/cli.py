@@ -276,12 +276,16 @@ def cmd_verify(args) -> tuple[int, str]:
 
 
 def cmd_simulate(args) -> tuple[int, str]:
+    if args.seed is not None and args.theta is None:
+        raise InvalidFamilyParams(
+            "--seed goes with --theta; without it no transcript is drawn")
     g = load_graph(args)
     config = resolve_config(args, g)
     check_theta(args, g)
     report = measure_rate(g, config, q=args.q, seeds=args.seeds)
     transcript = (None if args.theta is None
-                  else run_retrieval(g, config, args.theta, args.seed, args.q))
+                  else run_retrieval(g, config, args.theta, args.seed or 0,
+                                     args.q))
     code = 0 if report.decoded_ok else 1
     if args.format == "json":
         obj = report.to_json()
@@ -372,8 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     runtime_opts(p_sim)
     p_sim.add_argument("--theta", type=int,
                        help="also dump one transcript for this message")
-    p_sim.add_argument("--seed", type=int, default=0,
-                       help="seed for the dumped transcript")
+    p_sim.add_argument("--seed", type=int,
+                       help="seed for the dumped transcript (default 0)")
     p_sim.set_defaults(func=cmd_simulate)
     return parser
 

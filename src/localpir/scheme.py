@@ -32,6 +32,18 @@ first, so the two endpoints jointly deliver all
 L = C(d_i-1, t_i-1) + C(d_j-1, t_j-1) symbols.  Every other symbol
 entangled with the desired one is fetched as a plain singleton from the
 opposite server that replicates it, which lets the decoder cancel it.
+The recipe follows by construction, and the template holds it per rank:
+the k-th subset holding the desired message's rank yields its k-th
+position at that endpoint, and each other member of that subset is
+cancelled by its singleton, found by where that message's singletons
+start at its opposite replica.  So the builder states the recipe and
+scans no atom for it.
+
+Cover plans state their one-step recipe too.  `derive_recipe` reads a
+recipe off a query layout; it serves fixture plans, whose tables give no
+recipe, and is the reference the tests compare built recipes with.
+Whatever a builder states, `verify`'s decode certificate re-checks every
+step of every plan it verifies.
 
 Bipartite cover plan: pick the part with the smaller sum of squared
 degrees; the desired edge's endpoint in that part sends its entire storage,
@@ -118,7 +130,7 @@ class SchemePlan:
                 f"message {self.theta} has {length}")
         for s, atoms in self.queries.items():
             stored = self.graph.index_set(s)
-            held = {m for m in stored if m in lengths}
+            held = lengths.keys() & stored
             for idx, atom in enumerate(atoms):
                 for m, p in atom:
                     if m not in held or not 1 <= p <= length:
@@ -205,12 +217,15 @@ def default_role_rule(g: Graph, k: int, t_i: int, t_j: int) -> tuple[int, int]:
 # --- plan constructions ----------------------------------------------------
 
 def _plan(g: Graph, kind: str, theta: int, length: int, queries: dict,
-          meta: dict, read) -> SchemePlan:
+          meta: dict, read, recipe: tuple[DecodeStep, ...] | None = None
+          ) -> SchemePlan:
     """Every builder returns here: one length for theta and for each of
-    the messages `read` its queries read."""
+    the messages `read` its queries read.  A builder states the recipe its
+    construction fixes; `recipe=None` derives it from the queries."""
     lengths = dict.fromkeys((theta, *sorted(read)), length)
-    return SchemePlan(g, kind, theta, lengths, queries,
-                      derive_recipe(queries, theta, length), meta)
+    if recipe is None:
+        recipe = derive_recipe(queries, theta, length)
+    return SchemePlan(g, kind, theta, lengths, queries, recipe, meta)
 
 
 class _SubsetTemplate(NamedTuple):
@@ -221,13 +236,19 @@ class _SubsetTemplate(NamedTuple):
     references out of that flat list, in lexicographic subset order (None
     for t = 1, where subset s is rank s alone).  `entangled[r]` lists,
     by ascending rank, each other rank sharing a subset with r and the
-    counts it has in those subsets, in subset order.
+    counts it has in those subsets, in subset order.  `recipes[r]` lists
+    every subset s holding r, in subset order, as (s, others): each other
+    rank o in s, ascending, with the 0-based index of its count in o's
+    counts in `entangled[r]`.  The k-th of those subsets yields r's k-th
+    position, and o's singletons are fetched in `entangled[r]` order, so
+    that index locates the singleton that cancels o.
     """
 
     c: int
     counts: tuple[int, ...]     # 1..c once per rank: the flat list's counts
     getters: tuple[itemgetter, ...] | None
     entangled: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+    recipes: tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], ...], ...]
 
 
 def _subset_template(d: int, t: int) -> _SubsetTemplate:
@@ -235,21 +256,28 @@ def _subset_template(d: int, t: int) -> _SubsetTemplate:
     c = comb(d - 1, t - 1)
     counts = tuple(range(1, c + 1)) * d
     if t == 1:
-        return _SubsetTemplate(c, counts, None, ((),) * d)
+        return _SubsetTemplate(c, counts, None, ((),) * d,
+                               tuple(((r, ()),) for r in range(d)))
     seen = [0] * d
     shared = [{} for _ in range(d)]
+    recipes = [[] for _ in range(d)]
     getters = []
-    for subset in itertools.combinations(range(d), t):
+    for s, subset in enumerate(itertools.combinations(range(d), t)):
         for r in subset:
             seen[r] += 1
         getters.append(itemgetter(*(r * c + seen[r] - 1 for r in subset)))
         for r in subset:
+            others = []
             for other in subset:
                 if other != r:
-                    shared[r].setdefault(other, []).append(seen[other])
+                    row = shared[r].setdefault(other, [])
+                    others.append((other, len(row)))
+                    row.append(seen[other])
+            recipes[r].append((s, tuple(others)))
     entangled = tuple(tuple((other, tuple(row[other])) for other in sorted(row))
                       for row in shared)
-    return _SubsetTemplate(c, counts, tuple(getters), entangled)
+    return _SubsetTemplate(c, counts, tuple(getters), entangled,
+                           tuple(map(tuple, recipes)))
 
 
 def build_et_plan(g: Graph, theta: int, t_i: int,
@@ -271,6 +299,7 @@ def build_et_plan(g: Graph, theta: int, t_i: int,
 
     queries: dict[int, tuple[Atom, ...]] = {}
     singletons: dict[int, list[Atom]] = {}
+    recipe: list[DecodeStep] = []
     for endpoint, t, shift in ((i, t_i, 0), (j, t_j, offset)):
         stored = g.index_set(endpoint)
         d = len(stored)
@@ -288,19 +317,30 @@ def build_et_plan(g: Graph, theta: int, t_i: int,
                              else tuple([get(refs) for get in tpl.getters]))
         # Message msg is entangled with theta in every subset containing
         # both; the decoder cancels it with a singleton fetched at exactly
-        # those running occurrence counts from msg's other replica.
+        # those running occurrence counts from msg's other replica.  `base`
+        # notes where msg's singletons start in that server's list.
+        base = {}
         for other_rank, positions in tpl.entangled[rank]:
             msg = stored[other_rank]
             u, v = g.endpoints(msg)
-            singletons.setdefault(v if u == endpoint else u, []).extend(
-                ((msg, pos),) for pos in positions)
+            server = v if u == endpoint else u
+            atoms = singletons.setdefault(server, [])
+            base[other_rank] = (server, len(atoms))
+            atoms.extend(((msg, pos),) for pos in positions)
+        # The k-th subset holding theta yields its position shift + k.
+        for s, others in tpl.recipes[rank]:
+            cancel = []
+            for other_rank, k in others:
+                server, start = base[other_rank]
+                cancel.append((server, start + k))
+            recipe.append(DecodeStep((endpoint, s), tuple(cancel)))
     for server, atoms in singletons.items():
         queries[server] = tuple(atoms)
 
     meta = {"t_i": t_i, "t_j": t_j, "role_i": i, "role_j": j,
             "deg_i": d_i, "deg_j": d_j}
     read = set(g.index_set(i)).union(g.index_set(j))
-    return _plan(g, "et", theta, length, queries, meta, read)
+    return _plan(g, "et", theta, length, queries, meta, read, tuple(recipe))
 
 
 def build_bipartite_plan(g: Graph, theta: int) -> SchemePlan:
@@ -323,7 +363,8 @@ def _cover_plan(g: Graph, theta: int, ends: tuple[int, int], m_star: int,
     stored = g.index_set(server)
     queries = {server: tuple(((msg, 1),) for msg in stored)}
     meta = {"m_star": m_star, "cover_vertex": server}
-    return _plan(g, "bipartite", theta, 1, queries, meta, stored)
+    recipe = (DecodeStep((server, stored.index(theta)), ()),)
+    return _plan(g, "bipartite", theta, 1, queries, meta, stored, recipe)
 
 
 def build_union_plan(g: Graph, theta: int) -> SchemePlan:

@@ -415,6 +415,24 @@ def test_n_with_a_graph_file_exits_two(capsys, c4_file, command):
                "own n\n")
 
 
+@pytest.mark.parametrize("seed", ["7", "0"])
+def test_a_seed_without_theta_exits_two(capsys, seed):
+    # without --theta no transcript is drawn, so a --seed would do nothing
+    code, out, err = run(capsys, "simulate", "--family", "cycle", "--n", "4",
+                         "--seed", seed)
+    assert (code, out, err) == (
+        2, "", "error: --seed goes with --theta; without it no transcript "
+               "is drawn\n")
+
+
+def test_a_transcript_without_seed_uses_seed_zero(capsys):
+    argv = ("simulate", "--family", "cycle", "--n", "4", "--theta", "2",
+            "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == run(capsys, *argv, "--seed", "0")[:2]
+    assert code == 0 and json.loads(out)["transcript"]["seed"] == 0
+
+
 @pytest.mark.parametrize("extra", [(), ("--probe",)])
 def test_a_negative_cap_exits_two_before_any_check(capsys, extra):
     code, out, err = run(capsys, "verify", "--family", "cycle", "--n", "4",

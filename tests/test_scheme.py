@@ -273,6 +273,35 @@ def test_one_subset_template_per_degree_and_t(monkeypatch):
                                    for d, t in want]
 
 
+RECIPE_CASES = [pytest.param(family("complete", d + 1), (t,), id=f"d{d}-t{t}")
+                for d in range(1, 10) for t in range(1, d + 1)]
+RECIPE_CASES += [pytest.param(family("complete_bipartite", a=a, b=b), (2, 1),
+                              id=f"K{a}{b}-t21") for a, b in ((3, 5), (2, 7))]
+
+
+@pytest.mark.parametrize("g,ts", RECIPE_CASES)
+def test_template_recipe_equals_the_derived_recipe(g, ts):
+    """Every rank at degree d <= 9, for every t, in both endpoint roles:
+    the recipe the builder reads off the subset template is the one
+    `derive_recipe` reads off the queries, steps from both endpoints.
+    At d = 2 the graph is the triangle, where one server takes the
+    singletons of both endpoints."""
+    for theta in g.messages:
+        plan = build_et_plan(g, theta, *ts)
+        assert plan.recipe == derive_recipe(plan.queries, theta, plan.length)
+        assert {step.source[0] for step in plan.recipe} == {
+            plan.meta["role_i"], plan.meta["role_j"]}
+
+
+def test_a_triangle_cancels_both_endpoints_at_one_server():
+    # messages 3 = (1, 3) and 2 = (2, 3) both have their singleton at 3:
+    # endpoint 1's lands first, so endpoint 2's cancel reads index 1
+    plan = build_et_plan(family("cycle", 3), 1, 2)
+    assert plan.queries[3] == (((3, 1),), ((2, 1),))
+    assert plan.recipe == (DecodeStep((1, 0), ((3, 0),)),
+                           DecodeStep((2, 0), ((3, 1),)))
+
+
 def test_t1_plans_are_all_singletons_even_off_family():
     paw = build_graph(4, [(1, 2), (1, 3), (2, 3), (1, 4)])
     for theta in paw.messages:
@@ -475,8 +504,10 @@ def test_union_family_runs_best_scheme_once_per_component(monkeypatch):
     assert len(calls) == 100
 
 
-def test_union_recipe_is_derived_once_per_plan_on_the_global_layout(
-        monkeypatch):
+def test_builders_state_recipes_equal_to_the_derived_ones(monkeypatch):
+    """t-sum and cover plans state their recipes, so `derive_recipe` runs
+    only for fixture plans; on every union plan the stated recipe equals
+    the one derived from the global layout."""
     real = localpir.scheme.derive_recipe
     calls = []
 
@@ -485,13 +516,14 @@ def test_union_recipe_is_derived_once_per_plan_on_the_global_layout(
         return real(queries, theta, length)
 
     monkeypatch.setattr(localpir.scheme, "derive_recipe", counting)
-    g = family("disjoint_copies", base=family("cycle", 4), copies=100)
-    plans = build_plan_family(g, union_config())
-    assert len(calls) == 400
-    assert sorted(calls) == list(g.messages)
-    mixed = build_plan_family(mixed_graph(), union_config())
-    for plan in [*plans.values(), *mixed.values()]:
+    plans = [plan for g in shipped_unions()
+             for plan in build_plan_family(g, union_config()).values()]
+    plans += build_plan_family(family("path", 5), bipartite_config()).values()
+    assert calls == []
+    for plan in plans:
         assert plan.recipe == real(plan.queries, plan.theta, plan.length)
+    build_plan(family("cycle", 4), fixture_config("c4"), 2)
+    assert calls == [2]
 
 
 def shipped_unions():

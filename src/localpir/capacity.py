@@ -179,23 +179,24 @@ def equal_degree_bound(d: int) -> Fraction:
     return et_lower_bound(d, d)[0]
 
 
-def cover_part(g: Graph) -> tuple[int, frozenset[int], int]:
-    """The cover plan's covering part: (m_star, its servers, its cost).
+def cover_part(g: Graph) -> tuple[frozenset[int], int]:
+    """The cover plan's covering part: (its servers, its cost).
 
     The covering part is the part of `bipartition` with the smaller sum of
-    squared degrees (ties: part 1), and its cost is that sum.  Computed
-    once per graph.
+    squared degrees (ties: part 1), and its cost is that sum: each server
+    v there sends d(v) symbols for each of its d(v) messages.  Computed
+    once per graph; `verify.cost_audit` reads d(v) off the graph too.
     """
     return g.cached("cover_part", _cover_part)
 
 
-def _cover_part(g: Graph) -> tuple[int, frozenset[int], int]:
+def _cover_part(g: Graph) -> tuple[frozenset[int], int]:
     partition = bipartition(g)
     if partition is None:
         raise NotBipartite("graph is not two-colorable")
     sums = [sum(g.degree(v) ** 2 for v in part) for part in partition]
-    m_star = 1 if sums[0] <= sums[1] else 2
-    return m_star, frozenset(partition[m_star - 1]), sums[m_star - 1]
+    m = 0 if sums[0] <= sums[1] else 1
+    return frozenset(partition[m]), sums[m]
 
 
 def best_scheme(g: Graph) -> tuple[Fraction, tuple[int, int] | None]:
@@ -220,7 +221,7 @@ def best_scheme(g: Graph) -> tuple[Fraction, tuple[int, int] | None]:
         best = (Fraction(2 * g.K, sum(d * d for d in degrees)), (1, 1))
     if bipartition(g) is not None:
         # the cover plan's rate: K over the smaller sum of squared degrees
-        cover = Fraction(g.K, cover_part(g)[2])
+        cover = Fraction(g.K, cover_part(g)[1])
         if cover > best[0]:
             best = (cover, None)
     return best

@@ -87,8 +87,9 @@ def resolve_config(args, g: Graph) -> PlanConfig:
                 "--scheme bipartite takes no --t, --t-i or --t-j")
         return bipartite_config()
     if (t_i, t_j) != (None, None):
-        if t_i is None:
-            raise InvalidFamilyParams("the t-sum scheme needs --t or --t-i")
+        if None in (t_i, t_j):
+            raise InvalidFamilyParams(
+                "the t-sum scheme needs --t, or both --t-i and --t-j")
         return et_config(t_i, t_j)
     if len(components(g)) > 1:
         return union_config()

@@ -73,7 +73,6 @@ from .capacity import (
 )
 from .errors import (
     IncompleteAnswers,
-    IndexOutOfRange,
     InvalidFamilyParams,
     RoleConflict,
     UndecodablePlan,
@@ -217,14 +216,11 @@ def default_role_rule(g: Graph, k: int, t_i: int, t_j: int) -> tuple[int, int]:
 # --- plan constructions ----------------------------------------------------
 
 def _plan(g: Graph, kind: str, theta: int, length: int, queries: dict,
-          meta: dict, read, recipe: tuple[DecodeStep, ...] | None = None
-          ) -> SchemePlan:
+          meta: dict, read, recipe: tuple[DecodeStep, ...]) -> SchemePlan:
     """Every builder returns here: one length for theta and for each of
-    the messages `read` its queries read.  A builder states the recipe its
-    construction fixes; `recipe=None` derives it from the queries."""
+    the messages `read` its queries read, the recipe the builder states,
+    and in `meta` its choices only; the degrees at its roles are `g`'s."""
     lengths = dict.fromkeys((theta, *sorted(read)), length)
-    if recipe is None:
-        recipe = derive_recipe(queries, theta, length)
     return SchemePlan(g, kind, theta, lengths, queries, recipe, meta)
 
 
@@ -337,8 +333,7 @@ def build_et_plan(g: Graph, theta: int, t_i: int,
     for server, atoms in singletons.items():
         queries[server] = tuple(atoms)
 
-    meta = {"t_i": t_i, "t_j": t_j, "role_i": i, "role_j": j,
-            "deg_i": d_i, "deg_j": d_j}
+    meta = {"t_i": t_i, "t_j": t_j, "role_i": i, "role_j": j}
     read = set(g.index_set(i)).union(g.index_set(j))
     return _plan(g, "et", theta, length, queries, meta, read, tuple(recipe))
 
@@ -350,19 +345,20 @@ def build_bipartite_plan(g: Graph, theta: int) -> SchemePlan:
     covering part; the desired edge's endpoint there sends all its symbols.
     """
     ends = g.endpoints(theta)
-    return _cover_plan(g, theta, ends, *cover_part(g)[:2])
+    return _cover_plan(g, theta, ends, cover_part(g)[0])
 
 
-def _cover_plan(g: Graph, theta: int, ends: tuple[int, int], m_star: int,
+def _cover_plan(g: Graph, theta: int, ends: tuple[int, int],
                 covering: frozenset[int]) -> SchemePlan:
-    """The desired edge's endpoint in `covering` sends its entire storage."""
+    """The desired edge's endpoint in `covering` sends its entire storage;
+    the plan records that cover vertex, whose degree is the graph's."""
     # A proper two-coloring puts exactly one endpoint in the covering part.
     u, v = ends
     server = u if u in covering else v
 
     stored = g.index_set(server)
     queries = {server: tuple(((msg, 1),) for msg in stored)}
-    meta = {"m_star": m_star, "cover_vertex": server}
+    meta = {"cover_vertex": server}
     recipe = (DecodeStep((server, stored.index(theta)), ()),)
     return _plan(g, "bipartite", theta, 1, queries, meta, stored, recipe)
 
@@ -375,22 +371,20 @@ def build_union_plan(g: Graph, theta: int) -> SchemePlan:
     """
     ends = g.endpoints(theta)
     ts, cover = g.cached("component_rows", _component_rows)[theta]
-    return (_cover_plan(g, theta, ends, *cover) if ts is None
+    return (_cover_plan(g, theta, ends, cover) if ts is None
             else build_et_plan(g, theta, *ts))
 
 
 def _component_rows(g: Graph) -> dict[int, tuple]:
-    """Message -> its component's (subset sizes, covering part).
+    """Message -> its component's (subset sizes, covering servers).
 
-    A t-sum component has no covering part; a cover component has no
-    subset sizes, and its (m_star, servers) are in global ids.
+    A t-sum component has no covering servers; a cover component has no
+    subset sizes, and its covering servers are in global ids.
     """
     rows = {}
     for comp, _, ts in component_schemes(g):
-        cover = None
-        if ts is None:
-            m_star, covering, _ = cover_part(comp.graph)
-            cover = (m_star, frozenset(comp.vertices[v - 1] for v in covering))
+        cover = None if ts else frozenset(
+            comp.vertices[v - 1] for v in cover_part(comp.graph)[0])
         rows.update(dict.fromkeys(comp.edge_indices, (ts, cover)))
     return rows
 
@@ -416,13 +410,13 @@ def build_plan(g: Graph, config: PlanConfig, theta: int) -> SchemePlan:
         if g != graph:
             raise InvalidFamilyParams(
                 f"fixture {name!r} is defined on {graph}, not {g}")
-        if theta not in table:
-            raise IndexOutOfRange(f"message {theta} outside 1..{graph.K}")
+        graph.endpoints(theta)      # refuses a theta outside 1..K
         queries = dict(table[theta])
         read = {m for atoms in queries.values() for atom in atoms
                 for m, _ in atom}
         return _plan(graph, "fixture", theta, length, queries,
-                     {"fixture": name}, read)
+                     {"fixture": name}, read,
+                     derive_recipe(queries, theta, length))
     raise InvalidFamilyParams(f"unknown plan kind {config.kind!r}")
 
 
@@ -451,13 +445,9 @@ def derive_recipe(queries: dict[int, tuple[Atom, ...]], theta: int,
     steps: dict[int, DecodeStep] = {}
     for server in sorted(queries):
         for idx, atom in enumerate(queries[server]):
-            # most atoms do not read theta: skip them before building a list
-            for m, _ in atom:
-                if m == theta:
-                    break
-            else:
-                continue
             desired = [(m, p) for (m, p) in atom if m == theta]
+            if not desired:
+                continue
             if len(desired) > 1:
                 raise UndecodablePlan(
                     f"atom {atom} references the desired message twice")

@@ -413,6 +413,8 @@ class CostReport:
 def cost_audit(plans: dict[int, SchemePlan], g: Graph) -> CostReport:
     """Count downloads and cross-check them against closed forms.
 
+    The forms read degrees off `g` at the plan's roles: `et_download_cost`
+    for a t-sum plan, its cover vertex's degree times L for a cover plan.
     Rate is `capacity.union_capacity` over one part per plan:
     K / sum_theta D_theta / L_theta, messages weighted equally (the
     desired index is uniform).  Plans of one length L give K*L / sum D.
@@ -429,18 +431,18 @@ def cost_audit(plans: dict[int, SchemePlan], g: Graph) -> CostReport:
         for s, atoms in plan.queries.items():
             downloads[s] += len(atoms)
         if plan.kind == "et":
-            expect = et_download_cost(plan.meta["deg_i"], plan.meta["deg_j"],
-                                      plan.meta["t_i"], plan.meta["t_j"])
-            if per_theta[t] != expect:
-                mismatches.append(
-                    f"theta {t}: downloaded {per_theta[t]}, "
-                    f"closed form says {expect}")
+            form = "closed"
+            expect = et_download_cost(
+                g.degree(plan.meta["role_i"]), g.degree(plan.meta["role_j"]),
+                plan.meta["t_i"], plan.meta["t_j"])
         elif plan.kind == "bipartite":
+            form = "cover"
             expect = g.degree(plan.meta["cover_vertex"]) * plan.length
-            if per_theta[t] != expect:
-                mismatches.append(
-                    f"theta {t}: downloaded {per_theta[t]}, "
-                    f"cover form says {expect}")
+        else:
+            continue
+        if per_theta[t] != expect:
+            mismatches.append(f"theta {t}: downloaded {per_theta[t]}, "
+                              f"{form} form says {expect}")
     total = sum(per_theta.values())
     if not total:
         mismatches.append("no plan downloads anything")

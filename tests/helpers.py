@@ -45,8 +45,8 @@ def plan_with_queries(plan: SchemePlan, queries) -> SchemePlan:
 
 def strip_offset(plan: SchemePlan) -> dict:
     """Undo the second endpoint's position shift on the desired message."""
-    off = comb(plan.meta["deg_i"] - 1, plan.meta["t_i"] - 1)
-    j = plan.meta["role_j"]
+    i, j = plan.meta["role_i"], plan.meta["role_j"]
+    off = comb(plan.graph.degree(i) - 1, plan.meta["t_i"] - 1)
     queries = dict(plan.queries)
     queries[j] = tuple(
         tuple((m, p - off if m == plan.theta else p) for (m, p) in atom)
@@ -172,7 +172,12 @@ def reference_et_queries(g: Graph, theta: int, t_i: int,
 
 
 def shipped_corpus() -> list[tuple[str, Graph, PlanConfig]]:
-    """Every (label, graph, config) triple the verification battery covers."""
+    """The acceptance corpus: the (label, graph, config) triples whose
+    per-server enumeration, prod_m L_m! over the messages a view reads,
+    acceptance criterion 3 holds to 13824 = (4!)^3.  It is a subset of
+    `scripts/verify_battery.py`, which also runs complete-5 and -6 and
+    K(3,3) at t=2, three unions, cycle-2000, 100 copies of C4, and
+    complete-12 and K(2,4) below their best subset sizes."""
     corpus = []
     for n in range(3, 7):
         corpus.append((f"cycle{n}-t1", family("cycle", n), et_config(1)))

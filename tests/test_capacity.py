@@ -178,7 +178,7 @@ def test_large_complete_bounds_skip_the_quadratic_search():
 
 def cover_rate(g):
     """The cover plan's rate: K over the covering part's cost."""
-    return Fraction(g.K, cover_part(g)[2])
+    return Fraction(g.K, cover_part(g)[1])
 
 
 def test_bipartite_lower_bound_values():

@@ -233,15 +233,16 @@ def test_verify_table_lists_decode_faults_and_cost_mismatches():
         "cost: expected download 15/4, rate 8/15 [closed-form MISMATCH]",
         "  theta 2: downloaded 3, closed form says 4",
         "verdict: FAIL"]
-    # a plan whose recorded degree is wrong: it decodes, but its download
-    # disagrees with the closed form for that degree
-    wrong = {**plans, 1: dataclasses.replace(
-        plans[1], meta={**plans[1].meta, "deg_i": 3})}
+    # a plan that fetches one singleton twice: it decodes, and server 3
+    # does not store message 1, so only the graph's degrees catch it
+    queries = dict(plans[1].queries)
+    queries[3] += queries[3]
+    wrong = {**plans, 1: dataclasses.replace(plans[1], queries=queries)}
     lines = cli.render_verify(check_scheme(wrong, g), None).splitlines()
     assert lines[4:] == [
         "decode: PASS (exact)",
-        "cost: expected download 4, rate 1/2 [closed-form MISMATCH]",
-        "  theta 1: downloaded 4, closed form says 7",
+        "cost: expected download 17/4, rate 8/17 [closed-form MISMATCH]",
+        "  theta 1: downloaded 5, closed form says 4",
         "verdict: FAIL"]
 
 
@@ -398,11 +399,21 @@ def test_simulate_table_names_the_component_dispatch(capsys, tmp_path):
     ("scheme", "--family", "path", "--n", "4", "--scheme", "bipartite",
      "--t-j", "1"),
     ("scheme", "--family", "cycle", "--n", "4", "--t-j", "2"),
+    ("verify", "--family", "cycle", "--n", "4", "--t-i", "2"),
 ])
 def test_invalid_inputs_exit_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.strip()
+
+
+@pytest.mark.parametrize("flag", ["--t-i", "--t-j"])
+def test_a_lone_subset_size_exits_two(capsys, flag):
+    # one size alone would leave the other endpoint's size to a guess
+    code, out, err = run(capsys, "verify", "--family", "cycle", "--n", "4",
+                         flag, "2")
+    assert (code, out, err) == (
+        2, "", "error: the t-sum scheme needs --t, or both --t-i and --t-j\n")
 
 
 @pytest.mark.parametrize("command", ["bounds", "scheme", "verify",

@@ -194,7 +194,7 @@ ET_CASES += [(family("complete", n), t) for n in (3, 4, 5)
 def test_et_atom_count_matches_closed_form(g, t):
     for theta in g.messages:
         plan = build_et_plan(g, theta, t)
-        d_i, d_j = plan.meta["deg_i"], plan.meta["deg_j"]
+        d_i, d_j = (g.degree(plan.meta[role]) for role in ("role_i", "role_j"))
         assert plan.download_count() == et_download_cost(d_i, d_j, t, t)
         assert plan.length == subpacketization(d_i, d_j, t, t)
 
@@ -205,7 +205,7 @@ def test_et_offset_discipline(g, t):
     for theta in g.messages:
         plan = build_et_plan(g, theta, t)
         i, j = plan.meta["role_i"], plan.meta["role_j"]
-        offset = comb(plan.meta["deg_i"] - 1, t - 1)
+        offset = comb(g.degree(i) - 1, t - 1)
         pos_i = [p for atom in plan.atoms_at(i) for (m, p) in atom
                  if m == theta]
         pos_j = [p for atom in plan.atoms_at(j) for (m, p) in atom
@@ -336,11 +336,13 @@ def test_bipartite_plan_path5_costs():
     g = family("path", 5)
     # parts (1,3,5) and (2,4): squared-degree sums 6 and 8, so the odd
     # part covers and total download over all four messages is 6.
-    downloads = {}
+    downloads, covers = {}, {}
     for theta in g.messages:
         plan = build_bipartite_plan(g, theta)
-        assert plan.meta["m_star"] == 1
+        assert plan.meta.keys() == {"cover_vertex"}
+        covers[theta] = plan.meta["cover_vertex"]
         downloads[theta] = plan.download_count()
+    assert covers == {1: 1, 2: 3, 3: 3, 4: 5}
     assert downloads == {1: 1, 2: 2, 3: 2, 4: 1}
 
 
@@ -582,7 +584,7 @@ def test_union_plan_is_its_component_plan_in_global_ids():
     assert {cycle_plan.meta["role_i"], cycle_plan.meta["role_j"]} == {2, 3}
     star_plan = build_union_plan(g, 6)
     assert star_plan.kind == "bipartite"
-    assert star_plan.meta == {"m_star": 1, "cover_vertex": 6}
+    assert star_plan.meta == {"cover_vertex": 6}
 
 
 def test_cost_audit_catches_an_extra_atom_in_a_union_plan():
@@ -594,6 +596,24 @@ def test_cost_audit_catches_an_extra_atom_in_a_union_plan():
     plans[6] = dataclasses.replace(plan, queries=queries)
     assert cost_audit(plans, g).mismatches == [
         "theta 6: downloaded 2, cover form says 1"]
+
+
+BUILDER_META = {"et": {"t_i", "t_j", "role_i", "role_j"},
+                "bipartite": {"cover_vertex"}, "fixture": {"fixture"}}
+
+
+def test_plans_record_only_their_builders_choices():
+    """Degrees and covering parts are the graph's, so no plan records
+    them: its meta holds its builder's choices and nothing else."""
+    families = [plans for _, _, plans in corpus_plans()]
+    families += [build_plan_family(g, union_config())
+                 for g in shipped_unions()]
+    kinds = set()
+    for plans in families:
+        for plan in plans.values():
+            assert plan.meta.keys() == BUILDER_META[plan.kind]
+            kinds.add(plan.kind)
+    assert kinds == BUILDER_META.keys()
 
 
 def test_default_component_config_choices():

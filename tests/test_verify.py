@@ -715,13 +715,15 @@ def test_cost_audit_complete_values(k4_plans):
 
 
 def test_cost_audit_flags_closed_form_mismatch(c4, c4_plans):
-    tampered = dict(c4_plans)
-    bad = dataclasses.replace(c4_plans[1],
-                              meta={**c4_plans[1].meta, "deg_i": 5})
-    tampered[1] = bad
+    # one atom fetched twice still decodes; the degrees in the graph give
+    # the closed form, so no meta the plan carries can hide the extra atom
+    queries = dict(c4_plans[1].queries)
+    queries[3] += queries[3]
+    tampered = {**c4_plans,
+                1: dataclasses.replace(c4_plans[1], queries=queries)}
     rep = cost_audit(tampered, c4)
-    assert not rep.ok
-    assert any("theta 1" in m for m in rep.mismatches)
+    assert decode_check(tampered, c4).ok
+    assert rep.mismatches == ["theta 1: downloaded 5, closed form says 4"]
 
 
 def test_a_family_that_downloads_nothing_fails_at_rate_zero():

@@ -17,7 +17,8 @@ whose `per_server` is read calls `_transcribe`.
 A plan that cannot be sent cannot be built: `SchemePlan` checks that the
 plan gives every message it names the desired message's length, and that
 each reference is at a server of the graph, in a message it stores and
-the plan names, within that length.
+the plan names, within that length.  A t-sum endpoint is checked whole,
+off its template, in O(d).
 
 Three constructions are provided.
 
@@ -37,7 +38,14 @@ the k-th subset holding the desired message's rank yields its k-th
 position at that endpoint, and each other member of that subset is
 cancelled by its singleton, found by where that message's singletons
 start at its opposite replica.  So the builder states the recipe and
-scans no atom for it.
+scans no atom for it.  Nor does it lay out the endpoints' atoms: each
+endpoint's query is a reference (template, stored messages, the desired
+message's rank, shift), expanded into tuples only when `queries` or
+`atoms_at` is read.  Unshifted, a server's layout does not depend on the
+desired message, so the template keeps one per server.  The executor,
+the decode certificate and the download counts read single atoms and
+sizes off the template, so a retrieval builds and reads only its
+recipe's atoms.
 
 Cover plans state their one-step recipe too.  `derive_recipe` reads a
 recipe off a query layout; it serves fixture plans, whose tables give no
@@ -60,6 +68,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import comb
 from operator import itemgetter
@@ -97,14 +106,112 @@ class DecodeStep(NamedTuple):
     cancel: tuple[tuple[int, int], ...]
 
 
+class _TemplateRef:
+    """A t-sum endpoint's atoms by reference: one sum per subset of `tpl`
+    over the server's `stored` messages, the desired message stored[rank]
+    at its counts plus `shift`.  Indexing it reads one atom off the
+    template in O(t), subset idx's (rank, count) pairs so renamed, and
+    keeps it: the decode certificate and every seeded run read the same
+    recipe atoms.  Only `expand` builds every atom."""
+
+    __slots__ = ("tpl", "stored", "rank", "shift", "_read")
+
+    def __init__(self, tpl: _SubsetTemplate, stored: tuple[int, ...],
+                 rank: int, shift: int):
+        self.tpl, self.stored, self.rank, self.shift = tpl, stored, rank, shift
+        self._read = {}
+
+    def __len__(self) -> int:
+        return len(self.tpl.subsets)
+
+    def __getitem__(self, idx: int) -> Atom:
+        atom = self._read.get(idx)
+        if atom is None:
+            stored, rank, shift = self.stored, self.rank, self.shift
+            atom = self._read[idx] = tuple([
+                (stored[r], k + shift) if r == rank else (stored[r], k)
+                for r, k in self.tpl.subsets[idx]])
+        return atom
+
+    def expand(self) -> tuple[Atom, ...]:
+        """Every atom: the server's unshifted layout, laid out once per
+        template, with the desired message's subsets read again at a
+        shift."""
+        tpl, stored = self.tpl, self.stored
+        layout = tpl.layouts.get(stored)
+        if layout is None:
+            c = tpl.c
+            # (message, count) for every rank and count, ranks in order
+            messages = stored if c == 1 else itertools.chain.from_iterable(
+                map(itertools.repeat, stored, itertools.repeat(c)))
+            refs = list(zip(messages, tpl.counts))
+            layout = tpl.layouts[stored] = (
+                tuple(zip(refs)) if tpl.getters is None
+                else tuple([get(refs) for get in tpl.getters]))
+        if not self.shift:
+            return layout
+        atoms = list(layout)
+        for s, _ in tpl.recipes[self.rank]:
+            atoms[s] = self[s]
+        return tuple(atoms)
+
+    def fits(self, held: set[int], length: int) -> bool:
+        """Whether every reference is to a message in `held` within
+        1..length: the template's counts run 1..c, so it is enough that
+        c and the shifted block end within the length and that every
+        stored message is held."""
+        c = self.tpl.c
+        return (c <= length and self.shift + c <= length
+                and held.issuperset(self.stored))
+
+
+class _Queries(Mapping):
+    """server -> atoms, as `SchemePlan.queries` holds them.
+
+    A t-sum endpoint's value is a `_TemplateRef` until its atoms are
+    read as a whole: then they are expanded once and take its place.
+    Every other value is the atoms themselves.
+    """
+
+    __slots__ = ("_raw",)
+
+    def __init__(self, raw):
+        self._raw = dict(raw)
+
+    def __getitem__(self, server: int) -> tuple[Atom, ...]:
+        atoms = self._raw[server]
+        if isinstance(atoms, _TemplateRef):
+            atoms = self._raw[server] = atoms.expand()
+        return atoms
+
+    def get(self, server: int, default=None):
+        return self[server] if server in self._raw else default
+
+    def __iter__(self):
+        return iter(self._raw)
+
+    def __len__(self) -> int:
+        return len(self._raw)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 @dataclass(frozen=True)
 class SchemePlan:
     """Logical query layout and decoding recipe for one desired message.
 
+    `queries` maps each server to its atoms.  A built t-sum plan keeps
+    each endpoint's atoms as a reference to its subset template: reading
+    `queries` or `atoms_at` expands them into tuples once, while the
+    executor and the counts read single atoms or sizes off the template.
+
     Checked when built, by `dataclasses.replace` too, that `lengths`
     gives every message the desired one's length and that the plan can
     be sent: a server outside the graph raises IndexOutOfRange, any other
-    fault UnresolvableRef.
+    fault UnresolvableRef.  A templated endpoint is checked whole, in
+    O(d); only if that fails are its atoms expanded and checked one by
+    one, so the fault is named as for any other server.
     """
 
     graph: Graph
@@ -127,9 +234,17 @@ class SchemePlan:
             raise UnresolvableRef(
                 f"message {other} has length {lengths[other]}, desired "
                 f"message {self.theta} has {length}")
-        for s, atoms in self.queries.items():
+        queries = self.queries
+        if not isinstance(queries, _Queries):
+            queries = _Queries(queries)
+            object.__setattr__(self, "queries", queries)
+        for s, atoms in queries._raw.items():
             stored = self.graph.index_set(s)
             held = lengths.keys() & stored
+            if isinstance(atoms, _TemplateRef):
+                if atoms.fits(held, length):
+                    continue
+                atoms = atoms.expand()
             for idx, atom in enumerate(atoms):
                 for m, p in atom:
                     if m not in held or not 1 <= p <= length:
@@ -150,12 +265,21 @@ class SchemePlan:
     def atoms_at(self, server: int) -> tuple[Atom, ...]:
         return self.queries.get(server, ())
 
+    def _lazy_atoms_at(self, server: int):
+        """The atoms `server` receives, for counting or reading one at a
+        time: a templated endpoint not yet expanded gives them off its
+        template and stays unexpanded."""
+        return self.queries._raw.get(server, ())
+
     def download_count(self) -> int:
-        return sum(len(atoms) for atoms in self.queries.values())
+        return sum(map(len, self.queries._raw.values()))
 
     def referenced_messages(self) -> tuple[int, ...]:
-        msgs = {m for atoms in self.queries.values()
-                for atom in atoms for (m, _) in atom}
+        # a template reads every stored message: each rank is in a subset
+        msgs = set()
+        for atoms in self.queries._raw.values():
+            msgs.update(atoms.stored if isinstance(atoms, _TemplateRef)
+                        else (m for atom in atoms for (m, _) in atom))
         return tuple(sorted(msgs))
 
 
@@ -228,23 +352,28 @@ class _SubsetTemplate(NamedTuple):
     """The t-subsets of ranks 0..d-1, laid out once per (d, t).
 
     Rank r's running occurrence count k, from 1 to c = C(d-1, t-1), is
-    flat reference index r*c + k - 1.  `getters[s]` picks subset s's
-    references out of that flat list, in lexicographic subset order (None
-    for t = 1, where subset s is rank s alone).  `entangled[r]` lists,
+    flat reference index r*c + k - 1.  `subsets[s]` holds subset s's
+    (rank, count) pairs, in lexicographic subset order, and `getters[s]`
+    picks the same references out of that flat list (None for t = 1,
+    where subset s is rank s alone).  `entangled[r]` lists,
     by ascending rank, each other rank sharing a subset with r and the
     counts it has in those subsets, in subset order.  `recipes[r]` lists
     every subset s holding r, in subset order, as (s, others): each other
     rank o in s, ascending, with the 0-based index of its count in o's
     counts in `entangled[r]`.  The k-th of those subsets yields r's k-th
     position, and o's singletons are fetched in `entangled[r]` order, so
-    that index locates the singleton that cancels o.
+    that index locates the singleton that cancels o.  `layouts` keeps,
+    by a server's stored messages, its atoms with no shift: the same for
+    every message it stores, so each server's is laid out once.
     """
 
     c: int
     counts: tuple[int, ...]     # 1..c once per rank: the flat list's counts
+    subsets: tuple[tuple[tuple[int, int], ...], ...]
     getters: tuple[itemgetter, ...] | None
     entangled: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
     recipes: tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], ...], ...]
+    layouts: dict[tuple[int, ...], tuple[Atom, ...]]
 
 
 def _subset_template(d: int, t: int) -> _SubsetTemplate:
@@ -252,15 +381,18 @@ def _subset_template(d: int, t: int) -> _SubsetTemplate:
     c = comb(d - 1, t - 1)
     counts = tuple(range(1, c + 1)) * d
     if t == 1:
-        return _SubsetTemplate(c, counts, None, ((),) * d,
-                               tuple(((r, ()),) for r in range(d)))
+        return _SubsetTemplate(c, counts, tuple(((r, 1),) for r in range(d)),
+                               None, ((),) * d,
+                               tuple(((r, ()),) for r in range(d)), {})
     seen = [0] * d
     shared = [{} for _ in range(d)]
     recipes = [[] for _ in range(d)]
+    subsets = []
     getters = []
     for s, subset in enumerate(itertools.combinations(range(d), t)):
         for r in subset:
             seen[r] += 1
+        subsets.append(tuple([(r, seen[r]) for r in subset]))
         getters.append(itemgetter(*(r * c + seen[r] - 1 for r in subset)))
         for r in subset:
             others = []
@@ -272,8 +404,8 @@ def _subset_template(d: int, t: int) -> _SubsetTemplate:
             recipes[r].append((s, tuple(others)))
     entangled = tuple(tuple((other, tuple(row[other])) for other in sorted(row))
                       for row in shared)
-    return _SubsetTemplate(c, counts, tuple(getters), entangled,
-                           tuple(map(tuple, recipes)))
+    return _SubsetTemplate(c, counts, tuple(subsets), tuple(getters),
+                           entangled, tuple(map(tuple, recipes)), {})
 
 
 def build_et_plan(g: Graph, theta: int, t_i: int,
@@ -301,16 +433,10 @@ def build_et_plan(g: Graph, theta: int, t_i: int,
         d = len(stored)
         tpl = g.cached(("subset_template", d, t),
                        lambda _: _subset_template(d, t))
-        c, rank = tpl.c, stored.index(theta)
-        # (message, count) for every rank and count; theta's counts start
-        # at the shift: its positions here follow the block the first
-        # endpoint already covers.
-        refs = list(zip(itertools.chain.from_iterable(
-            map(itertools.repeat, stored, itertools.repeat(c))), tpl.counts))
-        refs[rank * c:(rank + 1) * c] = zip(
-            itertools.repeat(theta), range(shift + 1, shift + c + 1))
-        queries[endpoint] = (tuple(zip(refs)) if tpl.getters is None
-                             else tuple([get(refs) for get in tpl.getters]))
+        rank = stored.index(theta)
+        # theta's counts start at the shift: its positions here follow the
+        # block the first endpoint already covers.
+        queries[endpoint] = _TemplateRef(tpl, stored, rank, shift)
         # Message msg is entangled with theta in every subset containing
         # both; the decoder cancels it with a singleton fetched at exactly
         # those running occurrence counts from msg's other replica.  `base`
@@ -541,8 +667,9 @@ def _execute(plan: SchemePlan, rng: random.Random, q: int):
     each of the plan's one length, for each message the plan names,
     ascending: for a built plan the desired one and those it reads, so a
     run costs its plan, not its graph.  The recipe then reads only the
-    answers it names, each through `_serve`; what every server saw is
-    left to `_transcribe`.  Returns (permutations, storage, decoded in
+    answers it names, each atom read on its own (off its template at a
+    t-sum endpoint) and answered through `_serve`; what every server saw
+    is left to `_transcribe`.  Returns (permutations, storage, decoded in
     stored symbol order).
     """
     perms = {m: _draw_permutation(rng, plan.length)
@@ -551,7 +678,7 @@ def _execute(plan: SchemePlan, rng: random.Random, q: int):
                for m, perm in perms.items()}
 
     def read(server: int, idx: int) -> int:
-        atoms = plan.atoms_at(server)
+        atoms = plan._lazy_atoms_at(server)
         if not 0 <= idx < len(atoms):
             raise IncompleteAnswers(
                 f"recipe needs answer {idx} from server {server}, "

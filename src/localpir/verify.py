@@ -331,7 +331,7 @@ def _certificate_fault(plan: SchemePlan, q: int) -> str | None:
         coeffs: Counter = Counter()
         for sign, (s, idx) in ((1, step.source),
                                *((-1, ref) for ref in step.cancel)):
-            atoms = plan.atoms_at(s)
+            atoms = plan._lazy_atoms_at(s)
             if not 0 <= idx < len(atoms):
                 return (f"step {pos} reads atom {idx} of server "
                         f"{s}, which receives {len(atoms)}")
@@ -428,8 +428,8 @@ def cost_audit(plans: dict[int, SchemePlan], g: Graph) -> CostReport:
     downloads = dict.fromkeys(g.vertices, 0)
     mismatches = []
     for t, plan in plans.items():
-        for s, atoms in plan.queries.items():
-            downloads[s] += len(atoms)
+        for s in plan.queries:
+            downloads[s] += len(plan._lazy_atoms_at(s))
         if plan.kind == "et":
             form = "closed"
             expect = et_download_cost(

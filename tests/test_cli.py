@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import localpir.scheme
 from helpers import silence_server, mutated_family
 from localpir import cli
 from localpir.cli import build_parser, main
@@ -169,6 +170,25 @@ def test_scheme_theta_restricts_rows(capsys):
     assert code == 0
     body = [line for line in out.splitlines() if line[:1].isdigit()]
     assert len(body) == 1 and body[0].startswith("2 ")
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_scheme_theta_expands_only_the_plan_it_prints(capsys, monkeypatch,
+                                                      fmt):
+    # the whole family is built and audited, but only theta's two t-sum
+    # endpoints are laid out atom by atom
+    expanded = []
+    expand = localpir.scheme._TemplateRef.expand
+
+    def counting(ref):
+        expanded.append(ref.stored[ref.rank])
+        return expand(ref)
+
+    monkeypatch.setattr(localpir.scheme._TemplateRef, "expand", counting)
+    code, _, _ = run(capsys, "scheme", "--family", "complete", "--n", "30",
+                     "--t", "2", "--theta", "7", "--format", fmt)
+    assert code == 0
+    assert expanded == [7, 7]
 
 
 def test_scheme_json_atoms(capsys):

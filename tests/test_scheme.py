@@ -302,6 +302,111 @@ def test_a_triangle_cancels_both_endpoints_at_one_server():
                            DecodeStep((2, 0), ((3, 1),)))
 
 
+# --- templated endpoint queries ---------------------------------------------
+
+def defined_layout(stored, theta, t, shift):
+    """An endpoint's t-sum layout by its definition: the t-subsets of
+    `stored` in lexicographic order, each message at its running
+    occurrence count, theta's count starting at `shift`."""
+    counts = dict.fromkeys(stored, 0)
+    counts[theta] = shift
+    atoms = []
+    for subset in itertools.combinations(stored, t):
+        for m in subset:
+            counts[m] += 1
+        atoms.append(tuple((m, counts[m]) for m in subset))
+    return tuple(atoms)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_a_templated_layout_is_its_definition(d):
+    """Every t <= d, every rank of theta, both roles (shift 0 at the first
+    endpoint, shift c at the second): the template's counts run 1..c, and
+    its atoms, read one at a time or expanded, are the defined layout,
+    atom by atom and in order.  Unshifted, the layout is the server's
+    alone, so every rank shares one."""
+    stored = tuple(range(3, 3 + 2 * d, 2))
+    for t in range(1, d + 1):
+        tpl = localpir.scheme._subset_template(d, t)
+        c = comb(d - 1, t - 1)
+        assert {k for subset in tpl.subsets for _, k in subset} == set(
+            range(1, c + 1))
+        for rank, shift in itertools.product(range(d), (0, c)):
+            ref = localpir.scheme._TemplateRef(tpl, stored, rank, shift)
+            want = defined_layout(stored, stored[rank], t, shift)
+            assert ref.expand() == want
+            assert len(ref) == comb(d, t)
+            assert tuple(ref[idx] for idx in range(len(ref))) == want
+            if not shift:
+                assert ref.expand() is tpl.layouts[stored]
+
+
+def templated_endpoints(plan):
+    """The servers whose atoms `plan` still holds as a template."""
+    return sorted(s for s, atoms in plan.queries._raw.items()
+                  if isinstance(atoms, localpir.scheme._TemplateRef))
+
+
+@pytest.mark.parametrize("g,ts", RECIPE_CASES)
+def test_a_templated_plan_runs_like_its_tuples(g, ts):
+    """The executor reads a templated endpoint's atoms off its template;
+    the same plan remade from `dict(plan.queries)` of a second build
+    holds tuples.  Both draw the same permutations and storage, decode
+    the same symbols and give every server the same view."""
+    for theta in sorted({1, g.K // 2 + 1, g.K}):
+        plan = build_et_plan(g, theta, *ts)
+        ends = sorted({plan.meta["role_i"], plan.meta["role_j"]})
+        tuples = dataclasses.replace(
+            plan, queries=dict(build_et_plan(g, theta, *ts).queries))
+        assert templated_endpoints(tuples) == []
+        assert tuples.download_count() == plan.download_count()
+        assert tuples.referenced_messages() == plan.referenced_messages()
+        for q, seed in itertools.product((2, 3, 5, 257), range(3)):
+            runs = [localpir.scheme._execute(p, random.Random(seed), q)
+                    for p in (plan, tuples)]
+            assert runs[0] == runs[1]
+        assert templated_endpoints(plan) == ends
+        for q, seed in itertools.product((2, 3, 5, 257), range(3)):
+            assert (execute_plan(plan, seed, q).per_server
+                    == execute_plan(tuples, seed, q).per_server)
+
+
+def test_a_changed_templated_plan_is_refused_with_the_texts_of_tuples():
+    """complete-5 at t=2, theta=1 = (1, 2): L=6, each endpoint answers six
+    sums.  Atoms swapped in by `dataclasses.replace` are checked one by
+    one; a templated endpoint kept under other lengths or another graph
+    fails its whole check and is refused as its tuples would be."""
+    g = family("complete", 5)
+    atoms = dict(build_et_plan(g, 1, 2).queries)
+    last = atoms[2][-1]
+    past_l = atoms[2][:-1] + ((last[0], (last[1][0], 7)),)
+    # server 1 stores messages 1-4; message 5 is (2, 3)
+    unstored = (atoms[1][0] + ((5, 1),),) + atoms[1][1:]
+    cases = [
+        ({"queries": {**atoms, 2: past_l}},
+         f"server 2 atom 5 reads position 7 outside message {last[1][0]} "
+         f"of length 6"),
+        ({"queries": {**atoms, 1: unstored}},
+         "server 1 atom 0 reads message 5, which it does not store"),
+        # theta's block at server 2 is 4..6
+        ({"lengths": dict.fromkeys(range(1, 8), 5)},
+         "server 2 atom 2 reads position 6 outside message 1 of length 5"),
+        # messages 4 and 5 swapped: server 1 stores 1, 2, 3 and 5
+        ({"graph": build_graph(5, [g.endpoints(m) for m in (1, 2, 3, 5, 4, 6,
+                                                           7, 8, 9, 10)])},
+         "server 1 atom 2 reads message 4, which it does not store"),
+    ]
+    for fields, text in cases:
+        plan = build_et_plan(g, 1, 2)
+        assert (plan.meta["role_i"], plan.meta["role_j"], plan.length,
+                sorted(plan.lengths)) == (1, 2, 6, list(range(1, 8)))
+        assert templated_endpoints(plan) == [1, 2]
+        for base in (plan, dataclasses.replace(plan, queries=atoms)):
+            with pytest.raises(UnresolvableRef) as refused:
+                dataclasses.replace(base, **fields)
+            assert str(refused.value) == text
+
+
 def test_t1_plans_are_all_singletons_even_off_family():
     paw = build_graph(4, [(1, 2), (1, 3), (2, 3), (1, 4)])
     for theta in paw.messages:

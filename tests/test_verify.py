@@ -3,6 +3,8 @@
 import dataclasses
 import itertools
 import json
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -451,6 +453,40 @@ def test_privacy_check_rejects_missing_plans(c4, c4_plans):
     partial = {t: p for t, p in c4_plans.items() if t != 2}
     with pytest.raises(EmptyInput):
         privacy_check(partial, c4, 2)
+
+
+def test_privacy_holds_exactly_where_a_servers_plans_share_one_length():
+    """On seeded random graphs the t-sum plans pass privacy at a server
+    exactly when all of its stored messages' plans have one length.  At
+    one t every layout a server answers is its subset template renamed,
+    so only the length, which depends on the other endpoint's degree,
+    can tell its messages apart.  Seed 7, n = 4..9, 20 graphs per n with
+    each edge present with probability 1/2, t = 1..3; a family whose
+    build refuses is skipped."""
+    rng = random.Random(7)
+    verdicts = Counter()
+    families = 0
+    for n in range(4, 10):
+        for _ in range(20):
+            edges = [e for e in itertools.combinations(range(1, n + 1), 2)
+                     if rng.random() < 0.5]
+            if not edges:
+                continue
+            g = build_graph(n, edges)
+            for t in (1, 2, 3):
+                try:
+                    plans = build_plan_family(g, et_config(t))
+                except LocalPIRError:
+                    continue
+                families += 1
+                for s in g.vertices:
+                    one_length = len({plans[m].length
+                                      for m in g.index_set(s)}) <= 1
+                    ok = privacy_check(plans, g, s).ok
+                    assert ok == one_length, (n, edges, t, s)
+                    verdicts[ok] += 1
+    assert families == 198
+    assert verdicts == {True: 845, False: 510}
 
 
 # --- stricter hide-everything probe ---------------------------------------------

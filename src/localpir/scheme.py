@@ -33,11 +33,11 @@ first, so the two endpoints jointly deliver all
 L = C(d_i-1, t_i-1) + C(d_j-1, t_j-1) symbols.  Every other symbol
 entangled with the desired one is fetched as a plain singleton from the
 opposite server that replicates it, which lets the decoder cancel it.
-The recipe follows by construction, and the template holds it per rank:
+The recipe follows by construction, read off the template's subsets:
 the k-th subset holding the desired message's rank yields its k-th
 position at that endpoint, and each other member of that subset is
-cancelled by its singleton, found by where that message's singletons
-start at its opposite replica.  So the builder states the recipe and
+cancelled by the next of its singletons, which its opposite replica
+sends in subset order.  So the builder states the recipe and
 scans no atom for it.  Nor does it lay out the endpoints' atoms: each
 endpoint's query is a reference (template, stored messages, the desired
 message's rank, shift), expanded into tuples only when `queries` or
@@ -71,7 +71,6 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import comb
-from operator import itemgetter
 from typing import NamedTuple
 
 from .capacity import (
@@ -140,28 +139,21 @@ class _TemplateRef:
         tpl, stored = self.tpl, self.stored
         layout = tpl.layouts.get(stored)
         if layout is None:
-            c = tpl.c
-            # (message, count) for every rank and count, ranks in order
-            messages = stored if c == 1 else itertools.chain.from_iterable(
-                map(itertools.repeat, stored, itertools.repeat(c)))
-            refs = list(zip(messages, tpl.counts))
-            layout = tpl.layouts[stored] = (
-                tuple(zip(refs)) if tpl.getters is None
-                else tuple([get(refs) for get in tpl.getters]))
+            layout = tpl.layouts[stored] = tuple([
+                tuple([(stored[r], k) for r, k in sub]) for sub in tpl.subsets])
         if not self.shift:
             return layout
         atoms = list(layout)
-        for s, _ in tpl.recipes[self.rank]:
+        for s in tpl.holding[self.rank]:
             atoms[s] = self[s]
         return tuple(atoms)
 
     def fits(self, held: set[int], length: int) -> bool:
         """Whether every reference is to a message in `held` within
         1..length: the template's counts run 1..c, so it is enough that
-        c and the shifted block end within the length and that every
-        stored message is held."""
-        c = self.tpl.c
-        return (c <= length and self.shift + c <= length
+        the shifted block ends within the length and that every stored
+        message is held."""
+        return (self.shift + self.tpl.c <= length
                 and held.issuperset(self.stored))
 
 
@@ -351,61 +343,43 @@ def _plan(g: Graph, kind: str, theta: int, length: int, queries: dict,
 class _SubsetTemplate(NamedTuple):
     """The t-subsets of ranks 0..d-1, laid out once per (d, t).
 
-    Rank r's running occurrence count k, from 1 to c = C(d-1, t-1), is
-    flat reference index r*c + k - 1.  `subsets[s]` holds subset s's
-    (rank, count) pairs, in lexicographic subset order, and `getters[s]`
-    picks the same references out of that flat list (None for t = 1,
-    where subset s is rank s alone).  `entangled[r]` lists,
-    by ascending rank, each other rank sharing a subset with r and the
-    counts it has in those subsets, in subset order.  `recipes[r]` lists
-    every subset s holding r, in subset order, as (s, others): each other
-    rank o in s, ascending, with the 0-based index of its count in o's
-    counts in `entangled[r]`.  The k-th of those subsets yields r's k-th
-    position, and o's singletons are fetched in `entangled[r]` order, so
-    that index locates the singleton that cancels o.  `layouts` keeps,
-    by a server's stored messages, its atoms with no shift: the same for
-    every message it stores, so each server's is laid out once.
+    `subsets[s]` holds subset s's (rank, count) pairs, in lexicographic
+    subset order: count k says the subset is the k-th to hold that rank,
+    k from 1 to c = C(d-1, t-1).  `holding[r]` lists the subsets holding
+    rank r, in subset order, so the k-th of them yields r's k-th
+    position.  `entangled[r]` lists, by ascending rank, each other rank
+    sharing a subset with r and its counts in those subsets, in subset
+    order: the positions of the singletons that cancel it.  `layouts`
+    keeps, by a server's stored messages, its atoms with no shift: the
+    same for every message it stores, so each server's is laid out once.
     """
 
     c: int
-    counts: tuple[int, ...]     # 1..c once per rank: the flat list's counts
     subsets: tuple[tuple[tuple[int, int], ...], ...]
-    getters: tuple[itemgetter, ...] | None
+    holding: tuple[tuple[int, ...], ...]
     entangled: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
-    recipes: tuple[tuple[tuple[int, tuple[tuple[int, int], ...]], ...], ...]
     layouts: dict[tuple[int, ...], tuple[Atom, ...]]
 
 
 def _subset_template(d: int, t: int) -> _SubsetTemplate:
     """Run the occurrence counts over the t-subsets of d ranks once."""
-    c = comb(d - 1, t - 1)
-    counts = tuple(range(1, c + 1)) * d
-    if t == 1:
-        return _SubsetTemplate(c, counts, tuple(((r, 1),) for r in range(d)),
-                               None, ((),) * d,
-                               tuple(((r, ()),) for r in range(d)), {})
     seen = [0] * d
+    holding = [[] for _ in range(d)]
     shared = [{} for _ in range(d)]
-    recipes = [[] for _ in range(d)]
     subsets = []
-    getters = []
     for s, subset in enumerate(itertools.combinations(range(d), t)):
         for r in subset:
             seen[r] += 1
+            holding[r].append(s)
         subsets.append(tuple([(r, seen[r]) for r in subset]))
-        getters.append(itemgetter(*(r * c + seen[r] - 1 for r in subset)))
         for r in subset:
-            others = []
             for other in subset:
                 if other != r:
-                    row = shared[r].setdefault(other, [])
-                    others.append((other, len(row)))
-                    row.append(seen[other])
-            recipes[r].append((s, tuple(others)))
+                    shared[r].setdefault(other, []).append(seen[other])
     entangled = tuple(tuple((other, tuple(row[other])) for other in sorted(row))
                       for row in shared)
-    return _SubsetTemplate(c, counts, tuple(subsets), tuple(getters),
-                           entangled, tuple(map(tuple, recipes)), {})
+    return _SubsetTemplate(comb(d - 1, t - 1), tuple(subsets),
+                           tuple(map(tuple, holding)), entangled, {})
 
 
 def build_et_plan(g: Graph, theta: int, t_i: int,
@@ -440,7 +414,7 @@ def build_et_plan(g: Graph, theta: int, t_i: int,
         # Message msg is entangled with theta in every subset containing
         # both; the decoder cancels it with a singleton fetched at exactly
         # those running occurrence counts from msg's other replica.  `base`
-        # notes where msg's singletons start in that server's list.
+        # notes where msg's next singleton is in that server's list.
         base = {}
         for other_rank, positions in tpl.entangled[rank]:
             msg = stored[other_rank]
@@ -449,12 +423,15 @@ def build_et_plan(g: Graph, theta: int, t_i: int,
             atoms = singletons.setdefault(server, [])
             base[other_rank] = (server, len(atoms))
             atoms.extend(((msg, pos),) for pos in positions)
-        # The k-th subset holding theta yields its position shift + k.
-        for s, others in tpl.recipes[rank]:
+        # The k-th subset holding theta yields its position shift + k; each
+        # other member takes its next singleton.
+        for s in tpl.holding[rank]:
             cancel = []
-            for other_rank, k in others:
-                server, start = base[other_rank]
-                cancel.append((server, start + k))
+            for other_rank, _ in tpl.subsets[s]:
+                if other_rank != rank:
+                    server, at = base[other_rank]
+                    cancel.append((server, at))
+                    base[other_rank] = (server, at + 1)
             recipe.append(DecodeStep((endpoint, s), tuple(cancel)))
     for server, atoms in singletons.items():
         queries[server] = tuple(atoms)

@@ -94,6 +94,7 @@ def view_classes(plans: dict[int, SchemePlan], server: int, thetas,
     order.  The canonical searches of all messages together may visit at
     most `cap` nodes.
     """
+    thetas = tuple(thetas)      # read twice: an iterator must not run dry
     for t in sorted(thetas):
         if t not in plans:
             raise EmptyInput(f"no plan for desired message {t}")

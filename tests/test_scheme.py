@@ -341,6 +341,27 @@ def test_a_templated_layout_is_its_definition(d):
                 assert ref.expand() is tpl.layouts[stored]
 
 
+@pytest.mark.parametrize("d", range(1, 10))
+def test_a_templates_tables_are_read_off_its_subsets(d):
+    """Every t <= d and rank r: `holding[r]` is every subset naming r, in
+    subset order, c = C(d-1, t-1) of them, and `entangled[r]` gives each
+    other rank, ascending, its counts in those subsets, in order."""
+    for t in range(1, d + 1):
+        tpl = localpir.scheme._subset_template(d, t)
+        assert tpl.c == comb(d - 1, t - 1)
+        for r in range(d):
+            holding = tuple(s for s, subset in enumerate(tpl.subsets)
+                            if r in dict(subset))
+            assert tpl.holding[r] == holding and len(holding) == tpl.c
+            shared = {}
+            for s in holding:
+                for other, k in tpl.subsets[s]:
+                    if other != r:
+                        shared.setdefault(other, []).append(k)
+            assert tpl.entangled[r] == tuple(
+                (other, tuple(shared[other])) for other in sorted(shared))
+
+
 def templated_endpoints(plan):
     """The servers whose atoms `plan` still holds as a template."""
     return sorted(s for s, atoms in plan.queries._raw.items()

@@ -11,8 +11,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # (argv, closing line prefix, leading words of lines it must also print)
 SCRIPTS = [
-    (("capacity_survey.py", "--max-n", "6"), "complete_bipartite  6  2/5",
-     []),
+    (("capacity_survey.py", "--max-n", "12"), "complete_bipartite  12  1/4",
+     [["family", "n", "lower", "upper", "exact", "t_i,t_j", "witness"],
+      ["cycle", "3", "1/2", "1/2", "yes", "-", "PASS"],
+      ["path", "12", "11/21", "11/20", "no", "-", "PASS"],
+      ["star", "12", "1", "1", "yes", "-", "PASS"],
+      ["complete", "12", "3/17", "1", "no", "3,3", "PASS"],
+      ["complete_bipartite", "12", "1/4", "1", "no", "2,2", "PASS"]]),
     (("reproduce_tables.py",), "matches frozen reference: yes", []),
     (("verify_battery.py", "--seeds", "1"), "0 failures, ",
      [["union-c4+star5", "PASS", "rate", "2/3"],

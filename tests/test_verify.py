@@ -384,6 +384,16 @@ def test_view_classes_place_only_the_referenced_positions(k4_plans):
         view_classes(plans, 1, g.index_set(1), cap=2)
 
 
+def test_view_classes_take_the_messages_as_any_iterable():
+    # cycle-5 t=2: server 1's two messages share one view, whether they
+    # come as a tuple or as an iterator, which is read only once
+    g = family("cycle", 5)
+    plans = build_plan_family(g, et_config(2))
+    [cls] = view_classes(plans, 1, g.index_set(1))
+    assert view_classes(plans, 1, iter(g.index_set(1))) == [cls]
+    assert view_classes(plans, 1, (m for m in g.index_set(1))) == [cls]
+
+
 @pytest.mark.parametrize("pos", [5, 0])
 def test_placed_positions_outside_the_message_raise_the_executor_text(
         k4_plans, pos):

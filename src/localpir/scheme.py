@@ -5,14 +5,15 @@ A plan fixes, for one desired message, the logical query layout per server
 position m of message k means the m-th symbol under the user's private
 permutation of message k.  One executor, `_execute`, runs a plan: it draws
 the permutations and storage, then runs the recipe, answering only the
-atoms the recipe reads.  `_transcribe` rebuilds what every server saw from
-those draws: each atom translated to physical positions (servers only ever
-see physical indices) and answered from the server's stored messages.
-Both answer an atom through `_serve`.  Permutations are drawn from the
-run's rng exactly as `random.shuffle` would draw them, so seeded
-transcripts replay unchanged.  `sim.execute_plan` and
-`verify.decode_check(seeds=n)` call `_execute`; only a `sim.Transcript`
-whose `per_server` is read calls `_transcribe`.
+atoms the recipe reads, each summed inline from storage.  `_transcribe`
+rebuilds what every server saw from those draws: each atom translated to
+physical positions (servers only ever see physical indices) and answered
+from the server's stored messages through `_serve`, which serves
+`_transcribe` alone.  Permutations are drawn from the run's rng exactly
+as `random.shuffle` would draw them, so seeded transcripts replay
+unchanged.  `sim.execute_plan` and `verify.decode_check(seeds=n)` call
+`_execute`; only a `sim.Transcript` whose `per_server` is read calls
+`_transcribe`.
 
 A plan that cannot be sent cannot be built: `SchemePlan` checks that the
 plan gives every message it names the desired message's length, and that
@@ -132,19 +133,24 @@ class _TemplateRef:
                 for r, k in self.tpl.subsets[idx]])
         return atom
 
-    def expand(self) -> tuple[Atom, ...]:
-        """Every atom: the server's unshifted layout, laid out once per
-        template, with the desired message's subsets read again at a
-        shift."""
+    def unshifted(self) -> tuple[Atom, ...]:
+        """The server's layout with no shift, laid out once per template:
+        the same for every message the server stores."""
         tpl, stored = self.tpl, self.stored
         layout = tpl.layouts.get(stored)
         if layout is None:
             layout = tpl.layouts[stored] = tuple([
                 tuple([(stored[r], k) for r, k in sub]) for sub in tpl.subsets])
+        return layout
+
+    def expand(self) -> tuple[Atom, ...]:
+        """Every atom: the unshifted layout, with the desired message's
+        subsets read again at a shift."""
+        layout = self.unshifted()
         if not self.shift:
             return layout
         atoms = list(layout)
-        for s in tpl.holding[self.rank]:
+        for s in self.tpl.holding[self.rank]:
             atoms[s] = self[s]
         return tuple(atoms)
 
@@ -593,7 +599,7 @@ def _draw_symbols(rng: random.Random, n: int, q: int) -> list[int]:
     if q > 256:
         return [rng.randrange(q) for _ in range(n)]
     table, reject = _byte_tables(q)
-    out = b""
+    out = rng.randbytes(n).translate(table, reject)
     while len(out) < n:
         out += rng.randbytes(n - len(out)).translate(table, reject)
     return list(out)
@@ -645,34 +651,33 @@ def _execute(plan: SchemePlan, rng: random.Random, q: int):
     ascending: for a built plan the desired one and those it reads, so a
     run costs its plan, not its graph.  The recipe then reads only the
     answers it names, each atom read on its own (off its template at a
-    t-sum endpoint) and answered through `_serve`; what every server saw
-    is left to `_transcribe`.  Returns (permutations, storage, decoded in
+    t-sum endpoint) and answered inline, the stored symbols it names
+    summed and each step reduced mod q once; what every server saw is
+    left to `_transcribe`.  Returns (permutations, storage, decoded in
     stored symbol order).
     """
-    perms = {m: _draw_permutation(rng, plan.length)
-             for m in sorted(plan.lengths)}
-    storage = {m: _draw_symbols(rng, len(perm), q)
-               for m, perm in perms.items()}
+    length, raw = plan.length, plan.queries._raw
+    perms = {m: _draw_permutation(rng, length) for m in sorted(plan.lengths)}
+    storage = {m: _draw_symbols(rng, length, q) for m in perms}
 
     def read(server: int, idx: int) -> int:
-        atoms = plan._lazy_atoms_at(server)
+        atoms = raw.get(server, ())
         if not 0 <= idx < len(atoms):
             raise IncompleteAnswers(
                 f"recipe needs answer {idx} from server {server}, "
                 f"which sent {len(atoms)}")
-        return _serve(atoms[idx], perms, storage, q)[1]
+        return sum([storage[m][perms[m][p - 1] - 1] for m, p in atoms[idx]])
 
-    perm = perms[plan.theta]
-    if len(plan.recipe) != len(perm):
+    if len(plan.recipe) != length:
         raise UndecodablePlan(
-            f"recipe has {len(plan.recipe)} steps, not {len(perm)}")
-    decoded = [0] * len(perm)
+            f"recipe has {len(plan.recipe)} steps, not {length}")
+    decoded = [0] * length
     # step k recovers logical position k, stored at physical perm[k - 1]
-    for x, (source, cancel) in zip(perm, plan.recipe):
+    for x, (source, cancel) in zip(perms[plan.theta], plan.recipe):
         value = read(*source)
         for ref in cancel:
-            value = (value - read(*ref)) % q
-        decoded[x - 1] = value
+            value -= read(*ref)
+        decoded[x - 1] = value % q
     return perms, storage, decoded
 
 

@@ -9,7 +9,11 @@ isomorphism of coloured hypergraphs, so each layout is put in a canonical
 form by colour refinement and individualisation (McKay and Piperno,
 "Practical graph isomorphism, II", 2014).  The canonical form and the
 orbit's size fix the view distribution, so messages whose layouts share
-both form one view class; verdicts are exact, never sampled.
+both form one view class; verdicts are exact, never sampled.  A t-sum
+endpoint's layout is its subset template's, up to a shift of the desired
+message's positions, so a templated layout is searched once per
+(template, stored messages, L), and each later layout with that key
+spends again the nodes that search spent.
 
 Decodability is decided by a linear identity, not by sampling.  Answers
 are linear in storage and every reference to a message goes through that
@@ -39,7 +43,7 @@ from .errors import (
 )
 from .field import check_modulus
 from .graphs import Graph
-from .scheme import Atom, SchemePlan, _execute
+from .scheme import Atom, SchemePlan, _execute, _TemplateRef
 
 DEFAULT_CAP = 10**6
 
@@ -93,6 +97,15 @@ def view_classes(plans: dict[int, SchemePlan], server: int, thetas,
     Classes come in order of their first message, members in the given
     order.  The canonical searches of all messages together may visit at
     most `cap` nodes.
+
+    A layout still held as a t-sum endpoint's template reference is the
+    template's unshifted layout with the desired message's positions
+    shifted, a permutation of that message's positions: it keeps the
+    search, the view and |Aut|, and since the template reads every stored
+    message at c positions, the orbit too.  So such layouts are searched
+    once per (template, stored messages, L), on the unshifted layout; each
+    later one joins the class found and spends the nodes that search
+    spent, so the cap counts as for one search per layout.
     """
     thetas = tuple(thetas)      # read twice: an iterator must not run dry
     for t in sorted(thetas):
@@ -100,29 +113,50 @@ def view_classes(plans: dict[int, SchemePlan], server: int, thetas,
             raise EmptyInput(f"no plan for desired message {t}")
     nodes = 0
 
-    def spend() -> None:
+    def spend(n: int = 1) -> None:
         nonlocal nodes
-        nodes += 1
+        nodes += n
         if nodes > cap:
             raise EnumerationTooLarge(
-                f"server {server} searched {nodes} nodes, budget is {cap}")
+                f"server {server} searched {cap + 1} nodes, budget is {cap}")
 
     classes: dict[tuple, tuple[list[int], int]] = {}
+    searched: dict[tuple, tuple[tuple, int]] = {}   # key -> class, nodes
     for t in thetas:
         plan = plans[t]
-        atoms = plan.atoms_at(server)
-        refs = sorted({ref for atom in atoms for ref in atom})
-        view, aut = _canonical(atoms, refs, spend)
-        # prod_m (L)_{r_m} placements: in `refs`, sorted, the k-th position
-        # read of a message, k from 0, has L - k places left
-        orbit, prev, k = 1, None, 0
-        for m, _ in refs:
-            k = k + 1 if m == prev else 0
-            orbit, prev = orbit * (plan.length - k), m
-        orbit //= aut
+        atoms = plan._lazy_atoms_at(server)
+        key = None
+        if isinstance(atoms, _TemplateRef):
+            # a template holds a dict, so it is keyed by identity; the
+            # plans keep it alive for the whole call
+            key = (id(atoms.tpl), atoms.stored, plan.length)
+            if key in searched:
+                cls, spent = searched[key]
+                spend(spent)
+                classes[cls][0].append(t)
+                continue
+            atoms = atoms.unshifted()
+        before = nodes
+        view, aut, orbit = _search(atoms, plan.length, spend)
         classes.setdefault((view, orbit), ([], aut))[0].append(t)
+        if key is not None:
+            searched[key] = (view, orbit), nodes - before
     return [ViewClass(tuple(members), view, aut, orbit)
             for (view, orbit), (members, aut) in classes.items()]
+
+
+def _search(atoms: tuple[Atom, ...], length: int,
+            spend: Callable[[], None]) -> tuple[Fingerprint, int, int]:
+    """A layout's canonical view, |Aut| and orbit size at `length`."""
+    refs = sorted({ref for atom in atoms for ref in atom})
+    view, aut = _canonical(atoms, refs, spend)
+    # prod_m (L)_{r_m} placements: in `refs`, sorted, the k-th position
+    # read of a message, k from 0, has L - k places left
+    orbit, prev, k = 1, None, 0
+    for m, _ in refs:
+        k = k + 1 if m == prev else 0
+        orbit, prev = orbit * (length - k), m
+    return view, aut, orbit // aut
 
 
 def _canonical(atoms: tuple[Atom, ...], refs: list[tuple[int, int]],

@@ -21,6 +21,7 @@ from localpir.graphs import Graph, family
 from localpir.scheme import (
     PlanConfig,
     SchemePlan,
+    _TemplateRef,
     bipartite_config,
     build_plan_family,
     default_role_rule,
@@ -41,6 +42,12 @@ def plan_with_queries(plan: SchemePlan, queries) -> SchemePlan:
     """Copy a plan, swapping in mutated queries but keeping the recipe."""
     return SchemePlan(plan.graph, plan.kind, plan.theta, dict(plan.lengths),
                       queries, plan.recipe, dict(plan.meta))
+
+
+def templated_endpoints(plan: SchemePlan) -> list[int]:
+    """The servers whose atoms `plan` still holds as a template."""
+    return sorted(s for s, atoms in plan.queries._raw.items()
+                  if isinstance(atoms, _TemplateRef))
 
 
 def strip_offset(plan: SchemePlan) -> dict:

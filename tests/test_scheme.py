@@ -17,6 +17,7 @@ from helpers import (
     reference_et_queries,
     repeated,
     shuffled_permutations,
+    templated_endpoints,
 )
 from localpir.capacity import et_download_cost, graph_bounds, subpacketization
 
@@ -360,12 +361,6 @@ def test_a_templates_tables_are_read_off_its_subsets(d):
                         shared.setdefault(other, []).append(k)
             assert tpl.entangled[r] == tuple(
                 (other, tuple(shared[other])) for other in sorted(shared))
-
-
-def templated_endpoints(plan):
-    """The servers whose atoms `plan` still holds as a template."""
-    return sorted(s for s, atoms in plan.queries._raw.items()
-                  if isinstance(atoms, localpir.scheme._TemplateRef))
 
 
 @pytest.mark.parametrize("g,ts", RECIPE_CASES)

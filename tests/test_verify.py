@@ -26,6 +26,7 @@ from helpers import (
     shipped_corpus,
     silence_server,
     strip_offset,
+    templated_endpoints,
 )
 from localpir import scheme, sim, verify
 from localpir.cli import main
@@ -407,6 +408,100 @@ def test_placed_positions_outside_the_message_raise_the_executor_text(
         mutated_family(plans, 1, queries)
     assert str(refused.value) == (
         f"server 1 atom 0 reads position {pos} outside message 2 of length 4")
+
+
+# --- templated layouts: one search per template ---------------------------------
+
+def searched(atoms, length):
+    """A layout's canonical view, |Aut|, orbit at `length`, and the nodes
+    its search spends."""
+    nodes = []
+    view, aut, orbit = verify._search(atoms, length, lambda: nodes.append(1))
+    return view, aut, orbit, len(nodes)
+
+
+def test_a_shifted_template_layout_searches_like_its_unshifted_one():
+    """The lemma `view_classes` rests on, for every d <= 9, t <= d and
+    rank: the layout an endpoint expands to at shift 0 or c, sent at
+    L = c or 2c, has the unshifted layout's view, |Aut|, orbit and search
+    nodes.  The stored messages are not numbered 1..d."""
+    stored_by = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+    layouts = 0
+    for d in range(1, 10):
+        stored = stored_by[:d]
+        for t in range(1, d + 1):
+            tpl = scheme._subset_template(d, t)
+            for rank, shift in itertools.product(range(d), (0, tpl.c)):
+                ref = scheme._TemplateRef(tpl, stored, rank, shift)
+                atoms = ref.expand()
+                assert (atoms == ref.unshifted()) == (shift == 0)
+                for length in (tpl.c, 2 * tpl.c):
+                    if shift + tpl.c <= length:
+                        layouts += 1
+                        assert (searched(atoms, length)
+                                == searched(ref.unshifted(), length))
+    assert layouts == 855
+
+
+def generic(plans):
+    """The family with every plan rebuilt from tuples, so that no layout
+    is read off a template."""
+    return {t: plan_with_queries(p, dict(p.queries)) for t, p in plans.items()}
+
+
+def reports(plans, g):
+    """Every report the privacy checks give on a family, or the text of
+    its refusal, at caps 0 to 3 and the default."""
+    out = [json.dumps(check_scheme(plans, g, q=3, seeds=2).to_json())]
+    for server, cap in itertools.product(g.vertices, (0, 1, 2, 3, DEFAULT_CAP)):
+        out += [outcome(check, plans, g, server, cap)
+                for check in (privacy_check, canonical_privacy_probe)]
+    return out
+
+
+# the benchmark's silenced-server families that the corpus lacks
+SILENCED = [("complete4-t1", family("complete", 4), et_config(1)),
+            ("complete5-t1", family("complete", 5), et_config(1)),
+            ("K33-t1", family("complete_bipartite", a=3, b=3), et_config(1))]
+
+
+@pytest.mark.parametrize("label,g,cfg", shipped_corpus() + SILENCED,
+                         ids=[c[0] for c in shipped_corpus() + SILENCED])
+def test_templated_families_report_like_their_tuples(label, g, cfg):
+    """The generic path is the oracle: each family, and each mutation of
+    one of its plans, gives byte-identical reports and refusal texts
+    whether its endpoints are read off their templates or rebuilt as
+    tuples.  Reading a plan's tuples expands it, so each family is built
+    afresh."""
+    families = [build_plan_family(g, cfg)]
+    for theta, plan in build_plan_family(g, cfg).items():
+        families += [mutated_family(build_plan_family(g, cfg), theta, queries)
+                     for queries in mutations(plan)]
+    for plans in families:
+        refs = sum(map(templated_endpoints, plans.values()), [])
+        assert (refs != []) == (cfg.kind == "et")
+        want = reports(plans, g)
+        assert sum(map(templated_endpoints, plans.values()), []) == refs
+        assert reports(generic(plans), g) == want
+
+
+def test_privacy_searches_each_server_once_on_complete_30(monkeypatch):
+    """complete-30 at t=2: every server is an endpoint of the 29 plans of
+    its stored messages, all read off one template at one length, so
+    privacy at all 30 servers runs 30 searches, not one per stored
+    message, 870."""
+    calls = []
+    search = verify._canonical
+
+    def counted(*args):
+        calls.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(verify, "_canonical", counted)
+    g = family("complete", 30)
+    plans = build_plan_family(g, et_config(2))
+    assert all(privacy_check(plans, g, s).ok for s in g.vertices)
+    assert len(calls) == 30
 
 
 # --- privacy -------------------------------------------------------------------

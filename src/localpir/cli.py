@@ -251,8 +251,9 @@ def cmd_scheme(args) -> tuple[int, str]:
             "lengths": {str(t): plans[t].length for t in thetas},
             "downloads": {str(t): plans[t].download_count() for t in thetas},
             "atoms": {str(t): {str(s): [[list(r) for r in atom]
-                                        for atom in plans[t].atoms_at(s)]
-                               for s in g.vertices if plans[t].atoms_at(s)}
+                                        for atom in atoms]
+                               for s in g.vertices
+                               if (atoms := plans[t].atoms_at(s))}
                       for t in thetas},
         }
         return 0, dump_json(obj)

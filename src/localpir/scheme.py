@@ -8,11 +8,10 @@ the permutations and storage, then runs the recipe, answering only the
 atoms the recipe reads, each summed inline from storage.  `_transcribe`
 rebuilds what every server saw from those draws: each atom translated to
 physical positions (servers only ever see physical indices) and answered
-from the server's stored messages through `_serve`, which serves
-`_transcribe` alone.  Permutations are drawn from the run's rng exactly
-as `random.shuffle` would draw them, so seeded transcripts replay
-unchanged.  `sim.execute_plan` and `verify.decode_check(seeds=n)` call
-`_execute`; only a `sim.Transcript` whose `per_server` is read calls
+from the server's stored messages.  Permutations are drawn from the run's
+rng exactly as `random.shuffle` would draw them, so seeded transcripts
+replay unchanged.  `sim.execute_plan` and `verify.decode_check(seeds=n)`
+call `_execute`; only a `sim.Transcript` whose `per_server` is read calls
 `_transcribe`.
 
 A plan that cannot be sent cannot be built: `SchemePlan` checks that the
@@ -37,16 +36,14 @@ opposite server that replicates it, which lets the decoder cancel it.
 The recipe follows by construction, read off the template's subsets:
 the k-th subset holding the desired message's rank yields its k-th
 position at that endpoint, and each other member of that subset is
-cancelled by the next of its singletons, which its opposite replica
-sends in subset order.  So the builder states the recipe and
-scans no atom for it.  Nor does it lay out the endpoints' atoms: each
-endpoint's query is a reference (template, stored messages, the desired
-message's rank, shift), expanded into tuples only when `queries` or
-`atoms_at` is read.  Unshifted, a server's layout does not depend on the
-desired message, so the template keeps one per server.  The executor,
-the decode certificate and the download counts read single atoms and
-sizes off the template, so a retrieval builds and reads only its
-recipe's atoms.
+cancelled by a singleton its opposite replica sends, laid out in the same
+walk.  So the builder states the recipe and scans no atom for it.  Nor
+does it lay out the endpoints' atoms: each endpoint's query is a
+reference (template, stored messages, the desired message's rank,
+shift), expanded into tuples each time `queries` or `atoms_at` is read.
+The executor, the decode certificate and the download counts read single
+atoms and sizes off the template, so a retrieval builds and reads only
+its recipe's atoms.  A built plan and its template never change.
 
 Cover plans state their one-step recipe too.  `derive_recipe` reads a
 recipe off a query layout; it serves fixture plans, whose tables give no
@@ -110,38 +107,30 @@ class _TemplateRef:
     """A t-sum endpoint's atoms by reference: one sum per subset of `tpl`
     over the server's `stored` messages, the desired message stored[rank]
     at its counts plus `shift`.  Indexing it reads one atom off the
-    template in O(t), subset idx's (rank, count) pairs so renamed, and
-    keeps it: the decode certificate and every seeded run read the same
-    recipe atoms.  Only `expand` builds every atom."""
+    template in O(t), subset idx's (rank, count) pairs so renamed; only
+    `expand` builds every atom.  Nothing is kept: each read lays out again
+    what it returns."""
 
-    __slots__ = ("tpl", "stored", "rank", "shift", "_read")
+    __slots__ = ("tpl", "stored", "rank", "shift")
 
     def __init__(self, tpl: _SubsetTemplate, stored: tuple[int, ...],
                  rank: int, shift: int):
         self.tpl, self.stored, self.rank, self.shift = tpl, stored, rank, shift
-        self._read = {}
 
     def __len__(self) -> int:
         return len(self.tpl.subsets)
 
     def __getitem__(self, idx: int) -> Atom:
-        atom = self._read.get(idx)
-        if atom is None:
-            stored, rank, shift = self.stored, self.rank, self.shift
-            atom = self._read[idx] = tuple([
-                (stored[r], k + shift) if r == rank else (stored[r], k)
-                for r, k in self.tpl.subsets[idx]])
-        return atom
+        stored, rank, shift = self.stored, self.rank, self.shift
+        return tuple([(stored[r], k + shift) if r == rank else (stored[r], k)
+                      for r, k in self.tpl.subsets[idx]])
 
     def unshifted(self) -> tuple[Atom, ...]:
-        """The server's layout with no shift, laid out once per template:
-        the same for every message the server stores."""
-        tpl, stored = self.tpl, self.stored
-        layout = tpl.layouts.get(stored)
-        if layout is None:
-            layout = tpl.layouts[stored] = tuple([
-                tuple([(stored[r], k) for r, k in sub]) for sub in tpl.subsets])
-        return layout
+        """The server's layout with no shift: the same for every message
+        the server stores."""
+        stored = self.stored
+        return tuple([tuple([(stored[r], k) for r, k in sub])
+                      for sub in self.tpl.subsets])
 
     def expand(self) -> tuple[Atom, ...]:
         """Every atom: the unshifted layout, with the desired message's
@@ -166,9 +155,8 @@ class _TemplateRef:
 class _Queries(Mapping):
     """server -> atoms, as `SchemePlan.queries` holds them.
 
-    A t-sum endpoint's value is a `_TemplateRef` until its atoms are
-    read as a whole: then they are expanded once and take its place.
-    Every other value is the atoms themselves.
+    A t-sum endpoint's value is held as a `_TemplateRef` and expanded
+    into tuples on each read; every other value is the atoms themselves.
     """
 
     __slots__ = ("_raw",)
@@ -178,12 +166,7 @@ class _Queries(Mapping):
 
     def __getitem__(self, server: int) -> tuple[Atom, ...]:
         atoms = self._raw[server]
-        if isinstance(atoms, _TemplateRef):
-            atoms = self._raw[server] = atoms.expand()
-        return atoms
-
-    def get(self, server: int, default=None):
-        return self[server] if server in self._raw else default
+        return atoms.expand() if isinstance(atoms, _TemplateRef) else atoms
 
     def __iter__(self):
         return iter(self._raw)
@@ -201,8 +184,9 @@ class SchemePlan:
 
     `queries` maps each server to its atoms.  A built t-sum plan keeps
     each endpoint's atoms as a reference to its subset template: reading
-    `queries` or `atoms_at` expands them into tuples once, while the
-    executor and the counts read single atoms or sizes off the template.
+    `queries` or `atoms_at` expands them into tuples on each read, while
+    the executor and the counts read single atoms or sizes off the
+    template.  A built plan never changes.
 
     Checked when built, by `dataclasses.replace` too, that `lengths`
     gives every message the desired one's length and that the plan can
@@ -265,8 +249,7 @@ class SchemePlan:
 
     def _lazy_atoms_at(self, server: int):
         """The atoms `server` receives, for counting or reading one at a
-        time: a templated endpoint not yet expanded gives them off its
-        template and stays unexpanded."""
+        time: a templated endpoint gives them off its template."""
         return self.queries._raw.get(server, ())
 
     def download_count(self) -> int:
@@ -353,39 +336,26 @@ class _SubsetTemplate(NamedTuple):
     subset order: count k says the subset is the k-th to hold that rank,
     k from 1 to c = C(d-1, t-1).  `holding[r]` lists the subsets holding
     rank r, in subset order, so the k-th of them yields r's k-th
-    position.  `entangled[r]` lists, by ascending rank, each other rank
-    sharing a subset with r and its counts in those subsets, in subset
-    order: the positions of the singletons that cancel it.  `layouts`
-    keeps, by a server's stored messages, its atoms with no shift: the
-    same for every message it stores, so each server's is laid out once.
+    position.  A template is a fixed table: nothing is added to it later.
     """
 
     c: int
     subsets: tuple[tuple[tuple[int, int], ...], ...]
     holding: tuple[tuple[int, ...], ...]
-    entangled: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
-    layouts: dict[tuple[int, ...], tuple[Atom, ...]]
 
 
 def _subset_template(d: int, t: int) -> _SubsetTemplate:
     """Run the occurrence counts over the t-subsets of d ranks once."""
     seen = [0] * d
     holding = [[] for _ in range(d)]
-    shared = [{} for _ in range(d)]
     subsets = []
     for s, subset in enumerate(itertools.combinations(range(d), t)):
         for r in subset:
             seen[r] += 1
             holding[r].append(s)
         subsets.append(tuple([(r, seen[r]) for r in subset]))
-        for r in subset:
-            for other in subset:
-                if other != r:
-                    shared[r].setdefault(other, []).append(seen[other])
-    entangled = tuple(tuple((other, tuple(row[other])) for other in sorted(row))
-                      for row in shared)
     return _SubsetTemplate(comb(d - 1, t - 1), tuple(subsets),
-                           tuple(map(tuple, holding)), entangled, {})
+                           tuple(map(tuple, holding)))
 
 
 def build_et_plan(g: Graph, theta: int, t_i: int,
@@ -395,7 +365,8 @@ def build_et_plan(g: Graph, theta: int, t_i: int,
     Both endpoint servers answer one sum per t-subset of their storage; the
     second endpoint shifts the desired message's positions past the first
     endpoint's block.  Interference singletons go to the opposite replica
-    of each entangled message.  The subsets come from one
+    of each entangled message, laid out with the recipe step that cancels
+    them.  The subsets come from one
     `_subset_template` per (degree, t), kept on the graph.
     """
     if t_j is None:
@@ -417,27 +388,20 @@ def build_et_plan(g: Graph, theta: int, t_i: int,
         # theta's counts start at the shift: its positions here follow the
         # block the first endpoint already covers.
         queries[endpoint] = _TemplateRef(tpl, stored, rank, shift)
-        # Message msg is entangled with theta in every subset containing
-        # both; the decoder cancels it with a singleton fetched at exactly
-        # those running occurrence counts from msg's other replica.  `base`
-        # notes where msg's next singleton is in that server's list.
-        base = {}
-        for other_rank, positions in tpl.entangled[rank]:
-            msg = stored[other_rank]
-            u, v = g.endpoints(msg)
-            server = v if u == endpoint else u
-            atoms = singletons.setdefault(server, [])
-            base[other_rank] = (server, len(atoms))
-            atoms.extend(((msg, pos),) for pos in positions)
-        # The k-th subset holding theta yields its position shift + k; each
-        # other member takes its next singleton.
+        # The k-th subset holding theta yields its position shift + k.
+        # Each other member msg is cancelled by a singleton at its count
+        # in that subset, fetched from msg's other replica: a neighbour
+        # of this endpoint that receives only msg's singletons from it.
         for s in tpl.holding[rank]:
             cancel = []
-            for other_rank, _ in tpl.subsets[s]:
+            for other_rank, pos in tpl.subsets[s]:
                 if other_rank != rank:
-                    server, at = base[other_rank]
-                    cancel.append((server, at))
-                    base[other_rank] = (server, at + 1)
+                    msg = stored[other_rank]
+                    u, v = g.endpoints(msg)
+                    server = v if u == endpoint else u
+                    atoms = singletons.setdefault(server, [])
+                    cancel.append((server, len(atoms)))
+                    atoms.append(((msg, pos),))
             recipe.append(DecodeStep((endpoint, s), tuple(cancel)))
     for server, atoms in singletons.items():
         queries[server] = tuple(atoms)
@@ -630,19 +594,6 @@ def _draw_permutation(rng: random.Random, n: int) -> list[int]:
     return perm
 
 
-def _serve(atom: Atom, perms: dict[int, list[int]],
-           storage: dict[int, list[int]], q: int) -> tuple[Atom, int]:
-    """The physical atom a server receives for a logical one, and the
-    server's answer: the sum of the stored symbols it names, mod q."""
-    sent = []
-    total = 0
-    for m, p in atom:
-        x = perms[m][p - 1]
-        sent.append((m, x))
-        total += storage[m][x - 1]
-    return tuple(sent), total % q
-
-
 def _execute(plan: SchemePlan, rng: random.Random, q: int):
     """Run one plan against honest servers holding random storage.
 
@@ -685,9 +636,14 @@ def _transcribe(plan: SchemePlan, perms: dict[int, list[int]],
                 storage: dict[int, list[int]], q: int
                 ) -> dict[int, tuple[tuple[Atom, ...], tuple[int, ...]]]:
     """What each server saw in a run of `_execute`: server -> (physical
-    atoms in query order, answers), servers ascending."""
+    atoms in query order, answers), servers ascending.  Each answer is
+    the sum of the stored symbols its physical atom names, mod q."""
     views = {}
     for s in sorted(plan.queries):
-        served = [_serve(atom, perms, storage, q) for atom in plan.queries[s]]
-        views[s] = (tuple(a for a, _ in served), tuple(v for _, v in served))
+        sent, answers = [], []
+        for atom in plan.queries[s]:
+            physical = tuple([(m, perms[m][p - 1]) for m, p in atom])
+            sent.append(physical)
+            answers.append(sum([storage[m][x - 1] for m, x in physical]) % q)
+        views[s] = (tuple(sent), tuple(answers))
     return views

@@ -98,7 +98,7 @@ def view_classes(plans: dict[int, SchemePlan], server: int, thetas,
     order.  The canonical searches of all messages together may visit at
     most `cap` nodes.
 
-    A layout still held as a t-sum endpoint's template reference is the
+    A layout held as a t-sum endpoint's template reference is the
     template's unshifted layout with the desired message's positions
     shifted, a permutation of that message's positions: it keeps the
     search, the view and |Aut|, and since the template reads every stored
@@ -127,8 +127,8 @@ def view_classes(plans: dict[int, SchemePlan], server: int, thetas,
         atoms = plan._lazy_atoms_at(server)
         key = None
         if isinstance(atoms, _TemplateRef):
-            # a template holds a dict, so it is keyed by identity; the
-            # plans keep it alive for the whole call
+            # keyed by identity, since hashing a template would walk every
+            # subset; the plans keep it alive for the whole call
             key = (id(atoms.tpl), atoms.stored, plan.length)
             if key in searched:
                 cls, spent = searched[key]

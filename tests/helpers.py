@@ -45,7 +45,7 @@ def plan_with_queries(plan: SchemePlan, queries) -> SchemePlan:
 
 
 def templated_endpoints(plan: SchemePlan) -> list[int]:
-    """The servers whose atoms `plan` still holds as a template."""
+    """The servers whose atoms `plan` holds as a template."""
     return sorted(s for s, atoms in plan.queries._raw.items()
                   if isinstance(atoms, _TemplateRef))
 

@@ -471,8 +471,8 @@ def test_templated_families_report_like_their_tuples(label, g, cfg):
     """The generic path is the oracle: each family, and each mutation of
     one of its plans, gives byte-identical reports and refusal texts
     whether its endpoints are read off their templates or rebuilt as
-    tuples.  Reading a plan's tuples expands it, so each family is built
-    afresh."""
+    tuples.  Reading a plan's tuples leaves it as built, so every endpoint
+    is still templated after the reports."""
     families = [build_plan_family(g, cfg)]
     for theta, plan in build_plan_family(g, cfg).items():
         families += [mutated_family(build_plan_family(g, cfg), theta, queries)
@@ -485,11 +485,9 @@ def test_templated_families_report_like_their_tuples(label, g, cfg):
         assert reports(generic(plans), g) == want
 
 
-def test_privacy_searches_each_server_once_on_complete_30(monkeypatch):
-    """complete-30 at t=2: every server is an endpoint of the 29 plans of
-    its stored messages, all read off one template at one length, so
-    privacy at all 30 servers runs 30 searches, not one per stored
-    message, 870."""
+@pytest.fixture
+def canonical_calls(monkeypatch):
+    """Count the canonical searches `view_classes` runs."""
     calls = []
     search = verify._canonical
 
@@ -498,10 +496,35 @@ def test_privacy_searches_each_server_once_on_complete_30(monkeypatch):
         return search(*args)
 
     monkeypatch.setattr(verify, "_canonical", counted)
+    return calls
+
+
+def test_privacy_searches_each_server_once_on_complete_30(canonical_calls):
+    """complete-30 at t=2: every server is an endpoint of the 29 plans of
+    its stored messages, all read off one template at one length, so
+    privacy at all 30 servers runs 30 searches, not one per stored
+    message, 870."""
     g = family("complete", 30)
     plans = build_plan_family(g, et_config(2))
     assert all(privacy_check(plans, g, s).ok for s in g.vertices)
-    assert len(calls) == 30
+    assert len(canonical_calls) == 30
+
+
+def test_reading_every_plan_changes_no_verdict_cost(canonical_calls):
+    """complete-30 at t=2 again, after every plan's `queries` and
+    `atoms_at` have been read: the plans are as built, every endpoint
+    still read off its template, so privacy at all 30 servers still runs
+    30 searches."""
+    g = family("complete", 30)
+    plans = build_plan_family(g, et_config(2))
+    refs = [templated_endpoints(plan) for plan in plans.values()]
+    for plan in plans.values():
+        dict(plan.queries)
+        for s in g.vertices:
+            plan.atoms_at(s)
+    assert [templated_endpoints(plan) for plan in plans.values()] == refs
+    assert all(privacy_check(plans, g, s).ok for s in g.vertices)
+    assert len(canonical_calls) == 30
 
 
 # --- privacy -------------------------------------------------------------------

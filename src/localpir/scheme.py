@@ -143,13 +143,15 @@ class _TemplateRef:
             atoms[s] = self[s]
         return tuple(atoms)
 
-    def fits(self, held: set[int], length: int) -> bool:
-        """Whether every reference is to a message in `held` within
+    def fits(self, stored: tuple[int, ...], lengths: dict[int, int],
+             length: int) -> bool:
+        """Whether every reference is to a message of `stored`, the
+        server's messages, that has a length in `lengths`, within
         1..length: the template's counts run 1..c, so it is enough that
-        the shifted block ends within the length and that every stored
-        message is held."""
-        return (self.shift + self.tpl.c <= length
-                and held.issuperset(self.stored))
+        the server stores exactly these messages, that each has a length,
+        and that the shifted block ends within the length."""
+        return (self.stored == stored and self.shift + self.tpl.c <= length
+                and all(map(lengths.__contains__, stored)))
 
 
 class _Queries(Mapping):
@@ -191,9 +193,13 @@ class SchemePlan:
     Checked when built, by `dataclasses.replace` too, that `lengths`
     gives every message the desired one's length and that the plan can
     be sent: a server outside the graph raises IndexOutOfRange, any other
-    fault UnresolvableRef.  A templated endpoint is checked whole, in
-    O(d); only if that fails are its atoms expanded and checked one by
-    one, so the fault is named as for any other server.
+    fault UnresolvableRef.  Each reference (m, p) at server s is checked
+    on its own, with no set built per server: m has a length, p lies in
+    1..L, and s is an end of edge m.  A templated endpoint is checked
+    whole, in O(d): it reads exactly the server's stored messages, each
+    with a length, and its shifted block ends within L.  Only if that
+    fails are its atoms expanded and checked one by one, so the fault is
+    named as for any other server.
     """
 
     graph: Graph
@@ -220,16 +226,19 @@ class SchemePlan:
         if not isinstance(queries, _Queries):
             queries = _Queries(queries)
             object.__setattr__(self, "queries", queries)
+        g = self.graph
+        edges, n_msgs = g.edges, g.K
         for s, atoms in queries._raw.items():
-            stored = self.graph.index_set(s)
-            held = lengths.keys() & stored
+            stored = g.index_set(s)
             if isinstance(atoms, _TemplateRef):
-                if atoms.fits(held, length):
+                if atoms.fits(stored, lengths, length):
                     continue
                 atoms = atoms.expand()
             for idx, atom in enumerate(atoms):
                 for m, p in atom:
-                    if m not in held or not 1 <= p <= length:
+                    # message m is stored at s iff s is an end of edge m
+                    if not (m in lengths and 1 <= p <= length
+                            and 1 <= m <= n_msgs and s in edges[m - 1]):
                         raise UnresolvableRef(
                             f"server {s} atom {idx} reads " + (
                                 f"message {m}, which it does not store"
@@ -379,6 +388,8 @@ def build_et_plan(g: Graph, theta: int, t_i: int,
     queries: dict[int, tuple[Atom, ...]] = {}
     singletons: dict[int, list[Atom]] = {}
     recipe: list[DecodeStep] = []
+    # new(DecodeStep, (source, cancel)) skips the named tuple's __new__
+    edges, new = g.edges, tuple.__new__
     for endpoint, t, shift in ((i, t_i, 0), (j, t_j, offset)):
         stored = g.index_set(endpoint)
         d = len(stored)
@@ -391,18 +402,20 @@ def build_et_plan(g: Graph, theta: int, t_i: int,
         # The k-th subset holding theta yields its position shift + k.
         # Each other member msg is cancelled by a singleton at its count
         # in that subset, fetched from msg's other replica: a neighbour
-        # of this endpoint that receives only msg's singletons from it.
+        # of this endpoint that receives only msg's singletons from it,
+        # the end of edge msg that is not this endpoint.
+        opposite = [sum(edges[msg - 1]) - endpoint for msg in stored]
         for s in tpl.holding[rank]:
             cancel = []
             for other_rank, pos in tpl.subsets[s]:
                 if other_rank != rank:
-                    msg = stored[other_rank]
-                    u, v = g.endpoints(msg)
-                    server = v if u == endpoint else u
-                    atoms = singletons.setdefault(server, [])
+                    server = opposite[other_rank]
+                    atoms = singletons.get(server)
+                    if atoms is None:
+                        atoms = singletons[server] = []
                     cancel.append((server, len(atoms)))
-                    atoms.append(((msg, pos),))
-            recipe.append(DecodeStep((endpoint, s), tuple(cancel)))
+                    atoms.append(((stored[other_rank], pos),))
+            recipe.append(new(DecodeStep, ((endpoint, s), tuple(cancel))))
     for server, atoms in singletons.items():
         queries[server] = tuple(atoms)
 
@@ -557,11 +570,20 @@ def _draw_symbols(rng: random.Random, n: int, q: int) -> list[int]:
 
     For q up to 256 the symbols are random bytes reduced mod q, drawn in
     bulk; the bytes `_byte_tables` rejects are skipped and drawn again,
-    so every residue stays exactly uniform.  Larger fields draw one
-    `randrange` per symbol.
+    so every residue stays exactly uniform.  Larger fields draw each
+    symbol as `randrange(q)` does: q.bit_length() bits, drawn again
+    while at least q, so the same `getrandbits` calls come in the same
+    order without a `randrange` call per symbol.
     """
     if q > 256:
-        return [rng.randrange(q) for _ in range(n)]
+        getrandbits, k = rng.getrandbits, q.bit_length()
+        out = []
+        for _ in range(n):
+            x = getrandbits(k)
+            while x >= q:
+                x = getrandbits(k)
+            out.append(x)
+        return out
     table, reject = _byte_tables(q)
     out = rng.randbytes(n).translate(table, reject)
     while len(out) < n:
@@ -576,48 +598,54 @@ def _shuffle_steps(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, (i + 1).bit_length()) for i in range(n - 1, 0, -1))
 
 
-def _draw_permutation(rng: random.Random, n: int) -> list[int]:
-    """A uniform permutation of 1..n, drawn from `rng` exactly as
-    `random.shuffle` would draw it.
-
-    The same `getrandbits` calls in the same order: for each of
-    `_shuffle_steps(n)` take k bits and draw again while the result
-    exceeds i, so seeded runs replay what `shuffle` gave.
-    """
-    getrandbits = rng.getrandbits
-    perm = list(range(1, n + 1))
-    for i, k in _shuffle_steps(n):
-        r = getrandbits(k)
-        while r > i:
-            r = getrandbits(k)
-        perm[i], perm[r] = perm[r], perm[i]
-    return perm
-
-
 def _execute(plan: SchemePlan, rng: random.Random, q: int):
     """Run one plan against honest servers holding random storage.
 
     Draws the user's permutations (logical -> physical), then storage,
     each of the plan's one length, for each message the plan names,
     ascending: for a built plan the desired one and those it reads, so a
-    run costs its plan, not its graph.  The recipe then reads only the
-    answers it names, each atom read on its own (off its template at a
-    t-sum endpoint) and answered inline, the stored symbols it names
-    summed and each step reduced mod q once; what every server saw is
-    left to `_transcribe`.  Returns (permutations, storage, decoded in
-    stored symbol order).
+    run costs its plan, not its graph.  Each permutation of 1..L is drawn
+    exactly as `random.shuffle` would draw it: for each of
+    `_shuffle_steps(L)`, k bits drawn again while they exceed i, so
+    seeded runs replay what `shuffle` gave.  The recipe then reads only
+    the answers it names, each answered inline: the stored symbols its
+    atom names are summed, and each step is reduced mod q once.  A
+    templated endpoint's atom is read straight off its subset in the
+    template, the ranks renamed to stored messages and the desired
+    message's counts shifted, with no atom laid out.  What every server
+    saw is left to `_transcribe`.  Returns (permutations, storage,
+    decoded in stored symbol order).
     """
     length, raw = plan.length, plan.queries._raw
-    perms = {m: _draw_permutation(rng, length) for m in sorted(plan.lengths)}
+    getrandbits, steps = rng.getrandbits, _shuffle_steps(length)
+    perms = {}
+    for m in sorted(plan.lengths):
+        perm = perms[m] = list(range(1, length + 1))
+        for i, k in steps:
+            r = getrandbits(k)
+            while r > i:
+                r = getrandbits(k)
+            perm[i], perm[r] = perm[r], perm[i]
     storage = {m: _draw_symbols(rng, length, q) for m in perms}
 
     def read(server: int, idx: int) -> int:
-        atoms = raw.get(server, ())
-        if not 0 <= idx < len(atoms):
-            raise IncompleteAnswers(
-                f"recipe needs answer {idx} from server {server}, "
-                f"which sent {len(atoms)}")
-        return sum([storage[m][perms[m][p - 1] - 1] for m, p in atoms[idx]])
+        atoms, total = raw.get(server, ()), 0
+        if isinstance(atoms, _TemplateRef):
+            subsets = atoms.tpl.subsets
+            if 0 <= idx < len(subsets):
+                stored, rank, shift = atoms.stored, atoms.rank, atoms.shift
+                for r, k in subsets[idx]:
+                    m = stored[r]
+                    total += storage[m][
+                        perms[m][k + shift - 1 if r == rank else k - 1] - 1]
+                return total
+        elif 0 <= idx < len(atoms):
+            for m, p in atoms[idx]:
+                total += storage[m][perms[m][p - 1] - 1]
+            return total
+        raise IncompleteAnswers(
+            f"recipe needs answer {idx} from server {server}, "
+            f"which sent {len(atoms)}")
 
     if len(plan.recipe) != length:
         raise UndecodablePlan(

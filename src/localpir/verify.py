@@ -43,7 +43,7 @@ from .errors import (
 )
 from .field import check_modulus
 from .graphs import Graph
-from .scheme import Atom, SchemePlan, _execute, _TemplateRef
+from .scheme import Atom, DecodeStep, SchemePlan, _execute, _TemplateRef
 
 DEFAULT_CAP = 10**6
 
@@ -359,10 +359,19 @@ def _certificate_fault(plan: SchemePlan, q: int) -> str | None:
     minus its cancel atoms must leave exactly the desired symbol at
     position k, mod q.  A fault names the step and, if any, the
     references it leaves.
+
+    A step passes at once, for every q, when its cancel atoms are
+    singletons on pairwise distinct references and those references with
+    (theta, k) are exactly the source atom's, each once
+    (`_plain_step`).  Every other step has its coefficients counted, so
+    a fault reads as it would if every step were counted.
     """
     if len(plan.recipe) != plan.length:
         return f"recipe has {len(plan.recipe)} steps, not {plan.length}"
+    raw, theta = plan.queries._raw, plan.theta
     for pos, step in enumerate(plan.recipe, 1):
+        if _plain_step(raw, (theta, pos), step):
+            continue
         coeffs: Counter = Counter()
         for sign, (s, idx) in ((1, step.source),
                                *((-1, ref) for ref in step.cancel)):
@@ -373,11 +382,38 @@ def _certificate_fault(plan: SchemePlan, q: int) -> str | None:
             for ref in atoms[idx]:
                 coeffs[ref] += sign
         left = {ref: c % q for ref, c in sorted(coeffs.items()) if c % q}
-        want = {(plan.theta, pos): 1}
+        want = {(theta, pos): 1}
         if left != want:
             return (f"step {pos} (source {step.source}, cancel "
                     f"{list(step.cancel)}) leaves {left}, not {want}")
     return None
+
+
+def _plain_step(raw: dict, want: tuple[int, int], step: DecodeStep) -> bool:
+    """Whether the step's cancel atoms are singletons, at servers that
+    hold tuples, on distinct references that with `want` are exactly the
+    source atom's references, each once: then the step leaves `want`
+    alone for every q.  A templated source is read off its subset."""
+    refs = {want}
+    for s, idx in step.cancel:
+        atoms = raw.get(s, ())
+        if (isinstance(atoms, _TemplateRef) or not 0 <= idx < len(atoms)
+                or len(atoms[idx]) != 1):
+            return False
+        refs.add(atoms[idx][0])
+    if len(refs) != len(step.cancel) + 1:
+        return False
+    s, idx = step.source
+    atoms = raw.get(s, ())
+    if isinstance(atoms, _TemplateRef):
+        subsets = atoms.tpl.subsets
+        if not 0 <= idx < len(subsets) or len(subsets[idx]) != len(refs):
+            return False
+        stored, rank, shift = atoms.stored, atoms.rank, atoms.shift
+        return refs == {(stored[r], k + shift) if r == rank
+                        else (stored[r], k) for r, k in subsets[idx]}
+    return (0 <= idx < len(atoms) and len(atoms[idx]) == len(refs)
+            and refs == set(atoms[idx]))
 
 
 def decode_check(plans: dict[int, SchemePlan], g: Graph, q: int = 2,

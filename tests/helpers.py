@@ -8,6 +8,8 @@ the same questions as the library by brute force, for comparison.
 
 import functools
 import itertools
+import random
+from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -17,7 +19,7 @@ from localpir.errors import (
     LocalPIRError,
     UnresolvableRef,
 )
-from localpir.graphs import Graph, family
+from localpir.graphs import Graph, build_graph, family
 from localpir.scheme import (
     PlanConfig,
     SchemePlan,
@@ -178,6 +180,31 @@ def reference_et_queries(g: Graph, theta: int, t_i: int,
     return {server: tuple(atoms) for server, atoms in queries.items()}
 
 
+def random_regular_graph(n: int, d: int, seed: int) -> Graph:
+    """A seeded random d-regular graph on n servers: the circulant joining
+    each server to those 1..d//2 steps away (and, for odd d and even n,
+    to the one opposite), then 20·|E| seeded double-edge swaps, each
+    (a, b), (c, e) -> (a, e), (c, b) unless that makes a loop or a
+    repeated edge."""
+    steps = list(range(1, d // 2 + 1)) + ([n // 2] if d % 2 else [])
+    edges = sorted({tuple(sorted((v, (v + k - 1) % n + 1)))
+                    for v in range(1, n + 1) for k in steps})
+    rng = random.Random(seed)
+    present = set(edges)
+    for _ in range(20 * len(edges)):
+        i, j = rng.randrange(len(edges)), rng.randrange(len(edges))
+        (a, b), (c, e) = edges[i], edges[j]
+        if rng.random() < 0.5:
+            c, e = e, c
+        new = tuple(sorted((a, e))), tuple(sorted((c, b)))
+        if a == e or c == b or new[0] == new[1] or present & set(new):
+            continue
+        present -= {edges[i], edges[j]}
+        present |= set(new)
+        edges[i], edges[j] = new
+    return build_graph(n, sorted(edges))
+
+
 def shipped_corpus() -> list[tuple[str, Graph, PlanConfig]]:
     """The acceptance corpus: the (label, graph, config) triples whose
     per-server enumeration, prod_m L_m! over the messages a view reads,
@@ -202,6 +229,29 @@ def shipped_corpus() -> list[tuple[str, Graph, PlanConfig]]:
 def corpus_plans():
     return [(label, g, build_plan_family(g, cfg))
             for (label, g, cfg) in shipped_corpus()]
+
+
+def counted_certificate_fault(plan: SchemePlan, q: int) -> str | None:
+    """`verify._certificate_fault` with every step's coefficients counted:
+    the source atom's references +1, each cancel atom's -1, mod q."""
+    if len(plan.recipe) != plan.length:
+        return f"recipe has {len(plan.recipe)} steps, not {plan.length}"
+    for pos, step in enumerate(plan.recipe, 1):
+        coeffs: Counter = Counter()
+        for sign, (s, idx) in ((1, step.source),
+                               *((-1, ref) for ref in step.cancel)):
+            atoms = plan._lazy_atoms_at(s)
+            if not 0 <= idx < len(atoms):
+                return (f"step {pos} reads atom {idx} of server "
+                        f"{s}, which receives {len(atoms)}")
+            for ref in atoms[idx]:
+                coeffs[ref] += sign
+        left = {ref: c % q for ref, c in sorted(coeffs.items()) if c % q}
+        want = {(plan.theta, pos): 1}
+        if left != want:
+            return (f"step {pos} (source {step.source}, cancel "
+                    f"{list(step.cancel)}) leaves {left}, not {want}")
+    return None
 
 
 # --- the enumeration oracle for privacy -----------------------------------

@@ -812,24 +812,39 @@ def test_draw_symbols_skips_rejected_bytes():
     assert rng.asked == [3, 1]
 
 
-def test_draw_symbols_above_a_byte_falls_back_to_randrange():
+@pytest.mark.parametrize("q", [257, 65537, 2**31 - 1, 2**61 - 1])
+def test_draw_symbols_above_a_byte_falls_back_to_randrange(q):
+    """Above a byte each symbol is drawn as `randrange(q)` draws it: the
+    same symbols, and the rng left where 300 `randrange` calls leave it."""
     class NoBytes(random.Random):
         def randbytes(self, n):
-            raise AssertionError("drew bytes for q=257")
+            raise AssertionError(f"drew bytes for q={q}")
 
-    got = localpir.scheme._draw_symbols(NoBytes(4), 300, 257)
+    rng = NoBytes(4)
+    got = localpir.scheme._draw_symbols(rng, 300, q)
     ref = random.Random(4)
-    assert got == [ref.randrange(257) for _ in range(300)]
+    assert got == [ref.randrange(q) for _ in range(300)]
+    assert rng.getstate() == ref.getstate()
 
 
-def test_draw_permutation_is_stream_identical_to_shuffle():
-    for seed in (0, 1, 7, "localpir:100:0"):
-        drawn, shuffled = random.Random(seed), random.Random(seed)
-        for n in range(1, 301):
-            perm = list(range(1, n + 1))
-            shuffled.shuffle(perm)
-            assert localpir.scheme._draw_permutation(drawn, n) == perm
+def test_execute_draws_permutations_as_shuffle_does():
+    """A plan on cycle-4 for message 1, which also names message 4, at
+    every length n from 1 to 300: `_execute` draws both permutations as
+    `random.shuffle` would, then the storage, and leaves the rng where
+    those draws leave it."""
+    g = family("cycle", 4)
+    for n in range(1, 301):
+        plan = SchemePlan(g, "singletons", 1, {1: n, 4: n},
+                          {1: tuple(((1, p),) for p in range(1, n + 1))},
+                          tuple(DecodeStep((1, p), ()) for p in range(n)))
+        for seed in (0, 1, 7, "localpir:100:0"):
+            drawn, shuffled = random.Random(seed), random.Random(seed)
+            perms, storage, decoded = localpir.scheme._execute(plan, drawn, 2)
+            assert perms == shuffled_permutations(shuffled, plan.lengths)
+            assert storage == {m: localpir.scheme._draw_symbols(shuffled, n, 2)
+                               for m in (1, 4)}
             assert drawn.getstate() == shuffled.getstate()
+            assert decoded == storage[1]
 
 
 @pytest.mark.parametrize("q", [2, 3, 257])

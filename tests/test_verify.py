@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from helpers import (
     corpus_plans,
     corrupt_gamma,
+    counted_certificate_fault,
     fingerprint_distribution,
     mutated_family,
     mutations,
@@ -22,6 +23,7 @@ from helpers import (
     oracle_probe,
     plan_with_queries,
     query_fingerprint,
+    random_regular_graph,
     seeded_decode_ok,
     shipped_corpus,
     silence_server,
@@ -40,6 +42,7 @@ from localpir.errors import (
 )
 from localpir.graphs import build_graph, family, graph_to_json
 from localpir.scheme import (
+    DecodeStep,
     SchemePlan,
     bipartite_config,
     build_plan_family,
@@ -463,10 +466,26 @@ def reports(plans, g):
 SILENCED = [("complete4-t1", family("complete", 4), et_config(1)),
             ("complete5-t1", family("complete", 5), et_config(1)),
             ("K33-t1", family("complete_bipartite", a=3, b=3), et_config(1))]
+# a cubic graph off the corpus, not edge-transitive
+RANDOM = [("random-3-regular-t2", random_regular_graph(8, 3, 2),
+           et_config(2))]
 
 
-@pytest.mark.parametrize("label,g,cfg", shipped_corpus() + SILENCED,
-                         ids=[c[0] for c in shipped_corpus() + SILENCED])
+def test_the_random_family_is_not_edge_transitive():
+    """Every server of RANDOM's graph stores three messages, and some of
+    its edges lie on a triangle while others do not, so no automorphism
+    maps every edge onto every other."""
+    (_, g, _), = RANDOM
+    neighbours = {v: {x for e in g.edges if v in e for x in e} - {v}
+                  for v in g.vertices}
+    assert g.degrees() == (3,) * 8
+    assert {bool(neighbours[u] & neighbours[v])
+            for u, v in g.edges} == {True, False}
+
+
+@pytest.mark.parametrize("label,g,cfg", shipped_corpus() + SILENCED + RANDOM,
+                         ids=[c[0] for c in shipped_corpus() + SILENCED
+                              + RANDOM])
 def test_templated_families_report_like_their_tuples(label, g, cfg):
     """The generic path is the oracle: each family, and each mutation of
     one of its plans, gives byte-identical reports and refusal texts
@@ -781,6 +800,86 @@ def test_certificate_agrees_with_seeded_runs_on_corpus_and_mutations(seeds):
                     checks += 1
                     failing += not certified
     assert checks > 1000 and 0 < failing < checks
+
+
+def certified_variants(plan):
+    """The plan, each `mutations()` layout of it (held as tuples), its
+    recipe reversed, and each server other than its templated endpoints
+    silenced with those endpoints kept on their templates."""
+    yield plan
+    yield from (plan_with_queries(plan, queries)
+                for queries in mutations(plan))
+    yield dataclasses.replace(plan, recipe=plan.recipe[::-1])
+    raw = plan.queries._raw
+    for server in sorted(raw):
+        if server not in templated_endpoints(plan):
+            yield dataclasses.replace(plan, queries={**raw, server: ()})
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_certificate_fault_is_the_counted_one(q):
+    """On every corpus family and the random cubic one, and on each
+    variant of each plan (`certified_variants`), the certificate gives
+    the text of the one that counts every step's coefficients."""
+    families = corpus_plans() + [(label, g, build_plan_family(g, cfg))
+                                 for label, g, cfg in RANDOM]
+    checks = faults = 0
+    for label, g, plans in families:
+        for theta, plan in plans.items():
+            for variant in certified_variants(plan):
+                want = counted_certificate_fault(variant, q)
+                assert verify._certificate_fault(variant, q) == want, \
+                    (label, theta)
+                checks += 1
+                faults += want is not None
+    assert checks > 700 and 0 < faults < checks
+
+
+def test_a_repeated_reference_is_counted():
+    """cycle-4, theta=1, L=2: server 1's one atom reads (4, 1) twice, which
+    cancels mod 2 only.  That step is not plain, so the certificate
+    counts it: it passes at q=2 and fails at q=3 and 5, as counting
+    does.  Cancelling one copy leaves the other at every q."""
+    plan = SchemePlan(family("cycle", 4), "hand", 1, {1: 2, 4: 2},
+                      {1: (((1, 1), (4, 1), (4, 1)),), 2: (((1, 2),),)},
+                      (DecodeStep((1, 0), ()), DecodeStep((2, 0), ())))
+    raw = plan.queries._raw
+    assert not verify._plain_step(raw, (1, 1), plan.recipe[0])
+    assert verify._plain_step(raw, (1, 2), plan.recipe[1])
+    fault = ("step 1 (source (1, 0), cancel []) leaves "
+             "{(1, 1): 1, (4, 1): 2}, not {(1, 1): 1}")
+    for q, want in ((2, None), (3, fault), (5, fault)):
+        assert verify._certificate_fault(plan, q) == want
+        assert counted_certificate_fault(plan, q) == want
+    # one singleton (4, 1) from server 4 cancels one of the two: the
+    # references match as sets, not as a multiset, and (4, 1) is left
+    once = dataclasses.replace(
+        plan, queries={**plan.queries, 4: (((4, 1),),)},
+        recipe=(DecodeStep((1, 0), ((4, 0),)), plan.recipe[1]))
+    assert not verify._plain_step(once.queries._raw, (1, 1), once.recipe[0])
+    for q in (2, 3, 5):
+        want = ("step 1 (source (1, 0), cancel [(4, 0)]) leaves "
+                "{(1, 1): 1, (4, 1): 1}, not {(1, 1): 1}")
+        assert verify._certificate_fault(once, q) == want
+        assert counted_certificate_fault(once, q) == want
+
+
+def test_a_cancel_atom_read_twice_is_counted():
+    """cycle-4, theta=1, L=2: step 1 subtracts server 4's singleton
+    (4, 1) twice from (1, 1) + (4, 1).  Its cancel references are not
+    distinct, so the step is not plain, and counting leaves (4, 1) at
+    -1 for every q."""
+    plan = SchemePlan(family("cycle", 4), "hand", 1, {1: 2, 4: 2},
+                      {1: (((1, 1), (4, 1)),), 4: (((4, 1),),),
+                       2: (((1, 2),),)},
+                      (DecodeStep((1, 0), ((4, 0), (4, 0))),
+                       DecodeStep((2, 0), ())))
+    assert not verify._plain_step(plan.queries._raw, (1, 1), plan.recipe[0])
+    for q in (2, 3, 5):
+        want = (f"step 1 (source (1, 0), cancel [(4, 0), (4, 0)]) leaves "
+                f"{{(1, 1): 1, (4, 1): {q - 1}}}, not {{(1, 1): 1}}")
+        assert verify._certificate_fault(plan, q) == want
+        assert counted_certificate_fault(plan, q) == want
 
 
 @pytest.mark.parametrize("bad", ["L+1", "0"])
